@@ -60,6 +60,14 @@ _CONFIDENCE_PENALTIES = {
 MIN_CONFIDENCE = 0.1
 
 
+def _confidence(reasons: Sequence[str]) -> float:
+    """Full confidence less each reason's penalty, floored."""
+    confidence = 1.0
+    for reason in reasons:
+        confidence -= _CONFIDENCE_PENALTIES.get(reason, 0.0)
+    return max(MIN_CONFIDENCE, confidence)
+
+
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
     """Verdict for one pharmacy website.
@@ -310,9 +318,6 @@ class PharmacyVerifier:
                 text_rank = 0.0
                 label = LEGITIMATE if network_rank > 0.0 else ILLEGITIMATE
             site_reasons = tuple(dict.fromkeys(reasons[i]))
-            confidence = 1.0
-            for reason in site_reasons:
-                confidence -= _CONFIDENCE_PENALTIES.get(reason, 0.0)
             reports.append(
                 VerificationReport(
                     domain=site.domain,
@@ -322,7 +327,7 @@ class PharmacyVerifier:
                     network_rank=network_rank,
                     rank_score=text_rank + network_rank,
                     degraded=bool(site_reasons),
-                    confidence=max(MIN_CONFIDENCE, confidence),
+                    confidence=_confidence(site_reasons),
                     degradation_reasons=site_reasons,
                 )
             )
@@ -349,9 +354,6 @@ class PharmacyVerifier:
             if stats is not None and stats.is_partial:
                 site_reasons.append("partial_crawl")
             network_rank = float(network_ranks[i])
-            confidence = 1.0
-            for reason in site_reasons:
-                confidence -= _CONFIDENCE_PENALTIES.get(reason, 0.0)
             reports.append(
                 VerificationReport(
                     domain=site.domain,
@@ -363,7 +365,7 @@ class PharmacyVerifier:
                     network_rank=network_rank,
                     rank_score=network_rank,
                     degraded=True,
-                    confidence=max(MIN_CONFIDENCE, confidence),
+                    confidence=_confidence(site_reasons),
                     degradation_reasons=tuple(site_reasons),
                 )
             )
@@ -432,17 +434,12 @@ class PharmacyVerifier:
 
     # -- internals --------------------------------------------------------------
 
-    def _network_rank(self, site: Website) -> float:
-        """TrustRank-derived network score of a (possibly unseen) site.
+    def _network_ranks(self, sites: Sequence[Website]) -> np.ndarray:
+        """TrustRank-derived network scores of (possibly unseen) sites.
 
         Own node score (if the site was in the training graph) plus the
         mean trust of its outbound endpoints, which generalizes to
         sites outside the training graph.
-        """
-        return float(self._network_ranks([site])[0])
-
-    def _network_ranks(self, sites: Sequence[Website]) -> np.ndarray:
-        """Batched network ranks: one segmented mean over all endpoints.
 
         Endpoint trust lookups of every site are concatenated into one
         flat array and per-site sums come from a single

@@ -12,11 +12,8 @@ from repro.network.features import (
 )
 from repro.network.blockrank import (
     BlockPlan,
-    block_anti_trustrank,
-    block_pagerank,
     block_personalized_pagerank,
     block_trustrank,
-    compile_transition_store,
     compile_transition_store_from_edges,
     load_block_plan,
 )
@@ -25,21 +22,16 @@ from repro.network.pagerank import (
     pagerank,
     personalized_pagerank,
     teleport_vector,
-    transition_matrix,
 )
 from repro.network.trustrank import anti_trustrank, reverse_graph, trustrank
 
 __all__ = [
     "BlockPlan",
-    "block_anti_trustrank",
-    "block_pagerank",
     "block_personalized_pagerank",
     "block_trustrank",
-    "compile_transition_store",
     "compile_transition_store_from_edges",
     "load_block_plan",
     "teleport_vector",
-    "transition_matrix",
     "build_graph_from_link_table",
     "build_pharmacy_graph",
     "eigentrust",

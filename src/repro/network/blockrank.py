@@ -4,62 +4,56 @@
 transition matrix in RAM and runs each power step as one SpMV.  At
 10^6 domains the matrix still fits a workstation, but a single process
 leaves every other core idle and couples peak RSS to corpus size.
-This module splits the work **by CSR row blocks**:
+This module splits the work **by CSR row blocks** and reuses the
+in-memory ranker's transition builder and power iteration
+(:mod:`repro.network.pagerank`), so in-memory ranking is simply the
+one-block case:
 
-* :func:`compile_transition_store` builds the exact transition matrix
-  of :func:`~repro.network.pagerank.transition_matrix` once, slices it
-  into row blocks, and spills each block through
-  :class:`repro.perf.MatrixStore` (atomic writes, mmap loads).  Row
-  ``i`` of a CSR row slice has byte-identical data in the same order
-  as row ``i`` of the full matrix, so the per-row dot products — and
+* :func:`compile_transition_store_from_edges` compiles flat
+  ``(src, dst, weight)`` edge arrays into row blocks one at a time and
+  spills each through :class:`repro.perf.MatrixStore` (atomic writes,
+  mmap loads).  Row ``i`` of a block has byte-identical data in the
+  same order at any block count, so the per-row dot products — and
   therefore the concatenated block results — are **bit-equal** to the
-  single-process SpMV, not merely close.
-* :func:`compile_transition_store_from_edges` compiles the same block
-  layout directly from flat ``(src, dst, weight)`` edge arrays without
-  ever materializing the full matrix — the path the million-site scale
-  harness uses, where the graph comes from streamed shards.
+  single-block SpMV, not merely close.
 * :func:`block_personalized_pagerank` runs the power iteration with a
   persistent :class:`repro.perf.WorkerPool`: the current rank vector
   lives in one shared-memory segment that every worker maps read-only,
   each worker computes its block's SpMV against its mmap'd block, and
   the parent concatenates block results in block order (deterministic
-  reduction), applies dangling + teleport mass, and checks
-  convergence.  Pool- or shared-memory-failure degrades to the serial
+  reduction).  Pool- or shared-memory-failure degrades to the serial
   block loop, which computes the identical result.
 
-``block_trustrank`` / ``block_anti_trustrank`` / ``block_pagerank``
-mirror the in-memory API over a compiled plan.
+:func:`block_trustrank` mirrors :func:`repro.network.trustrank.trustrank`
+over a compiled plan; over a plan compiled from swapped edge arrays it
+is Anti-TrustRank.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing import shared_memory
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.devtools.contracts import check_probability_vector
 from repro.exceptions import GraphError, ValidationError
-from repro.network.graph import DirectedGraph
-from repro.network.pagerank import teleport_vector, transition_matrix
+from repro.network.pagerank import (
+    _power_iteration,
+    _seed_teleport,
+    _transition_blocks,
+)
 from repro.perf.parallel import WorkerPool
 from repro.perf.store import MatrixStore
 
-logger = logging.getLogger(__name__)
-
 __all__ = [
     "BlockPlan",
-    "compile_transition_store",
     "compile_transition_store_from_edges",
     "load_block_plan",
     "block_personalized_pagerank",
-    "block_pagerank",
     "block_trustrank",
-    "block_anti_trustrank",
 ]
 
 
@@ -106,59 +100,6 @@ class BlockPlan:
         return f"{self.prefix}/block-{block:05d}"
 
 
-def _save_plan(
-    store: MatrixStore,
-    prefix: str,
-    nodes: Sequence[str],
-    offsets: Sequence[int],
-    dangling: np.ndarray,
-) -> BlockPlan:
-    store.save_array(f"{prefix}/dangling", np.asarray(dangling, dtype=bool))
-    store.save_meta(
-        f"{prefix}/plan",
-        {
-            "format": "repro-blockrank",
-            "version": 1,
-            "n": len(nodes),
-            "offsets": [int(o) for o in offsets],
-            "nodes": list(nodes),
-        },
-    )
-    return BlockPlan(
-        store=store,
-        prefix=prefix,
-        nodes=tuple(nodes),
-        offsets=tuple(int(o) for o in offsets),
-    )
-
-
-def compile_transition_store(
-    graph: DirectedGraph,
-    store: MatrixStore,
-    n_blocks: int,
-    prefix: str = "rank",
-) -> BlockPlan:
-    """Compile ``graph`` into spilled row blocks of its transition matrix.
-
-    Builds the exact matrix of
-    :func:`~repro.network.pagerank.transition_matrix` and slices it, so
-    block-wise ranking over the result is bit-equal to the in-memory
-    power iteration on the same graph.
-    """
-    if graph.n_nodes == 0:
-        raise GraphError("cannot compile an empty graph")
-    nodes = list(graph.nodes())
-    index = {node: i for i, node in enumerate(nodes)}
-    matrix, dangling = transition_matrix(graph, index)
-    offsets = _block_offsets(len(nodes), n_blocks)
-    plan = _save_plan(store, prefix, nodes, offsets, dangling)
-    for b in range(plan.n_blocks):
-        store.save_csr(
-            plan.block_name(b), matrix[offsets[b] : offsets[b + 1], :]
-        )
-    return plan
-
-
 def compile_transition_store_from_edges(
     store: MatrixStore,
     nodes: Sequence[str],
@@ -168,43 +109,32 @@ def compile_transition_store_from_edges(
     n_blocks: int,
     prefix: str = "rank",
 ) -> BlockPlan:
-    """Compile blocks from flat edge arrays without the full matrix.
+    """Compile flat edge arrays into spilled transition-matrix row blocks.
 
     ``src``/``dst`` are node indices into ``nodes``; parallel edges
     must already be folded (the sharded graph builder folds them).
-    Each block's rows are assembled independently from the edges whose
-    destination falls inside the block, so peak memory is one block
-    plus the edge arrays — never the full matrix.
+    Blocks come one at a time from the shared builder, so peak memory
+    is one block plus the edge arrays — never the full matrix.  Swap
+    ``src`` and ``dst`` to compile the reversed graph (Anti-TrustRank).
     """
     n = len(nodes)
     if n == 0:
         raise GraphError("cannot compile an empty graph")
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    weight = np.asarray(weight, dtype=np.float64)
-    if not (src.shape == dst.shape == weight.shape):
-        raise ValidationError("edge arrays must have identical shapes")
-    out_weight = np.bincount(src, weights=weight, minlength=n)
-    # A node is dangling iff it has no out-edges at all, so exact zero
-    # is the intended test.
-    dangling = out_weight == 0.0  # repro-lint: disable=R006
     offsets = _block_offsets(n, n_blocks)
-    plan = _save_plan(store, prefix, nodes, offsets, dangling)
-    if src.size:
-        data = weight / out_weight[src]
-        order = np.argsort(dst, kind="stable")
-        src, dst, data = src[order], dst[order], data[order]
-    else:
-        data = weight
-    bounds = np.searchsorted(dst, offsets)
-    for b in range(plan.n_blocks):
-        lo, hi = bounds[b], bounds[b + 1]
-        rows = offsets[b + 1] - offsets[b]
-        block = sp.csr_matrix(
-            (data[lo:hi], (dst[lo:hi] - offsets[b], src[lo:hi])),
-            shape=(rows, n),
-            dtype=np.float64,
-        )
+    dangling, blocks = _transition_blocks(n, src, dst, weight, offsets)
+    store.save_array(f"{prefix}/dangling", dangling)
+    store.save_meta(
+        f"{prefix}/plan",
+        {
+            "format": "repro-blockrank",
+            "version": 1,
+            "n": n,
+            "offsets": offsets,
+            "nodes": list(nodes),
+        },
+    )
+    plan = BlockPlan(store, prefix, tuple(nodes), tuple(offsets))
+    for b, block in enumerate(blocks):
         store.save_csr(plan.block_name(b), block)
     return plan
 
@@ -255,6 +185,24 @@ def _serial_block_spmv(plan: BlockPlan, rank: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _pool_block_spmv(
+    pool: WorkerPool,
+    plan: BlockPlan,
+    shm: shared_memory.SharedMemory,
+    rank: np.ndarray,
+) -> np.ndarray:
+    """Publish ``rank`` to shared memory and map block SpMV over it."""
+    np.ndarray((plan.n,), dtype=np.float64, buffer=shm.buf)[:] = rank
+    worker = partial(
+        _block_spmv,
+        store_root=str(plan.store.root),
+        prefix=plan.prefix,
+        shm_name=shm.name,
+        n=plan.n,
+    )
+    return np.concatenate(pool.map(worker, range(plan.n_blocks), chunksize=1))
+
+
 @check_probability_vector()
 def block_personalized_pagerank(
     plan: BlockPlan,
@@ -266,13 +214,12 @@ def block_personalized_pagerank(
 ) -> dict[str, float]:
     """Power-iteration PageRank over spilled row blocks, in parallel.
 
-    Semantics match
-    :func:`~repro.network.pagerank.personalized_pagerank` exactly when
-    the plan was compiled from the same graph (bit-equal block SpMV,
-    identical dangling/teleport handling, same convergence test).
+    Runs the same loop as
+    :func:`~repro.network.pagerank.personalized_pagerank`, so the two
+    are bit-equal when the plan was compiled from the same edges.
 
     Args:
-        plan: compiled blocks from :func:`compile_transition_store` or
+        plan: compiled blocks from
             :func:`compile_transition_store_from_edges`.
         teleport: node -> probability; ``None`` = uniform.
         damping: probability of following a link (α).
@@ -285,86 +232,38 @@ def block_personalized_pagerank(
     Returns:
         node -> score; scores sum to 1.
     """
-    if not 0.0 < damping < 1.0:
-        raise ValidationError(f"damping must be in (0, 1), got {damping}")
-    n = plan.n
-    index = {node: i for i, node in enumerate(plan.nodes)}
-    graph_view = _PlanNodeView(index)
-    t = teleport_vector(graph_view, index, teleport)
     dangling = np.asarray(
         plan.store.load_array(f"{plan.prefix}/dangling", mmap=False),
         dtype=bool,
     )
-    any_dangling = bool(dangling.any())
-
-    rank = t.copy()
     with WorkerPool(jobs) as pool:
         shm: shared_memory.SharedMemory | None = None
         if pool.workers > 1:
             try:
-                shm = shared_memory.SharedMemory(create=True, size=rank.nbytes)
+                shm = shared_memory.SharedMemory(
+                    create=True, size=plan.n * np.dtype(np.float64).itemsize
+                )
             except OSError:
                 # No /dev/shm here; the serial loop computes the same.
                 shm = None
+        if shm is None:
+            spmv = partial(_serial_block_spmv, plan)
+        else:
+            spmv = partial(_pool_block_spmv, pool, plan, shm)
         try:
-            if shm is not None:
-                shared_rank = np.ndarray((n,), dtype=np.float64, buffer=shm.buf)
-                worker = partial(
-                    _block_spmv,
-                    store_root=str(plan.store.root),
-                    prefix=plan.prefix,
-                    shm_name=shm.name,
-                    n=n,
-                )
-            for _ in range(max_iterations):
-                if shm is not None:
-                    shared_rank[:] = rank
-                    parts = pool.map(
-                        worker, range(plan.n_blocks), chunksize=1
-                    )
-                    new_rank = np.concatenate(parts)
-                else:
-                    new_rank = _serial_block_spmv(plan, rank)
-                if any_dangling:
-                    new_rank = new_rank + rank[dangling].sum() * t
-                new_rank = damping * new_rank + (1.0 - damping) * t
-                if np.abs(new_rank - rank).sum() < tolerance:
-                    rank = new_rank
-                    break
-                rank = new_rank
+            return _power_iteration(
+                {node: i for i, node in enumerate(plan.nodes)},
+                spmv,
+                dangling,
+                teleport,
+                damping,
+                max_iterations,
+                tolerance,
+            )
         finally:
             if shm is not None:
                 shm.close()
                 shm.unlink()
-    return {node: float(rank[i]) for node, i in index.items()}
-
-
-class _PlanNodeView:
-    """Minimal graph-shaped membership view for teleport validation."""
-
-    def __init__(self, index: Mapping[str, int]) -> None:
-        self._index = index
-
-    def __contains__(self, node: str) -> bool:
-        return node in self._index
-
-
-def block_pagerank(
-    plan: BlockPlan,
-    damping: float = 0.85,
-    max_iterations: int = 100,
-    tolerance: float = 1e-10,
-    jobs: int | None = None,
-) -> dict[str, float]:
-    """Plain (uniform-teleport) PageRank over spilled blocks."""
-    return block_personalized_pagerank(
-        plan,
-        teleport=None,
-        damping=damping,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        jobs=jobs,
-    )
 
 
 def block_trustrank(
@@ -375,38 +274,14 @@ def block_trustrank(
     tolerance: float = 1e-10,
     jobs: int | None = None,
 ) -> dict[str, float]:
-    """TrustRank over spilled blocks (teleport mass on the seed)."""
-    node_set = set(plan.nodes)
-    seed = [node for node in trusted_seed if node in node_set]
-    if not seed:
-        raise GraphError("trusted seed has no overlap with the graph")
+    """TrustRank over spilled blocks (teleport mass on the seed).
+
+    Over a plan compiled from swapped edge arrays this is
+    Anti-TrustRank.
+    """
     return block_personalized_pagerank(
         plan,
-        teleport={node: 1.0 for node in seed},
-        damping=damping,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        jobs=jobs,
-    )
-
-
-def block_anti_trustrank(
-    reversed_plan: BlockPlan,
-    distrusted_seed: Iterable[str],
-    damping: float = 0.85,
-    max_iterations: int = 100,
-    tolerance: float = 1e-10,
-    jobs: int | None = None,
-) -> dict[str, float]:
-    """Anti-TrustRank over blocks compiled from the *reversed* graph.
-
-    Distrust propagates backwards, so compile the plan from
-    :func:`repro.network.trustrank.reverse_graph` (or swap the edge
-    arrays' src/dst) before calling this.
-    """
-    return block_trustrank(
-        reversed_plan,
-        trusted_seed=distrusted_seed,
+        teleport=_seed_teleport(trusted_seed, set(plan.nodes)),
         damping=damping,
         max_iterations=max_iterations,
         tolerance=tolerance,

@@ -1,32 +1,30 @@
 """EigenTrust (Kamvar, Schlosser, Garcia-Molina, WWW 2003).
 
 Cited by the paper (Section 2.2) as the related trust algorithm for
-peer-to-peer networks.  Implemented here as an alternative to TrustRank
-for the network-analysis ablations: instead of propagating trust from a
-seed by teleporting random walks, EigenTrust computes the principal
-left eigenvector of the normalized *local-trust* matrix, with pre-trust
-mass on a seed of known-good peers providing both the start vector and
-a blending anchor:
+peer-to-peer networks, and kept as an alternative to TrustRank for the
+network-analysis ablations.  EigenTrust computes the principal left
+eigenvector of the normalized *local-trust* matrix, with pre-trust mass
+on a seed of known-good peers providing both the start vector and a
+blending anchor:
 
     t_{k+1} = (1 - a) * C^T t_k + a * p
 
 where ``C`` is the row-normalized local trust matrix, ``p`` the
-pre-trust distribution, and ``a`` the blending weight.  On a web graph,
-"local trust" is link weight (a page 'vouches' for what it links to),
-which makes the iteration the same family as personalized PageRank but
-with the EigenTrust convention of blending toward the pre-trusted set
-every step.
+uniform pre-trust distribution, and ``a`` the blending weight; a peer
+with no trust statements defers to ``p``.  On a web graph "local
+trust" is link weight (a page 'vouches' for what it links to), which
+makes this iteration exactly TrustRank with damping ``1 - a`` and the
+pre-trusted set as seed — so it runs on the same kernel.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from repro.devtools.contracts import check_probability_vector
-from repro.exceptions import GraphError, ValidationError
+from repro.exceptions import ValidationError
 from repro.network.graph import DirectedGraph
+from repro.network.trustrank import trustrank
 
 __all__ = ["eigentrust"]
 
@@ -54,52 +52,14 @@ def eigentrust(
 
     Raises:
         GraphError: empty graph or no pre-trusted node in the graph.
+        ValidationError: alpha outside (0, 1).
     """
-    if graph.n_nodes == 0:
-        raise GraphError("cannot compute EigenTrust on an empty graph")
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-
-    nodes = list(graph.nodes())
-    index = {node: i for i, node in enumerate(nodes)}
-    seed = [index[n] for n in pretrusted if n in index]
-    if not seed:
-        raise GraphError("pre-trusted set has no overlap with the graph")
-
-    n = len(nodes)
-    p = np.zeros(n)
-    p[seed] = 1.0 / len(seed)
-
-    out_targets: list[np.ndarray] = []
-    out_weights: list[np.ndarray] = []
-    dangling = np.zeros(n, dtype=bool)
-    for i, node in enumerate(nodes):
-        succ = graph.successors(node)
-        if not succ:
-            dangling[i] = True
-            out_targets.append(np.empty(0, dtype=np.int64))
-            out_weights.append(np.empty(0))
-            continue
-        targets = np.fromiter((index[d] for d in succ), dtype=np.int64)
-        weights = np.fromiter(succ.values(), dtype=np.float64)
-        out_targets.append(targets)
-        out_weights.append(weights / weights.sum())
-
-    t = p.copy()
-    for _ in range(max_iterations):
-        propagated = np.zeros(n)
-        for i in range(n):
-            mass = t[i]
-            if mass == 0.0:  # repro-lint: disable=R006 (exact sparsity skip)
-                continue
-            if dangling[i]:
-                # A peer with no trust statements defers to pre-trust.
-                propagated += mass * p
-            else:
-                propagated[out_targets[i]] += mass * out_weights[i]
-        new_t = (1.0 - alpha) * propagated + alpha * p
-        if np.abs(new_t - t).sum() < tolerance:
-            t = new_t
-            break
-        t = new_t
-    return {node: float(t[index[node]]) for node in nodes}
+    return trustrank(
+        graph,
+        pretrusted,
+        damping=1.0 - alpha,
+        max_iterations=max_iterations,
+        tolerance=tolerance,
+    )

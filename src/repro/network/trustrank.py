@@ -19,9 +19,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.devtools.contracts import check_probability_vector
-from repro.exceptions import GraphError
 from repro.network.graph import DirectedGraph
-from repro.network.pagerank import personalized_pagerank
+from repro.network.pagerank import _seed_teleport, personalized_pagerank
 
 __all__ = ["trustrank", "anti_trustrank", "reverse_graph"]
 
@@ -51,13 +50,9 @@ def trustrank(
     Raises:
         GraphError: when no seed node exists in the graph.
     """
-    seed = [node for node in trusted_seed if node in graph]
-    if not seed:
-        raise GraphError("trusted seed has no overlap with the graph")
-    teleport = {node: 1.0 for node in seed}
     return personalized_pagerank(
         graph,
-        teleport=teleport,
+        teleport=_seed_teleport(trusted_seed, graph),
         damping=damping,
         max_iterations=max_iterations,
         tolerance=tolerance,

@@ -21,8 +21,10 @@ arrived" and "a verdict payload left":
   other routes keep serving;
 * **verdict caching** — an optional
   :class:`~repro.perf.FeatureCache` memoizes clean full-confidence
-  verdicts keyed by (domain, model version), the warm-cache fast path
-  the load harness measures;
+  verdicts keyed by (domain, model fingerprint) — a content digest of
+  the loaded verifier, so a retrained model never serves its
+  predecessor's verdicts — the warm-cache fast path the load harness
+  measures;
 * **review-queue feeding** — every degraded verdict is recorded
   least-confident-first, mirroring
   :func:`~repro.core.review_queue.degraded_domains`, and served by the
@@ -36,7 +38,9 @@ no crawl host), or :class:`~repro.exceptions.ServiceUnavailableError`.
 
 from __future__ import annotations
 
+import io
 import logging
+import pickle
 import re
 import threading
 from dataclasses import dataclass
@@ -94,8 +98,6 @@ class ServiceConfig:
     """Operating knobs of one :class:`VerificationService`.
 
     Attributes:
-        model_version: cache namespace for verdicts; bump when the
-            deployed model changes so stale verdicts miss.
         crawl_max_pages: page cap per on-demand crawl.
         crawl_fetch_budget: fetch-attempt cap per on-demand crawl.
         deadline_chunk: sites per deadline check inside batch
@@ -108,7 +110,6 @@ class ServiceConfig:
             review-queue route (least confident win eviction).
     """
 
-    model_version: str = "v1"
     crawl_max_pages: int = 25
     crawl_fetch_budget: int | None = 200
     deadline_chunk: int = 8
@@ -168,6 +169,28 @@ def _validate_domain(domain: object) -> str:
     return cleaned
 
 
+class _CanonicalPickler(pickle.Pickler):
+    """Pickles sets in sorted order, so equal models give equal bytes.
+
+    Set iteration order follows string hashing, which is salted per
+    process; without this a restart with the same model artifact would
+    fingerprint differently and miss every cached verdict.  The output
+    is only ever hashed, never loaded.
+    """
+
+    def persistent_id(self, obj: object) -> object:
+        if isinstance(obj, (set, frozenset)):
+            return (type(obj).__name__, sorted(obj, key=repr))
+        return None
+
+
+def _model_fingerprint(verifier: PharmacyVerifier) -> str:
+    """Content fingerprint of everything a verdict depends on."""
+    buffer = io.BytesIO()
+    _CanonicalPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(verifier)
+    return content_fingerprint([buffer.getvalue()])
+
+
 class VerificationService:
     """Verify domains on demand behind admission, deadlines, breakers.
 
@@ -205,6 +228,7 @@ class VerificationService:
         if not verifier.is_fitted:
             raise ValidationError("VerificationService needs a fitted verifier")
         self._verifier = verifier
+        self._model_fingerprint = _model_fingerprint(verifier)
         self._clock: Clock = clock if clock is not None else VirtualClock()
         self._cache = cache
         self._retry_policy = retry_policy
@@ -369,7 +393,7 @@ class VerificationService:
             "backends": backends,
             "known_domains": len(self._index),
             "crawl_on_miss": self._host is not None,
-            "model_version": self._config.model_version,
+            "model_fingerprint": self._model_fingerprint,
             "cache": self._cache.stats.as_dict() if self._cache else None,
         }
 
@@ -502,7 +526,7 @@ class VerificationService:
         return self._cache.key(
             kind="serve_verdict",
             content=content_fingerprint([domain]),
-            params={"model_version": self._config.model_version},
+            params={"model_fingerprint": self._model_fingerprint},
         )
 
     def _cache_load(self, domain: str) -> dict[str, object] | None:

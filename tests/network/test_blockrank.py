@@ -1,10 +1,10 @@
 """Tests for block-wise multi-process ranking over spilled CSR blocks.
 
-The contract: block ranking over a compiled plan equals the in-memory
-:func:`repro.network.pagerank.personalized_pagerank` to 1e-9 (in fact
-bit-equal — row-sliced CSR keeps per-row data order), serial and
-parallel runs are identical, and the edge-array compile path matches
-the graph compile path.
+The contract: block ranking over a plan compiled from a graph's edges
+is bit-equal to the in-memory
+:func:`repro.network.pagerank.personalized_pagerank` (both run the
+same builder and power iteration; in-memory is the one-block case),
+to any block count, and serial and parallel runs are identical.
 """
 
 from __future__ import annotations
@@ -14,17 +14,14 @@ import pytest
 
 from repro.exceptions import GraphError, ValidationError
 from repro.network.blockrank import (
-    block_anti_trustrank,
-    block_pagerank,
     block_personalized_pagerank,
     block_trustrank,
-    compile_transition_store,
     compile_transition_store_from_edges,
     load_block_plan,
 )
 from repro.network.graph import DirectedGraph
 from repro.network.pagerank import personalized_pagerank
-from repro.network.trustrank import anti_trustrank, reverse_graph, trustrank
+from repro.network.trustrank import anti_trustrank, trustrank
 from repro.perf.store import MatrixStore
 
 
@@ -40,6 +37,21 @@ def _random_graph(n_nodes=60, n_edges=300, seed=11) -> DirectedGraph:
         if s != d:
             graph.add_edge(names[s], names[d])
     return graph
+
+
+def _compile(graph, store, n_blocks, prefix="rank", reverse=False):
+    """Compile ``graph``'s edges in node order (swapped when ``reverse``)."""
+    nodes = list(graph.nodes())
+    index = {n: i for i, n in enumerate(nodes)}
+    edges = list(graph.edges())
+    src = np.asarray([index[s] for s, _, _ in edges], dtype=np.int64)
+    dst = np.asarray([index[d] for _, d, _ in edges], dtype=np.int64)
+    weight = np.asarray([w for _, _, w in edges], dtype=np.float64)
+    if reverse:
+        src, dst = dst, src
+    return compile_transition_store_from_edges(
+        store, nodes, src, dst, weight, n_blocks=n_blocks, prefix=prefix
+    )
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +71,7 @@ def _max_divergence(a: dict, b: dict) -> float:
 
 class TestCompile:
     def test_blocks_cover_all_rows(self, graph, store):
-        plan = compile_transition_store(graph, store, n_blocks=4)
+        plan = _compile(graph, store, n_blocks=4)
         assert plan.n == graph.n_nodes
         assert plan.offsets[0] == 0 and plan.offsets[-1] == plan.n
         assert plan.n_blocks == 4
@@ -67,38 +79,40 @@ class TestCompile:
     def test_more_blocks_than_rows_clamps(self, store):
         graph = DirectedGraph()
         graph.add_edge("a.example", "b.example")
-        plan = compile_transition_store(graph, store, n_blocks=10)
+        plan = _compile(graph, store, n_blocks=10)
         assert plan.n_blocks == graph.n_nodes
 
     def test_empty_graph_rejected(self, store):
         with pytest.raises(GraphError):
-            compile_transition_store(DirectedGraph(), store, n_blocks=2)
+            _compile(DirectedGraph(), store, n_blocks=2)
 
     def test_bad_block_count_rejected(self, graph, store):
         with pytest.raises(ValidationError):
-            compile_transition_store(graph, store, n_blocks=0)
+            _compile(graph, store, n_blocks=0)
 
     def test_plan_reloads_identically(self, graph, store):
-        plan = compile_transition_store(graph, store, n_blocks=3)
+        plan = _compile(graph, store, n_blocks=3)
         reloaded = load_block_plan(store)
         assert reloaded.nodes == plan.nodes
         assert reloaded.offsets == plan.offsets
-        assert block_pagerank(reloaded) == block_pagerank(plan)
+        assert block_personalized_pagerank(
+            reloaded
+        ) == block_personalized_pagerank(plan)
 
 
 class TestEquivalence:
     def test_uniform_matches_inmemory(self, graph, store):
-        plan = compile_transition_store(graph, store, n_blocks=4)
+        plan = _compile(graph, store, n_blocks=4)
         assert (
             _max_divergence(
-                block_pagerank(plan), personalized_pagerank(graph)
+                block_personalized_pagerank(plan), personalized_pagerank(graph)
             )
             <= 1e-9
         )
 
     def test_personalized_matches_inmemory(self, graph, store):
         teleport = {f"d{i}.example": 1.0 for i in range(0, 60, 7)}
-        plan = compile_transition_store(graph, store, n_blocks=5)
+        plan = _compile(graph, store, n_blocks=5)
         assert (
             _max_divergence(
                 block_personalized_pagerank(plan, teleport=teleport),
@@ -109,7 +123,7 @@ class TestEquivalence:
 
     def test_trustrank_matches_inmemory(self, graph, store):
         seed = [f"d{i}.example" for i in range(6)]
-        plan = compile_transition_store(graph, store, n_blocks=4)
+        plan = _compile(graph, store, n_blocks=4)
         assert (
             _max_divergence(
                 block_trustrank(plan, seed), trustrank(graph, seed)
@@ -119,19 +133,17 @@ class TestEquivalence:
 
     def test_anti_trustrank_matches_inmemory(self, graph, store):
         seed = [f"d{i}.example" for i in range(50, 60)]
-        plan = compile_transition_store(
-            reverse_graph(graph), store, n_blocks=4
-        )
+        plan = _compile(graph, store, n_blocks=4, reverse=True)
         assert (
             _max_divergence(
-                block_anti_trustrank(plan, seed), anti_trustrank(graph, seed)
+                block_trustrank(plan, seed), anti_trustrank(graph, seed)
             )
             <= 1e-9
         )
 
     def test_serial_equals_parallel_bitwise(self, graph, store):
         teleport = {f"d{i}.example": 1.0 for i in range(0, 60, 5)}
-        plan = compile_transition_store(graph, store, n_blocks=4)
+        plan = _compile(graph, store, n_blocks=4)
         serial = block_personalized_pagerank(plan, teleport=teleport, jobs=1)
         parallel = block_personalized_pagerank(
             plan, teleport=teleport, jobs=2
@@ -139,9 +151,11 @@ class TestEquivalence:
         assert serial == parallel  # identical floats, not just close
 
     def test_block_count_does_not_change_result(self, graph, store):
-        one = compile_transition_store(graph, store, n_blocks=1, prefix="p1")
-        many = compile_transition_store(graph, store, n_blocks=7, prefix="p7")
-        assert block_pagerank(one) == block_pagerank(many)
+        one = _compile(graph, store, n_blocks=1, prefix="p1")
+        many = _compile(graph, store, n_blocks=7, prefix="p7")
+        assert block_personalized_pagerank(
+            one
+        ) == block_personalized_pagerank(many)
 
 
 class TestEdgeCompile:
@@ -154,9 +168,6 @@ class TestEdgeCompile:
                 src.append(index[node])
                 dst.append(index[succ])
                 weight.append(w)
-        from_graph = compile_transition_store(
-            graph, store, n_blocks=4, prefix="g"
-        )
         from_edges = compile_transition_store_from_edges(
             store,
             nodes,
@@ -164,9 +175,12 @@ class TestEdgeCompile:
             np.asarray(dst),
             np.asarray(weight, dtype=np.float64),
             n_blocks=4,
-            prefix="e",
         )
-        assert block_pagerank(from_graph) == block_pagerank(from_edges)
+        # The in-memory ranker compiles the graph as one block of the
+        # same builder; four spilled blocks give identical floats.
+        assert block_personalized_pagerank(from_edges) == personalized_pagerank(
+            graph
+        )
 
     def test_edgeless_nodes_are_all_dangling(self, store):
         plan = compile_transition_store_from_edges(
@@ -177,7 +191,7 @@ class TestEdgeCompile:
             np.asarray([], dtype=np.float64),
             n_blocks=2,
         )
-        ranks = block_pagerank(plan)
+        ranks = block_personalized_pagerank(plan)
         assert ranks["a.example"] == pytest.approx(0.5)
 
     def test_mismatched_edge_arrays_rejected(self, store):
@@ -205,15 +219,15 @@ class TestEdgeCompile:
 
 class TestValidation:
     def test_bad_damping(self, graph, store):
-        plan = compile_transition_store(graph, store, n_blocks=2)
+        plan = _compile(graph, store, n_blocks=2)
         with pytest.raises(ValidationError):
             block_personalized_pagerank(plan, damping=1.0)
 
     def test_empty_trust_seed(self, graph, store):
-        plan = compile_transition_store(graph, store, n_blocks=2)
+        plan = _compile(graph, store, n_blocks=2)
         with pytest.raises(GraphError):
             block_trustrank(plan, ["unknown.example"])
 
     def test_scores_sum_to_one(self, graph, store):
-        plan = compile_transition_store(graph, store, n_blocks=3)
-        assert sum(block_pagerank(plan).values()) == pytest.approx(1.0)
+        plan = _compile(graph, store, n_blocks=3)
+        assert sum(block_personalized_pagerank(plan).values()) == pytest.approx(1.0)

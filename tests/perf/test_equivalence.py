@@ -1,10 +1,11 @@
 """Property tests: the vectorized fast paths match the reference kernels.
 
 The vectorized :class:`~repro.text.ngram_graph.NGramGraph` and the CSR
-power iteration in :mod:`repro.network.pagerank` replaced pure-Python
-dict/loop implementations.  These tests pin the equivalence on
-randomized, seeded inputs: same edges, same weights, similarities
-within 1e-9, ranks within 1e-9.
+power iteration in :mod:`repro.network.pagerank` (which EigenTrust also
+runs on) replaced pure-Python dict/loop implementations.  These tests
+pin the equivalence on randomized, seeded inputs: same edges, same
+weights, similarities within 1e-9, ranks within 1e-9 (EigenTrust within
+1e-12).
 """
 
 import pickle
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
+from repro.network.eigentrust import eigentrust
 from repro.network.graph import DirectedGraph
 from repro.network.pagerank import pagerank, personalized_pagerank
 from repro.perf.reference import (
@@ -157,6 +159,23 @@ class TestPageRankEquivalence:
         slow = reference_personalized_pagerank(graph, teleport=teleport)
         for node, score in slow.items():
             assert fast[node] == pytest.approx(score, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("alpha", [0.15, 0.5])
+    def test_eigentrust_matches_trustrank_reference(self, seed, alpha):
+        """EigenTrust is TrustRank with damping ``1 - alpha``."""
+        rng = random.Random(seed)
+        graph = random_graph(rng, rng.randint(5, 40), rng.randint(4, 120))
+        pretrusted = rng.sample(list(graph.nodes()), 3)
+        fast = eigentrust(graph, pretrusted, alpha=alpha)
+        slow = reference_personalized_pagerank(
+            graph,
+            teleport={node: 1.0 for node in pretrusted},
+            damping=1.0 - alpha,
+        )
+        assert set(fast) == set(slow)
+        for node, score in slow.items():
+            assert fast[node] == pytest.approx(score, abs=1e-12)
 
     def test_pagerank_wrapper_matches(self):
         rng = random.Random(99)

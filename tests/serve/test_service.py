@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.core import PharmacyVerifier
 from repro.exceptions import (
     MissingKeyError,
     ServiceUnavailableError,
     ValidationError,
 )
+from repro.io import load_model, save_model
 from repro.perf import FeatureCache
 from repro.serve import ServiceConfig, VerificationService
 from repro.web.resilience.clock import VirtualClock
@@ -35,8 +43,6 @@ def service(fitted_verifier, tiny_corpus, tiny_host):
 
 class TestValidation:
     def test_needs_fitted_verifier(self):
-        from repro.core import PharmacyVerifier
-
         with pytest.raises(ValidationError):
             VerificationService(PharmacyVerifier())
 
@@ -298,27 +304,72 @@ class TestCache:
             assert payload["degraded"] is True
             assert payload["cached"] is False
 
-    def test_model_version_partitions_cache(
+    def test_retrained_model_misses_cache(
+        self, fitted_verifier, tiny_corpus, tiny_corpus2, tmp_path
+    ):
+        domain = tiny_corpus.sites[0].domain
+        retrained = PharmacyVerifier().fit(tiny_corpus2)
+
+        def serve(verifier):
+            return VerificationService(
+                verifier,
+                sites=tiny_corpus.sites,
+                clock=VirtualClock(),
+                cache=FeatureCache(tmp_path / "verdicts"),
+            )
+
+        first = serve(fitted_verifier)
+        assert first.verify_domain(domain)["degraded"] is False
+        second = serve(retrained)
+        assert second.verify_domain(domain)["cached"] is False
+        assert (
+            second.health()["model_fingerprint"]
+            != first.health()["model_fingerprint"]
+        )
+
+    def test_restart_with_same_model_hits_cache(
         self, fitted_verifier, tiny_corpus, tmp_path
     ):
-        cache = FeatureCache(tmp_path / "verdicts")
+        model_path = tmp_path / "verifier.pkl"
+        save_model(fitted_verifier, model_path)
         domain = tiny_corpus.sites[0].domain
-        v1 = VerificationService(
-            fitted_verifier,
-            sites=tiny_corpus.sites,
-            clock=VirtualClock(),
-            cache=cache,
-            config=ServiceConfig(model_version="v1"),
+        payloads = [
+            VerificationService(
+                load_model(model_path),
+                sites=tiny_corpus.sites,
+                clock=VirtualClock(),
+                cache=FeatureCache(tmp_path / "verdicts"),
+            ).verify_domain(domain)
+            for _ in range(2)
+        ]
+        assert [p["cached"] for p in payloads] == [False, True]
+        assert payloads[1]["verdict"] == payloads[0]["verdict"]
+
+    def test_model_fingerprint_survives_hash_salt(
+        self, fitted_verifier, tmp_path
+    ):
+        """A restarted process salts string hashes differently."""
+        model_path = tmp_path / "verifier.pkl"
+        save_model(fitted_verifier, model_path)
+        script = (
+            "import sys; from repro.io import load_model; "
+            "from repro.serve import VerificationService; "
+            "service = VerificationService(load_model(sys.argv[1])); "
+            "print(service.health()['model_fingerprint'])"
         )
-        v2 = VerificationService(
-            fitted_verifier,
-            sites=tiny_corpus.sites,
-            clock=VirtualClock(),
-            cache=cache,
-            config=ServiceConfig(model_version="v2"),
-        )
-        v1.verify_domain(domain)
-        assert v2.verify_domain(domain)["cached"] is False
+        src_root = str(Path(repro.__file__).resolve().parents[1])
+        fingerprints = {
+            subprocess.run(
+                [sys.executable, "-c", script, str(model_path)],
+                env={**os.environ, "PYTHONHASHSEED": salt, "PYTHONPATH": src_root},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout.strip()
+            for salt in ("1", "2")
+        }
+        here = VerificationService(load_model(model_path)).health()
+        assert fingerprints == {here["model_fingerprint"]}
 
 
 class TestHealth:
