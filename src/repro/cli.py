@@ -161,8 +161,10 @@ def _is_sharded(path: str) -> bool:
 def _load_sites(path: str) -> tuple[Sequence[Website], list[int] | None]:
     """Sites + labels from a ``.jsonl`` corpus or a sharded directory.
 
-    Sharded corpora come back as a lazy view (one shard in memory at a
-    time); single-file corpora load as before.
+    Sharded corpora come back as a lazy view: a verification pass walks
+    it once, so each shard is parsed once per pass and memory holds the
+    reader's shard LRU plus one verification block of sites.
+    Single-file corpora load as before.
     """
     if _is_sharded(path):
         from repro.data.sharding import ShardedCorpus

@@ -59,6 +59,13 @@ _CONFIDENCE_PENALTIES = {
 
 MIN_CONFIDENCE = 0.1
 
+#: Sites materialised and scored together by :meth:`PharmacyVerifier.verify_sites`
+#: when no deadline is set.  Each block is read from the input sequence
+#: once, so a lazy sharded view is walked in shard-major order and each
+#: shard parsed once per pass; only one block of sites and summaries is
+#: alive at a time.
+_BLOCK_SITES = 1024
+
 
 def _confidence(reasons: Sequence[str]) -> float:
     """Full confidence less each reason's penalty, floored."""
@@ -216,14 +223,19 @@ class PharmacyVerifier:
         fall back to network-only scoring with ``degraded=True`` — this
         method does not raise on thin or partial content.
 
-        With a ``deadline``, the batch is scored in ``deadline_chunk``
-        chunks and the clock is checked between them: chunks whose turn
+        The batch is walked once, in consecutive blocks of
+        :data:`_BLOCK_SITES` sites: each block is read from ``sites``
+        once (a lazy sharded view therefore parses each shard once per
+        pass), summarized, and sent through one TF-IDF transform.
+
+        With a ``deadline``, the blocks shrink to ``deadline_chunk``
+        sites and the clock is checked between them: blocks whose turn
         comes after the deadline skip the text pipeline and get cheap
         network-only reports flagged ``deadline_exceeded`` — the serving
         layer's guarantee that an overloaded verifier returns partial
         degraded results instead of hanging past its budget.  Per-site
-        results are independent, so the chunked path scores exactly as
-        the unchunked one for every site the budget covers.
+        results are independent, so every block size scores exactly
+        alike for every site the budget covers.
 
         Args:
             sites: crawled websites.
@@ -249,23 +261,25 @@ class PharmacyVerifier:
             raise ValidationError(
                 f"deadline_chunk must be >= 1, got {deadline_chunk}"
             )
-        if deadline is None:
-            return self._verify_batch(sites, crawl_stats)
+        step = _BLOCK_SITES if deadline is None else deadline_chunk
         timer: Clock = clock if clock is not None else VirtualClock()
         reports: list[VerificationReport] = []
-        for start in range(0, len(sites), deadline_chunk):
-            chunk = sites[start : start + deadline_chunk]
-            chunk_stats = (
-                crawl_stats[start : start + deadline_chunk]
+        for start in range(0, len(sites), step):
+            block = list(sites[start : start + step])
+            block_stats = (
+                crawl_stats[start : start + step]
                 if crawl_stats is not None
                 else None
             )
             # Time is injected: deterministic VirtualClock unless the
             # caller opts into real time (the serving layer does).
-            if timer.monotonic() >= deadline:  # repro-flow: disable=D002
-                reports.extend(self._expired_reports(chunk, chunk_stats))
+            if (
+                deadline is not None
+                and timer.monotonic() >= deadline  # repro-flow: disable=D002
+            ):
+                reports.extend(self._expired_reports(block, block_stats))
             else:
-                reports.extend(self._verify_batch(chunk, chunk_stats))
+                reports.extend(self._verify_batch(block, block_stats))
         return reports
 
     def _verify_batch(
@@ -273,7 +287,8 @@ class PharmacyVerifier:
         sites: Sequence[Website],
         crawl_stats: Sequence[CrawlStats | None] | None,
     ) -> list[VerificationReport]:
-        """Score one batch with no deadline bookkeeping."""
+        """Score one block with no deadline bookkeeping."""
+        endpoints = [site.outbound_endpoints() for site in sites]
         reasons: list[list[str]] = []
         scorable: list[int] = []
         for i, site in enumerate(sites):
@@ -281,11 +296,11 @@ class PharmacyVerifier:
             stats = crawl_stats[i] if crawl_stats is not None else None
             if stats is not None and stats.is_partial:
                 site_reasons.append("partial_crawl")
-            if site.n_pages == 0 or not site.merged_text().strip():
-                site_reasons.append("no_text")
-            else:
+            if any(page.text.strip() for page in site.pages):
                 scorable.append(i)
-            if not site.outbound_endpoints() and (
+            else:
+                site_reasons.append("no_text")
+            if not endpoints[i] and (
                 self._trust_scores.get(site.domain, 0.0) <= 0.0
             ):
                 site_reasons.append("no_network_signal")
@@ -302,7 +317,7 @@ class PharmacyVerifier:
             scorable = []
         by_index = {idx: pos for pos, idx in enumerate(scorable)}
 
-        network_ranks = self._network_ranks(sites)
+        network_ranks = self._network_ranks(sites, endpoints)
         reports = []
         for i, site in enumerate(sites):
             network_rank = float(network_ranks[i])
@@ -346,7 +361,9 @@ class PharmacyVerifier:
         ``deadline_exceeded`` reason on top of any ``partial_crawl``
         flag their stats earned.
         """
-        network_ranks = self._network_ranks(sites)
+        network_ranks = self._network_ranks(
+            sites, [site.outbound_endpoints() for site in sites]
+        )
         reports = []
         for i, site in enumerate(sites):
             site_reasons = ["deadline_exceeded"]
@@ -377,12 +394,9 @@ class PharmacyVerifier:
             return np.empty(0), np.empty(0, dtype=int), np.empty(0)
         try:
             documents = [self._summarizer.summarize_site(s) for s in sites]
-            probas = self._pipeline.predict_proba(documents)[:, -1]
+            probas, labels, text_ranks = self._pipeline.score(documents)
             if self._decision_threshold is not None:
                 labels = (probas >= self._decision_threshold).astype(int)
-            else:
-                labels = self._pipeline.predict(documents)
-            text_ranks = self._pipeline.text_rank(documents)
             return probas, labels, text_ranks
         except ReproError:
             logger.warning(
@@ -434,12 +448,17 @@ class PharmacyVerifier:
 
     # -- internals --------------------------------------------------------------
 
-    def _network_ranks(self, sites: Sequence[Website]) -> np.ndarray:
+    def _network_ranks(
+        self,
+        sites: Sequence[Website],
+        per_site: Sequence[tuple[str, ...]],
+    ) -> np.ndarray:
         """TrustRank-derived network scores of (possibly unseen) sites.
 
         Own node score (if the site was in the training graph) plus the
-        mean trust of its outbound endpoints, which generalizes to
-        sites outside the training graph.
+        mean trust of its outbound endpoints (``per_site``, aligned with
+        ``sites``), which generalizes to sites outside the training
+        graph.
 
         Endpoint trust lookups of every site are concatenated into one
         flat array and per-site sums come from a single
@@ -449,7 +468,6 @@ class PharmacyVerifier:
         assert self._trust_scores is not None
         trust = self._trust_scores.get
         own = np.array([trust(site.domain, 0.0) for site in sites], dtype=np.float64)
-        per_site = [site.outbound_endpoints() for site in sites]
         lengths = np.array([len(endpoints) for endpoints in per_site], dtype=np.int64)
         total = int(lengths.sum())
         if total == 0:

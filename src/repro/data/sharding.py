@@ -446,10 +446,13 @@ class _LoadedShard:
 class _LazySiteSequence(Sequence[Website]):
     """Read-only global view over all shards' sites, opened lazily.
 
-    Index ``i`` maps to shard ``k`` via cumulative shard sizes; only
-    the shards a caller actually touches are parsed, so chunked
-    consumers (e.g. ``verify_sites`` slicing) stream one shard at a
-    time through the corpus LRU.
+    Index ``i`` maps to shard ``k`` via cumulative shard sizes, and an
+    index outside the reader's LRU re-parses its whole shard.  Only the
+    shards a caller touches are parsed.  A caller that walks the view
+    once in index order, as ``verify_sites`` does in blocks, parses each
+    shard once per pass and holds the LRU's shards plus the block it
+    materialised; walking it again re-parses every shard the LRU has
+    evicted.
     """
 
     def __init__(self, corpus: "ShardedCorpus") -> None:

@@ -84,6 +84,43 @@ class TestTfidfTextPipeline:
             prototype.predict(np.ones((1, 2)))
 
 
+class TestScore:
+    """``score`` is the three scoring calls fused over one transform."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TfidfTextPipeline(MultinomialNB()),
+            lambda: TfidfTextPipeline(LinearSVC(n_epochs=10)),
+            lambda: TfidfTextPipeline(LinearSVC(n_epochs=10), calibrate=True),
+        ],
+        ids=["nb", "svm", "calibrated-svm"],
+    )
+    def test_equals_separate_calls_with_one_transform(self, make, toy_docs):
+        docs, y = toy_docs
+        pipeline = make().fit(docs, y)
+        expected = (
+            pipeline.predict_proba(docs)[:, -1],
+            pipeline.predict(docs),
+            pipeline.text_rank(docs),
+        )
+        vectorizer = pipeline._vectorizer
+        calls = []
+
+        def counting_transform(documents):
+            calls.append(len(documents))
+            return type(vectorizer).transform(vectorizer, documents)
+
+        vectorizer.transform = counting_transform
+        proba, labels, ranks = pipeline.score(docs)
+        assert calls == [len(docs)]
+        np.testing.assert_array_equal(proba, expected[0])
+        np.testing.assert_array_equal(labels, expected[1])
+        np.testing.assert_array_equal(ranks, expected[2])
+        assert labels.dtype == expected[1].dtype
+        assert ranks.dtype == expected[2].dtype
+
+
 class TestNGramGraphTextPipeline:
     def test_fit_predict(self, toy_docs):
         docs, y = toy_docs

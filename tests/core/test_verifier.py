@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import repro.core.verifier
 from repro.core.verifier import MIN_CONFIDENCE, PharmacyVerifier
 from repro.exceptions import NotFittedError, ValidationError
+from repro.ml.svm import LinearSVC
 from repro.web.crawler import CrawlStats
+from repro.web.page import WebPage
 from repro.web.site import Website
 
 
@@ -161,3 +164,75 @@ class TestThresholdTuning:
     def test_untuned_verifier_has_no_threshold(self, fitted_verifier):
         verifier, _ = fitted_verifier
         assert verifier.decision_threshold is None
+
+
+class TestBlockWalk:
+    """Scoring in blocks equals scoring each site alone."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # The tiny corpus then crosses several block boundaries.
+        monkeypatch.setattr(repro.core.verifier, "_BLOCK_SITES", 3)
+
+    @staticmethod
+    def assert_blockwise_equals_per_site(verifier, sites):
+        assert len(sites) > 3
+        assert verifier.verify_sites(sites) == [
+            verifier.verify_site(site) for site in sites
+        ]
+
+    def test_default_verifier(self, fitted_verifier):
+        verifier, corpus = fitted_verifier
+        self.assert_blockwise_equals_per_site(verifier, list(corpus.sites))
+
+    def test_linear_svc_verifier(self, tiny_corpus):
+        train = tiny_corpus.subset(np.arange(0, len(tiny_corpus), 2))
+        verifier = PharmacyVerifier(classifier=LinearSVC(), seed=0).fit(train)
+        reports = verifier.verify_sites(list(tiny_corpus.sites))
+        # Non-probabilistic classifiers contribute a hard 0/1 text rank.
+        assert {r.text_rank for r in reports} <= {0.0, 1.0}
+        self.assert_blockwise_equals_per_site(verifier, list(tiny_corpus.sites))
+
+    def test_tuned_threshold_verifier(self, tiny_corpus):
+        train = tiny_corpus.subset(np.arange(0, len(tiny_corpus), 2))
+        holdout_idx = np.arange(1, len(tiny_corpus), 2)
+        verifier = PharmacyVerifier(seed=0).fit(train)
+        verifier.tune_threshold(
+            [tiny_corpus.sites[i] for i in holdout_idx],
+            tiny_corpus.labels[holdout_idx],
+            min_precision=1.0,
+        )
+        assert verifier.decision_threshold is not None
+        self.assert_blockwise_equals_per_site(verifier, list(tiny_corpus.sites))
+
+    def test_textless_and_linkless_sites(self, fitted_verifier):
+        verifier, corpus = fitted_verifier
+        blank = Website(
+            domain="blank-rx.com",
+            pages=(WebPage(url="https://www.blank-rx.com/", text=" \n\t "),),
+        )
+        linkless = Website(
+            domain="island-rx.com",
+            pages=(
+                WebPage(
+                    url="https://www.island-rx.com/",
+                    text="cheap pills discount pharmacy online",
+                ),
+            ),
+        )
+        ghost = Website(domain="ghost-pharmacy.com", pages=())
+        sites = [
+            corpus.sites[0],
+            blank,
+            corpus.sites[1],
+            linkless,
+            ghost,
+            corpus.sites[2],
+            corpus.sites[3],
+        ]
+        reports = verifier.verify_sites(sites)
+        assert "no_text" in reports[1].degradation_reasons
+        assert "no_text" in reports[4].degradation_reasons
+        assert "no_text" not in reports[3].degradation_reasons
+        assert "no_network_signal" in reports[3].degradation_reasons
+        self.assert_blockwise_equals_per_site(verifier, sites)

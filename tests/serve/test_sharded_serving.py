@@ -104,6 +104,12 @@ class TestVerifySitesView:
             s.domain for s in view[:6]
         ]
 
+    def test_ranking_pass_parses_each_shard_once(self, verifier, corpus_dir):
+        corpus = ShardedCorpus(corpus_dir, max_open_shards=2)
+        ranking = verifier.rank_sites(corpus.sites_view())
+        assert len(ranking.entries) == len(corpus)
+        assert corpus.shard_opens == corpus.n_shards
+
     def test_view_slice_opens_only_touched_shards(self, corpus_dir):
         corpus = ShardedCorpus(corpus_dir, max_open_shards=1)
         view = corpus.sites_view()
