@@ -2,10 +2,12 @@
 
 Two companion halves guard the numeric kernels of the reproduction:
 
-* :mod:`repro.devtools.lint` — an AST-based static-analysis pass with
-  rules tailored to this codebase (exception hygiene, seeded
-  randomness, import layering, float-comparison safety, API
-  documentation).  Run it as ``python -m repro.devtools.lint src/repro``.
+* :mod:`repro.devtools.analyze` — the one static-analysis command,
+  ``python -m repro.devtools.analyze src/repro``.  It runs the
+  per-module lint rules (exception hygiene, seeded randomness, import
+  layering, float-comparison safety, API documentation) and the flow,
+  conc and hot interprocedural analyzers, gated by one baseline file,
+  ``.repro-baseline.json``.
 * :mod:`repro.devtools.contracts` — runtime numeric-contract
   decorators (probability vectors, row-stochastic matrices, bounded
   scores) that are active under pytest or ``REPRO_CONTRACTS=1`` and

@@ -1,25 +1,36 @@
-"""repro-analyze: one invocation for all four analyzers.
+"""repro-analyze: the project's one static-analysis command.
 
 Usage::
 
-    python -m repro.devtools.analyze [paths ...]
-        [--sarif PATH] [--format text|json] [--no-baseline]
+    python -m repro.devtools.analyze [package-dirs ...]
+        [--baseline PATH] [--no-baseline] [--write-baseline]
+        [--justification TEXT] [--fix]
+        [--format text|json|sarif|github] [--list-rules]
 
-Runs ``repro-lint`` (per-module rules), ``repro-flow`` (interprocedural
-taint/determinism), ``repro-conc`` (concurrency-safety) and
-``repro-hot`` (hot-path performance) over the same paths.  The three
-interprocedural analyzers share a single parsed project and call
-graph, so the umbrella costs one front-end pass, not four.
+Runs four analyzers over the same package directories (default
+``src/repro``):
 
-Each tool is gated against *its own* baseline file
-(``.repro-lint-baseline.json`` / ``.repro-flow-baseline.json`` /
-``.repro-conc-baseline.json`` / ``.repro-hot-baseline.json``; a
-missing file is an empty baseline).
-Exit status: 0 when no tool has new findings, 1 when any does, 2 on
-usage errors.
+* ``repro-lint`` — per-module rules R001-R009 (:mod:`repro.devtools.lint`);
+* ``repro-flow`` — interprocedural taint and determinism, T001-T005 and
+  D001-D003 (:mod:`repro.devtools.flow`);
+* ``repro-conc`` — parallel safety and cache coherence, C001-C006
+  (:mod:`repro.devtools.conc`);
+* ``repro-hot`` — hot-path performance ranked by a static cost model,
+  P001-P008 (:mod:`repro.devtools.hot`).
 
-``--sarif PATH`` writes a single SARIF 2.1.0 document with one run per
-tool — the merged artifact CI uploads instead of per-tool files.
+The three interprocedural analyzers share one parsed project and call
+graph, so a run costs one front-end pass, not three.  Rule IDs are
+disjoint across tools, so one baseline file (``.repro-baseline.json``
+in the current directory) gates all four.  A file that cannot be read
+or parsed is reported once, as lint's ``E000`` finding.
+
+Exit status: 0 when no new findings (baselined findings do not fail the
+run), 1 when new findings exist **or** ``--fix`` rewrote any file (so
+CI catches uncommitted fixes), 2 on usage errors.
+
+``--fix`` applies lint's R001/R009 and hot's P003 autofixes in place,
+then analyzes the fixed tree.  ``--format sarif`` prints one SARIF
+2.1.0 document with one run per tool.
 """
 
 from __future__ import annotations
@@ -28,63 +39,126 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
+from repro.devtools.autofix import apply_p003_file_fixes
 from repro.devtools.baseline import DEFAULT_BASELINE_NAME, Baseline
-from repro.devtools.conc import cli as conc_cli
-from repro.devtools.conc.cli import DEFAULT_CONC_BASELINE_NAME
+from repro.devtools.conc.analyzer import conc_findings
 from repro.devtools.conc.registry import CONC_RULES
-from repro.devtools.emit import render_sarif_document, sarif_run
+from repro.devtools.emit import render_github, render_sarif_document, sarif_run
 from repro.devtools.findings import Finding
-from repro.devtools.flow import cli as flow_cli
-from repro.devtools.flow.analysis import analyze_project
-from repro.devtools.flow.cli import DEFAULT_FLOW_BASELINE_NAME
+from repro.devtools.flow.analysis import analyze_project, flow_findings
 from repro.devtools.flow.registry import FLOW_RULES
-from repro.devtools.hot import cli as hot_cli
-from repro.devtools.hot.cli import DEFAULT_HOT_BASELINE_NAME
+from repro.devtools.hot.analyzer import hot_findings
 from repro.devtools.hot.registry import HOT_RULES
 from repro.devtools.lint import lint_paths
 from repro.devtools.rules import RULES
+from repro.exceptions import ValidationError
 
 __all__ = ["main", "run_all"]
 
-
-def _lint_catalog() -> dict[str, str]:
-    return {rule.rule_id: rule.summary for rule in RULES}
+# Tool name -> (rule id -> one-line summary), in report order.
+_RULE_CATALOGS: dict[str, Mapping[str, str]] = {
+    "repro-lint": {rule.rule_id: rule.summary for rule in RULES},
+    "repro-flow": FLOW_RULES,
+    "repro-conc": CONC_RULES,
+    "repro-hot": HOT_RULES,
+}
 
 
 def run_all(
-    paths: Sequence[str], use_baselines: bool = True
-) -> list[tuple[str, Path, list[Finding], list[Finding], dict[str, str]]]:
-    """Run lint, flow, conc and hot over ``paths``.
+    paths: Sequence[str], fix: bool = False
+) -> tuple[dict[str, list[Finding]], list[str]]:
+    """Run lint, flow, conc and hot over the package directories ``paths``.
 
-    Returns one ``(tool, baseline_path, new, grandfathered, catalog)``
-    tuple per tool, in fixed lint/flow/conc/hot order.  Baseline files
-    are resolved relative to the current directory, matching each
-    tool's standalone CLI.
+    Args:
+        paths: package directories to analyze.
+        fix: first apply the R001/R009/P003 autofixes in place, so the
+            findings describe the fixed tree.
+
+    Returns:
+        ``(findings, fixed_files)``: each tool's findings in its report
+        order, keyed by tool name in lint/flow/conc/hot order, and the
+        files ``fix`` rewrote.
     """
+    fixed_files: list[str] = []
+    lint = lint_paths(paths, fix=fix, fixed_files=fixed_files)
     analysis = analyze_project(paths)
-    flow_findings, _ = flow_cli.analyze_paths(paths, analysis=analysis)
-    conc_findings, _ = conc_cli.analyze_paths(paths, analysis=analysis)
-    hot_findings, _ = hot_cli.analyze_paths(paths, analysis=analysis)
-    per_tool = [
-        ("repro-lint", Path(DEFAULT_BASELINE_NAME), lint_paths(paths), _lint_catalog()),
-        ("repro-flow", Path(DEFAULT_FLOW_BASELINE_NAME), flow_findings, dict(FLOW_RULES)),
-        ("repro-conc", Path(DEFAULT_CONC_BASELINE_NAME), conc_findings, dict(CONC_RULES)),
-        ("repro-hot", Path(DEFAULT_HOT_BASELINE_NAME), hot_findings, dict(HOT_RULES)),
-    ]
-    results = []
-    for tool, baseline_path, findings, catalog in per_tool:
-        baseline = Baseline.load(baseline_path) if use_baselines else Baseline()
-        new, grandfathered = baseline.filter(findings)
-        results.append((tool, baseline_path, new, grandfathered, catalog))
-    return results
+    hot = hot_findings(analysis)
+    p003_files = apply_p003_file_fixes(hot) if fix else []
+    if p003_files:
+        fixed_files.extend(p for p in p003_files if p not in fixed_files)
+        lint = lint_paths(paths)
+        analysis = analyze_project(paths)
+        hot = hot_findings(analysis)
+    findings = {
+        "repro-lint": lint,
+        "repro-flow": flow_findings(analysis),
+        "repro-conc": conc_findings(analysis),
+        "repro-hot": hot,
+    }
+    return findings, fixed_files
+
+
+def _render_text(
+    new: dict[str, list[Finding]],
+    grandfathered: dict[str, list[Finding]],
+    stale: list[str],
+) -> str:
+    out = []
+    for tool, tool_new in new.items():
+        out.extend(f"[{tool}] {finding.render()}" for finding in tool_new)
+        baselined = len(grandfathered[tool])
+        suffix = f" ({baselined} baselined)" if baselined else ""
+        status = f"{len(tool_new)} new finding(s)" if tool_new else "clean"
+        out.append(f"{tool}: {status}{suffix}")
+    if stale:
+        out.append(
+            f"warning: {len(stale)} stale baseline entr(y/ies) no longer "
+            "observed; refresh with --write-baseline"
+        )
+    total = sum(len(tool_new) for tool_new in new.values())
+    if total:
+        out.append(f"found {total} new finding(s) in total")
+    return "\n".join(out)
+
+
+def _render_json(
+    new: dict[str, list[Finding]],
+    grandfathered: dict[str, list[Finding]],
+    stale: list[str],
+) -> str:
+    return json.dumps(
+        {
+            "new": [
+                {
+                    "tool": tool,
+                    "rule": f.rule,
+                    "path": f.path,
+                    "line": f.line,
+                    "column": f.column,
+                    "message": f.message,
+                    "symbol": f.symbol,
+                    "fingerprint": f.fingerprint(),
+                    "fixable": f.fixable,
+                }
+                for tool, tool_new in new.items()
+                for f in tool_new
+            ],
+            "baselined": sum(len(old) for old in grandfathered.values()),
+            "stale_baseline_entries": stale,
+        },
+        indent=2,
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.analyze",
-        description="Run repro-lint, repro-flow, repro-conc and repro-hot in one pass.",
+        description=(
+            "Static analysis for the repro codebase: repro-lint, repro-flow, "
+            "repro-conc and repro-hot in one pass."
+        ),
     )
     parser.add_argument(
         "paths",
@@ -93,21 +167,40 @@ def _build_parser() -> argparse.ArgumentParser:
         help="package directories to analyze (default: src/repro)",
     )
     parser.add_argument(
-        "--sarif",
-        default=None,
-        metavar="PATH",
-        help="write a merged SARIF document (one run per tool) to PATH",
+        "--baseline",
+        default=DEFAULT_BASELINE_NAME,
+        help=f"baseline file (default: ./{DEFAULT_BASELINE_NAME}; missing means empty)",
     )
     parser.add_argument(
         "--no-baseline",
         action="store_true",
-        help="ignore all baseline files; report every finding",
+        help="ignore the baseline file; report every finding",
+    )
+    parser.add_argument(
+        "--write-baseline",
+        action="store_true",
+        help="grandfather all current findings into the baseline file",
+    )
+    parser.add_argument(
+        "--justification",
+        default="",
+        help="note recorded on every entry written by --write-baseline",
+    )
+    parser.add_argument(
+        "--fix",
+        action="store_true",
+        help="apply the R001, R009 and P003 autofixes in place, then re-analyze",
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json"),
+        choices=("text", "json", "sarif", "github"),
         default="text",
         help="report format",
+    )
+    parser.add_argument(
+        "--list-rules",
+        action="store_true",
+        help="print the rule catalogue of all four tools and exit",
     )
     return parser
 
@@ -116,52 +209,63 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit status."""
     args = _build_parser().parse_args(argv)
 
+    if args.list_rules:
+        for catalog in _RULE_CATALOGS.values():
+            for rule_id, summary in catalog.items():
+                sys.stdout.write(f"{rule_id}  {summary}\n")
+        return 0
+
     missing = [raw for raw in args.paths if not Path(raw).is_dir()]
     if missing:
-        sys.stderr.write(
-            f"error: not (a) director(y/ies): {', '.join(missing)}\n"
-        )
+        sys.stderr.write(f"error: not a package directory: {', '.join(missing)}\n")
         return 2
 
     try:
-        results = run_all(args.paths, use_baselines=not args.no_baseline)
+        findings, fixed_files = run_all(args.paths, fix=args.fix)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         sys.stderr.write(f"error: {exc}\n")
         return 2
-
-    if args.sarif:
-        runs = [
-            sarif_run(tool, new, catalog)
-            for tool, _, new, _, catalog in results
-        ]
-        Path(args.sarif).write_text(
-            render_sarif_document(runs) + "\n", encoding="utf-8"
+    if fixed_files:
+        sys.stderr.write(
+            f"note: --fix rewrote {len(fixed_files)} file(s); review and "
+            "commit the changes\n"
         )
 
-    total_new = sum(len(new) for _, _, new, _, _ in results)
-    if args.format == "json":
-        payload = {
-            tool: {
-                "new": [f.render() for f in new],
-                "baselined": len(grandfathered),
-            }
-            for tool, _, new, grandfathered, _ in results
-        }
-        payload["total_new"] = total_new
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        for tool, _, new, grandfathered, _ in results:
-            for finding in new:
-                sys.stdout.write(f"[{tool}] {finding.render()}\n")
-            suffix = (
-                f" ({len(grandfathered)} baselined)" if grandfathered else ""
-            )
-            status = f"{len(new)} new finding(s)" if new else "clean"
-            sys.stdout.write(f"{tool}: {status}{suffix}\n")
-        if total_new:
-            sys.stdout.write(f"found {total_new} new finding(s) in total\n")
+    everything = [f for tool_findings in findings.values() for f in tool_findings]
+    baseline_path = Path(args.baseline)
+    if args.write_baseline:
+        Baseline.from_findings(everything, justification=args.justification).save(
+            baseline_path
+        )
+        sys.stdout.write(f"wrote {len(everything)} finding(s) to {baseline_path}\n")
+        return 1 if fixed_files else 0
 
-    return 1 if total_new else 0
+    try:
+        baseline = Baseline() if args.no_baseline else Baseline.load(baseline_path)
+    except (OSError, ValidationError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    new: dict[str, list[Finding]] = {}
+    grandfathered: dict[str, list[Finding]] = {}
+    for tool, tool_findings in findings.items():
+        new[tool], grandfathered[tool] = baseline.filter(tool_findings)
+    stale = baseline.stale_fingerprints(everything)
+
+    if args.format == "sarif":
+        runs = [
+            sarif_run(tool, new[tool], catalog)
+            for tool, catalog in _RULE_CATALOGS.items()
+        ]
+        sys.stdout.write(render_sarif_document(runs) + "\n")
+    elif args.format == "github":
+        all_new = [f for tool_new in new.values() for f in tool_new]
+        sys.stdout.write(render_github(all_new) + "\n")
+    elif args.format == "json":
+        sys.stdout.write(_render_json(new, grandfathered, stale) + "\n")
+    else:
+        sys.stdout.write(_render_text(new, grandfathered, stale) + "\n")
+
+    return 1 if fixed_files or any(new.values()) else 0
 
 
 if __name__ == "__main__":

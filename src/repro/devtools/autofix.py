@@ -23,12 +23,18 @@ from __future__ import annotations
 
 import ast
 import re
+from pathlib import Path
 from typing import Sequence
 
 from repro.devtools.findings import Finding
 from repro.devtools.rules import R001_FIX_MAP
 
-__all__ = ["apply_r001_fixes", "apply_r009_fixes", "apply_p003_fixes"]
+__all__ = [
+    "apply_r001_fixes",
+    "apply_r009_fixes",
+    "apply_p003_fixes",
+    "apply_p003_file_fixes",
+]
 
 _EXCEPTIONS_MODULE = "repro.exceptions"
 _MAX_LINE = 79
@@ -270,6 +276,29 @@ def apply_p003_fixes(source: str, findings: Sequence[Finding]) -> str:
     if trailing_newline and not result.endswith("\n"):
         result += "\n"
     return result
+
+
+def apply_p003_file_fixes(findings: Sequence[Finding]) -> list[str]:
+    """Apply the P003 list->set autofix for every fixable finding.
+
+    Files are rewritten in place; returns the rewritten paths.  Callers
+    should re-run the analysis when any file was rewritten, so the
+    report reflects the post-fix tree.
+    """
+    fixed_files: list[str] = []
+    by_path: dict[str, list[Finding]] = {}
+    for finding in findings:
+        if finding.rule == "P003" and finding.fixable:
+            by_path.setdefault(finding.path, []).append(finding)
+    for path, path_findings in sorted(by_path.items()):
+        file_path = Path(path)
+        source = file_path.read_text(encoding="utf-8")
+        fixed = apply_p003_fixes(source, path_findings)
+        if fixed == source:
+            continue
+        file_path.write_text(fixed, encoding="utf-8")
+        fixed_files.append(path)
+    return fixed_files
 
 
 def _function_for_default(

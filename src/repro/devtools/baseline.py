@@ -1,10 +1,12 @@
-"""Baseline (grandfathered-findings) support for the linter.
+"""Baseline (grandfathered-findings) support for the analyzers.
 
 A baseline is a committed JSON file listing fingerprints of known
-violations.  ``lint`` subtracts baselined findings from its report, so
-a rule can be introduced without first fixing (or while deliberately
-keeping) every historical hit; any *new* violation still fails the
-build.  Regenerate with ``python -m repro.devtools.lint --write-baseline``.
+violations.  ``repro-analyze`` subtracts baselined findings from its
+report, so a rule can be introduced without first fixing (or while
+deliberately keeping) every historical hit; any *new* violation still
+fails the build.  Rule IDs are disjoint across the four tools, so one
+file, ``.repro-baseline.json``, gates them all.  Regenerate it with
+``python -m repro.devtools.analyze --write-baseline``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from repro.exceptions import ValidationError
 
 __all__ = ["Baseline", "DEFAULT_BASELINE_NAME"]
 
-DEFAULT_BASELINE_NAME = ".repro-lint-baseline.json"
+DEFAULT_BASELINE_NAME = ".repro-baseline.json"
 
 _FORMAT_VERSION = 1
 
@@ -108,11 +110,11 @@ class Baseline:
             entries.append(entry)
         return cls(entries)
 
-    def save(self, path: Path, tool: str = "repro-lint") -> None:
+    def save(self, path: Path) -> None:
         """Write the baseline as deterministic, diff-friendly JSON."""
         payload = {
             "version": _FORMAT_VERSION,
-            "tool": tool,
+            "tool": "repro-analyze",
             "findings": self._entries,
         }
         path.write_text(

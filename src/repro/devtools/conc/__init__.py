@@ -1,20 +1,6 @@
 """repro-conc: parallel-safety & cache-coherence static analysis.
 
-Run as ``python -m repro.devtools.conc``.  See
+Run through ``python -m repro.devtools.analyze``.  See
 :mod:`repro.devtools.conc.registry` for the rule catalogue (C001–C006)
-and :mod:`repro.devtools.conc.cli` for the command-line interface.
+and :func:`repro.devtools.conc.analyzer.conc_findings` for the report.
 """
-
-from __future__ import annotations
-
-from typing import Sequence
-
-__all__ = ["main"]
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Lazy alias for :func:`repro.devtools.conc.cli.main` (keeps the
-    package importable without pulling in the full analyzer)."""
-    from repro.devtools.conc.cli import main as _main
-
-    return _main(argv)

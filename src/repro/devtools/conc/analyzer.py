@@ -410,10 +410,6 @@ def _free_loads(unit: FunctionUnit) -> dict[str, int]:
     return free
 
 
-def conc_findings(
-    analysis: ProjectAnalysis,
-) -> tuple[list[Finding], list[tuple[str, int, str]]]:
-    """All C001–C006 findings for an analyzed project, report-ordered,
-    plus the project's load errors."""
-    findings = _ConcAnalyzer(analysis).run()
-    return findings, analysis.project.errors
+def conc_findings(analysis: ProjectAnalysis) -> list[Finding]:
+    """All C001–C006 findings for an analyzed project, report-ordered."""
+    return _ConcAnalyzer(analysis).run()

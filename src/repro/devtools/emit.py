@@ -1,14 +1,12 @@
-"""Shared report emitters for the devtools CLIs.
+"""Machine-format report emitters for ``repro-analyze``.
 
-``repro.devtools.lint``, ``repro.devtools.flow`` and
-``repro.devtools.conc`` all produce
+All four analyzers (lint, flow, conc, hot) produce
 :class:`~repro.devtools.findings.Finding` objects; this module renders
 them in the machine formats CI consumes:
 
 * :func:`sarif_run` / :func:`render_sarif_document` — one SARIF run per
   tool and the enclosing 2.1.0 document; ``repro-analyze`` merges the
-  three analyzers into a single upload this way;
-* :func:`render_sarif` — single-tool convenience wrapper over the two;
+  four analyzers into a single upload this way;
 * :func:`render_github` — GitHub Actions workflow commands
   (``::error file=...``), the zero-setup alternative when the
   code-scanning feature is unavailable.
@@ -27,7 +25,6 @@ from repro.devtools.findings import Finding
 __all__ = [
     "sarif_run",
     "render_sarif_document",
-    "render_sarif",
     "render_github",
     "SARIF_SCHEMA_URI",
     "SARIF_VERSION",
@@ -48,7 +45,7 @@ def sarif_run(
 
     Args:
         tool_name: SARIF driver name (``"repro-lint"`` / ``"repro-flow"``
-            / ``"repro-conc"``).
+            / ``"repro-conc"`` / ``"repro-hot"``).
         findings: baseline-filtered findings to report.
         rule_catalog: rule id -> one-line description, for the driver's
             rule metadata (ids missing from the catalog still emit).
@@ -119,15 +116,6 @@ def render_sarif_document(runs: Sequence[Mapping]) -> str:
         "runs": list(runs),
     }
     return json.dumps(document, indent=2)
-
-
-def render_sarif(
-    tool_name: str,
-    findings: Sequence[Finding],
-    rule_catalog: Mapping[str, str],
-) -> str:
-    """Render a single tool's findings as a complete SARIF document."""
-    return render_sarif_document([sarif_run(tool_name, findings, rule_catalog)])
 
 
 def _escape_property(text: str) -> str:

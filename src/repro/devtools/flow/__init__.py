@@ -1,20 +1,6 @@
 """repro-flow: interprocedural taint + determinism dataflow analysis.
 
-Run as ``python -m repro.devtools.flow``.  See
+Run through ``python -m repro.devtools.analyze``.  See
 :mod:`repro.devtools.flow.registry` for the rule catalogue and
-:mod:`repro.devtools.flow.cli` for the command-line interface.
+:func:`repro.devtools.flow.analysis.flow_findings` for the report.
 """
-
-from __future__ import annotations
-
-from typing import Sequence
-
-__all__ = ["main"]
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Lazy alias for :func:`repro.devtools.flow.cli.main` (keeps the
-    package importable without pulling in the full analyzer)."""
-    from repro.devtools.flow.cli import main as _main
-
-    return _main(argv)

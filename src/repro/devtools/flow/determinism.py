@@ -4,8 +4,10 @@ The interpreter records *events* (unseeded RNG calls, wall-clock values
 feeding data, unordered-set iteration) per function; this module turns
 them into findings only when the function is reachable from an
 experiment entrypoint — public functions of ``cli.py`` / ``runner.py``
-/ ``*_pipeline.py`` modules, or qualnames passed via ``--entry``.  That
-is the interprocedural generalization of repro-lint's single-file R002:
+/ ``*_pipeline.py`` modules, or qualnames passed as
+``extra_entrypoints`` (the tests root an otherwise unreached helper this
+way, to show reachability alone hides its hazard).  That is the
+interprocedural generalization of repro-lint's single-file R002:
 a helper three calls deep that touches ``numpy.random.rand`` is flagged
 with the call chain that reaches it.
 

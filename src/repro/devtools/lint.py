@@ -1,32 +1,23 @@
-"""repro-lint: the project's static-analysis entry point.
+"""repro-lint: the per-module half of the project's static analysis.
 
-Usage::
-
-    python -m repro.devtools.lint [paths ...]
-        [--baseline PATH] [--no-baseline] [--write-baseline]
-        [--fix] [--format text|json|sarif|github] [--list-rules]
-
-With no paths, ``src/repro`` is linted.  Exit status: 0 when no new
-findings (baselined findings do not fail the run), 1 when new findings
-exist **or** when ``--fix`` rewrote any file (so CI catches uncommitted
-fixes), 2 on usage errors or unreadable inputs.
+:func:`lint_paths` runs every rule in :data:`repro.devtools.rules.RULES`
+(R001-R009) over each file on its own; a file that cannot be read or
+parsed becomes an ``E000`` finding.  Run it through
+``python -m repro.devtools.analyze`` (:mod:`repro.devtools.analyze`);
+``python -m repro.devtools.lint`` only points there and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from repro.devtools.autofix import apply_r001_fixes, apply_r009_fixes
-from repro.devtools.baseline import DEFAULT_BASELINE_NAME, Baseline
-from repro.devtools.emit import render_github, render_sarif
 from repro.devtools.findings import Finding, assign_occurrences
 from repro.devtools.rules import RULES, ModuleInfo, parse_module
 
-__all__ = ["main", "lint_paths", "discover_files"]
+__all__ = ["lint_paths", "discover_files"]
 
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "build", "dist"}
 
@@ -119,155 +110,9 @@ def lint_paths(
     return assign_occurrences(all_findings)
 
 
-def _render_text(
-    new: list[Finding], grandfathered: list[Finding], stale: list[str]
-) -> str:
-    out = [finding.render() for finding in new]
-    if grandfathered:
-        out.append(f"({len(grandfathered)} baselined finding(s) suppressed)")
-    if stale:
-        out.append(
-            f"warning: {len(stale)} stale baseline entr(y/ies) no longer "
-            "observed; refresh with --write-baseline"
-        )
-    if new:
-        out.append(f"found {len(new)} new finding(s)")
-    else:
-        out.append("clean")
-    return "\n".join(out)
-
-
-def _render_json(
-    new: list[Finding], grandfathered: list[Finding], stale: list[str]
-) -> str:
-    def encode(finding: Finding) -> dict[str, object]:
-        return {
-            "rule": finding.rule,
-            "path": finding.path,
-            "line": finding.line,
-            "column": finding.column,
-            "message": finding.message,
-            "symbol": finding.symbol,
-            "fingerprint": finding.fingerprint(),
-            "fixable": finding.fixable,
-        }
-
-    return json.dumps(
-        {
-            "new": [encode(f) for f in new],
-            "baselined": len(grandfathered),
-            "stale_baseline_entries": stale,
-        },
-        indent=2,
-    )
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.devtools.lint",
-        description="Project-specific static analysis for the repro codebase.",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file (default: ./{DEFAULT_BASELINE_NAME} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="grandfather all current findings into the baseline and exit 0",
-    )
-    parser.add_argument(
-        "--justification",
-        default="",
-        help="note recorded on every entry written by --write-baseline",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply cheap autofixes in place (R001, R009)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif", "github"),
-        default="text",
-        help="report format",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    return parser
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit status."""
-    args = _build_parser().parse_args(argv)
-
-    if args.list_rules:
-        for rule in RULES:
-            sys.stdout.write(f"{rule.rule_id}  {rule.summary}\n")
-        return 0
-
-    missing = [raw for raw in args.paths if not Path(raw).exists()]
-    if missing:
-        sys.stderr.write(f"error: no such path(s): {', '.join(missing)}\n")
-        return 2
-
-    fixed_files: list[str] = []
-    findings = lint_paths(args.paths, fix=args.fix, fixed_files=fixed_files)
-
-    baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE_NAME)
-    if args.write_baseline:
-        Baseline.from_findings(findings, justification=args.justification).save(
-            baseline_path
-        )
-        sys.stdout.write(
-            f"wrote {len(findings)} finding(s) to {baseline_path}\n"
-        )
-        return 0
-
-    if args.no_baseline:
-        baseline = Baseline()
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except Exception as exc:  # noqa: BLE001 - CLI boundary
-            sys.stderr.write(f"error: {exc}\n")
-            return 2
-    new, grandfathered = baseline.filter(findings)
-    stale = baseline.stale_fingerprints(findings)
-
-    if args.format == "sarif":
-        catalog = {rule.rule_id: rule.summary for rule in RULES}
-        sys.stdout.write(render_sarif("repro-lint", new, catalog) + "\n")
-    elif args.format == "github":
-        sys.stdout.write(render_github(new) + "\n")
-    elif args.format == "json":
-        sys.stdout.write(_render_json(new, grandfathered, stale) + "\n")
-    else:
-        sys.stdout.write(_render_text(new, grandfathered, stale) + "\n")
-
-    if fixed_files:
-        sys.stderr.write(
-            f"note: --fix rewrote {len(fixed_files)} file(s); review and "
-            "commit the changes\n"
-        )
-        return 1
-    return 1 if new else 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.stderr.write(
+        "error: repro-lint has no CLI of its own; run "
+        "python -m repro.devtools.analyze\n"
+    )
+    sys.exit(2)

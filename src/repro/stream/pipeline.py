@@ -121,7 +121,6 @@ class StreamingVerifier:
             can never be served another epoch's features.
         checkpoint_dir: crawl checkpoint directory (``None`` disables).
         max_pages: per-site crawl page cap.
-        jobs: worker count for the cold paths' document-graph builds.
     """
 
     def __init__(
@@ -138,7 +137,6 @@ class StreamingVerifier:
         cache: FeatureCache | None = None,
         checkpoint_dir: str | Path | None = None,
         max_pages: int | None = None,
-        jobs: int | None = None,
     ) -> None:
         if warm_epochs < 1:
             raise ValidationError(f"warm_epochs must be >= 1, got {warm_epochs}")
@@ -152,7 +150,6 @@ class StreamingVerifier:
         self._warm_epochs = warm_epochs
         self._detector = detector if detector is not None else DriftDetector()
         self._cache = cache
-        self._jobs = jobs
         self._crawl = DeltaCrawlStore(
             corpus, checkpoint_dir=checkpoint_dir, max_pages=max_pages
         )

@@ -20,6 +20,5 @@ def conc_analysis():
 
 @pytest.fixture(scope="session")
 def concpkg_findings(conc_analysis):
-    findings, load_errors = conc_findings(conc_analysis)
-    assert load_errors == []
-    return findings
+    assert conc_analysis.project.errors == []
+    return conc_findings(conc_analysis)

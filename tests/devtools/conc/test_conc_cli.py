@@ -1,23 +1,22 @@
-"""CLI behaviors: baseline round-trip, SARIF shape, exit codes, and the
-repo-tree regression gate (src/repro must stay conc-clean)."""
+"""repro-analyze on the conc fixture package: baseline round-trip, SARIF
+shape, exit codes, and the repo-tree regression gate (src/repro must
+stay conc-clean)."""
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
-from repro.devtools.conc.cli import main
+from repro.devtools.analyze import main
 from repro.devtools.conc.registry import CONC_RULES
 
-from tests.devtools.conc.conftest import CONCPKG, REPO_ROOT
+from tests.devtools.conc.conftest import CONCPKG
 
 
 class TestExitCodes:
     def test_fixture_package_fails(self, capsys):
         assert main([str(CONCPKG), "--no-baseline"]) == 1
         out = capsys.readouterr().out
-        assert "found 12 new finding(s)" in out
+        assert "repro-conc: 12 new finding(s)" in out
 
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["does/not/exist"]) == 2
@@ -52,7 +51,8 @@ class TestBaselineRoundTrip:
             == 0
         )
         payload = json.loads(baseline.read_text())
-        assert len(payload["findings"]) == 12
+        conc = [e for e in payload["findings"] if e["rule"] in CONC_RULES]
+        assert len(conc) == 12
         assert all(
             e["justification"] == "seeded fixture hazards"
             for e in payload["findings"]
@@ -61,8 +61,7 @@ class TestBaselineRoundTrip:
         capsys.readouterr()
         assert main([str(CONCPKG), "--baseline", str(baseline)]) == 0
         out = capsys.readouterr().out
-        assert "(12 baselined finding(s) suppressed)" in out
-        assert "clean" in out
+        assert "repro-conc: clean (12 baselined)" in out
 
 
 class TestSarif:
@@ -70,7 +69,7 @@ class TestSarif:
         assert main([str(CONCPKG), "--no-baseline", "--format", "sarif"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == "2.1.0"
-        (run,) = doc["runs"]
+        run = doc["runs"][2]
         assert run["tool"]["driver"]["name"] == "repro-conc"
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
         assert set(CONC_RULES) <= rule_ids
@@ -88,29 +87,23 @@ class TestSarif:
 
 
 class TestRepoTreeIsClean:
-    def test_src_repro_has_no_unbaselined_findings(self, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["src/repro", "--no-baseline"]) == 0
-        assert "clean" in capsys.readouterr().out
+    def test_src_repro_has_no_unbaselined_findings(self, repo_tree_report):
+        # The committed baseline holds no C-rule entry, so a bare
+        # "clean" (no "baselined" suffix) means no conc finding at all.
+        status, out = repo_tree_report("text")
+        assert status == 0
+        assert "repro-conc: clean" in out.splitlines()
 
 
 class TestUmbrella:
-    @pytest.fixture()
-    def analyze_main(self):
-        from repro.devtools.analyze import main as _main
-
-        return _main
-
-    def test_repo_tree_clean_and_merged_sarif(
-        self, analyze_main, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(REPO_ROOT)
-        sarif_path = tmp_path / "analysis.sarif"
-        assert analyze_main(["src/repro", "--sarif", str(sarif_path)]) == 0
-        out = capsys.readouterr().out
+    def test_repo_tree_clean_and_merged_sarif(self, repo_tree_report):
+        status, out = repo_tree_report("text")
+        assert status == 0
         for tool in ("repro-lint", "repro-flow", "repro-conc", "repro-hot"):
             assert f"{tool}: clean" in out
-        doc = json.loads(sarif_path.read_text())
+        status, sarif = repo_tree_report("sarif")
+        assert status == 0
+        doc = json.loads(sarif)
         assert [run["tool"]["driver"]["name"] for run in doc["runs"]] == [
             "repro-lint",
             "repro-flow",
@@ -119,11 +112,11 @@ class TestUmbrella:
         ]
         assert all(run["results"] == [] for run in doc["runs"])
 
-    def test_fixture_tree_fails_without_baselines(
-        self, analyze_main, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)  # no baseline files here
-        status = analyze_main([str(CONCPKG), "--no-baseline"])
+    def test_fixture_tree_fails_without_baselines(self, tmp_path, capsys, monkeypatch):
+        # No baseline file in the working directory: a missing file is
+        # an empty baseline, so every finding is new.
+        monkeypatch.chdir(tmp_path)
+        status = main([str(CONCPKG)])
         assert status == 1
         out = capsys.readouterr().out
         assert "repro-conc: 12 new finding(s)" in out

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import json
 
-from repro.devtools.emit import SARIF_VERSION, render_github, render_sarif
+from repro.devtools.emit import (
+    SARIF_VERSION,
+    render_github,
+    render_sarif_document,
+    sarif_run,
+)
 from repro.devtools.findings import Finding
 
 FINDING = Finding(
@@ -16,6 +21,11 @@ FINDING = Finding(
     symbol="load_model",
     source_line="with open(path) as fh:",
 )
+
+
+def render_sarif(tool_name, findings, rule_catalog):
+    """One tool's findings as a complete SARIF document."""
+    return render_sarif_document([sarif_run(tool_name, findings, rule_catalog)])
 
 
 class TestSarif:

@@ -1,15 +1,13 @@
-"""End-to-end tests of the flow CLI: exit codes, baseline, formats."""
+"""End-to-end tests of repro-analyze on the flow fixture package: exit
+codes, baseline, formats."""
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
-from repro.devtools.flow.cli import main
+from repro.devtools.analyze import main
 
 from tests.devtools.flow.conftest import FLOWPKG
-
-REPO_ROOT = Path(__file__).resolve().parents[3]
 
 
 class TestExitCodes:
@@ -24,12 +22,12 @@ class TestExitCodes:
         assert main(["does/not/exist"]) == 2
         assert "not a package directory" in capsys.readouterr().err
 
-    def test_repo_tree_is_clean(self, capsys, monkeypatch):
+    def test_repo_tree_is_clean(self, repo_tree_report):
         # The acceptance bar: the real package carries no unbaselined
-        # flow findings (run from the repo root the way CI does).
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["src/repro"]) == 0
-        assert "clean" in capsys.readouterr().out
+        # flow findings.
+        status, out = repo_tree_report("text")
+        assert status == 0
+        assert "repro-flow: clean" in out.splitlines()
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
@@ -73,11 +71,13 @@ class TestBaselineWorkflow:
             == 0
         )
         payload = json.loads(baseline_path.read_text())
-        assert payload["tool"] == "repro-flow"
+        assert payload["tool"] == "repro-analyze"
+        recorded = {entry["rule"] for entry in payload["findings"]}
+        assert {"T001", "D001"} <= recorded
 
         capsys.readouterr()
         assert main([str(FLOWPKG), "--baseline", str(baseline_path)]) == 0
-        assert "baselined" in capsys.readouterr().out
+        assert "repro-flow: clean (8 baselined)" in capsys.readouterr().out
 
 
 class TestFormats:
@@ -85,8 +85,9 @@ class TestFormats:
         status = main([str(FLOWPKG), "--no-baseline", "--format", "sarif"])
         doc = json.loads(capsys.readouterr().out)
         assert status == 1
-        assert doc["runs"][0]["tool"]["driver"]["name"] == "repro-flow"
-        rules_fired = {r["ruleId"] for r in doc["runs"][0]["results"]}
+        run = doc["runs"][1]
+        assert run["tool"]["driver"]["name"] == "repro-flow"
+        rules_fired = {r["ruleId"] for r in run["results"]}
         assert "T001" in rules_fired and "D001" in rules_fired
 
     def test_github_format(self, capsys):
@@ -98,4 +99,5 @@ class TestFormats:
         main([str(FLOWPKG), "--no-baseline", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["baselined"] == 0
-        assert len(payload["new"]) >= 8
+        flow = [f for f in payload["new"] if f["tool"] == "repro-flow"]
+        assert len(flow) >= 8

@@ -20,6 +20,5 @@ def hot_analysis():
 
 @pytest.fixture(scope="session")
 def hotpkg_findings(hot_analysis):
-    findings, load_errors = hot_findings(hot_analysis)
-    assert load_errors == []
-    return findings
+    assert hot_analysis.project.errors == []
+    return hot_findings(hot_analysis)

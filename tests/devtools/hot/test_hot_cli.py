@@ -1,23 +1,24 @@
-"""CLI behaviors: baseline round-trip, SARIF shape, exit codes, the
---fix round trip, and the repo-tree regression gate (src/repro must
-stay hot-clean)."""
+"""repro-analyze on the hot fixture package: baseline round-trip, SARIF
+shape, exit codes, the --fix round trip, and the repo-tree regression
+gate (src/repro must stay hot-clean)."""
 
 from __future__ import annotations
 
 import json
 import shutil
 
-from repro.devtools.hot.cli import main
+from repro.devtools.analyze import main
+from repro.devtools.hot.analyzer import hot_findings
 from repro.devtools.hot.registry import HOT_RULES
 
-from tests.devtools.hot.conftest import HOTPKG, REPO_ROOT
+from tests.devtools.hot.conftest import HOTPKG
 
 
 class TestExitCodes:
     def test_fixture_package_fails(self, capsys):
         assert main([str(HOTPKG), "--no-baseline"]) == 1
         out = capsys.readouterr().out
-        assert "found 10 new finding(s)" in out
+        assert "repro-hot: 10 new finding(s)" in out
 
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["does/not/exist"]) == 2
@@ -52,7 +53,8 @@ class TestBaselineRoundTrip:
             == 0
         )
         payload = json.loads(baseline.read_text())
-        assert len(payload["findings"]) == 10
+        hot = [e for e in payload["findings"] if e["rule"] in HOT_RULES]
+        assert len(hot) == 10
         assert all(
             e["justification"] == "seeded fixture anti-patterns"
             for e in payload["findings"]
@@ -61,8 +63,7 @@ class TestBaselineRoundTrip:
         capsys.readouterr()
         assert main([str(HOTPKG), "--baseline", str(baseline)]) == 0
         out = capsys.readouterr().out
-        assert "(10 baselined finding(s) suppressed)" in out
-        assert "clean" in out
+        assert "repro-hot: clean (10 baselined)" in out
 
 
 class TestSarif:
@@ -70,7 +71,7 @@ class TestSarif:
         assert main([str(HOTPKG), "--no-baseline", "--format", "sarif"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == "2.1.0"
-        (run,) = doc["runs"]
+        run = doc["runs"][3]
         assert run["tool"]["driver"]["name"] == "repro-hot"
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
         assert set(HOT_RULES) <= rule_ids
@@ -88,23 +89,15 @@ class TestSarif:
 
 
 class TestEntryOverride:
-    def test_extra_entry_widens_the_hot_set(self, capsys):
+    def test_extra_entry_widens_the_hot_set(self, hot_analysis):
         # Registering utils.cold_densify as an entry turns its todense()
         # into an eleventh finding.
-        assert (
-            main(
-                [
-                    str(HOTPKG),
-                    "--no-baseline",
-                    "--entry",
-                    "utils.cold_densify",
-                ]
-            )
-            == 1
+        findings = hot_findings(hot_analysis, extra_entries=["utils.cold_densify"])
+        assert len(findings) == 11
+        assert any(
+            f.rule == "P007" and f.path.endswith("utils.py") and f.line == 70
+            for f in findings
         )
-        out = capsys.readouterr().out
-        assert "found 11 new finding(s)" in out
-        assert "utils.py:70" in out
 
 
 class TestFix:
@@ -112,16 +105,14 @@ class TestFix:
         work = tmp_path / "hotpkg"
         shutil.copytree(HOTPKG, work)
         assert main([str(work), "--no-baseline", "--fix"]) == 1
-        out = capsys.readouterr().out
-        assert "--fix rewrote 1 file(s)" in out
+        assert "--fix rewrote 1 file(s)" in capsys.readouterr().err
         rewritten = (work / "utils.py").read_text()
         assert '{"viagra", "cialis", "xanax"}' in rewritten
         assert '["viagra", "cialis", "xanax"]' not in rewritten
         # Re-analysis: the P003 is gone, everything else is untouched.
-        capsys.readouterr()
         assert main([str(work), "--no-baseline"]) == 1
         out = capsys.readouterr().out
-        assert "found 9 new finding(s)" in out
+        assert "repro-hot: 9 new finding(s)" in out
         assert "P003" not in out
 
     def test_fix_is_idempotent(self, tmp_path, capsys):
@@ -131,13 +122,14 @@ class TestFix:
         first = (work / "utils.py").read_text()
         capsys.readouterr()
         main([str(work), "--no-baseline", "--fix"])
-        out = capsys.readouterr().out
-        assert "rewrote" not in out
+        assert "rewrote" not in capsys.readouterr().err
         assert (work / "utils.py").read_text() == first
 
 
 class TestRepoTreeIsClean:
-    def test_src_repro_has_no_unbaselined_findings(self, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["src/repro", "--no-baseline"]) == 0
-        assert "clean" in capsys.readouterr().out
+    def test_src_repro_has_no_unbaselined_findings(self, repo_tree_report):
+        # The committed baseline holds no P-rule entry, so a bare
+        # "clean" (no "baselined" suffix) means no hot finding at all.
+        status, out = repo_tree_report("text")
+        assert status == 0
+        assert "repro-hot: clean" in out.splitlines()

@@ -16,9 +16,9 @@ from repro.devtools.hot.cost import (
     reach_weight,
     site_cost,
 )
-from repro.devtools.hot.registry import COLD_WEIGHT, DEPTH_BASE
+from repro.devtools.hot.registry import COLD_WEIGHT, DEPTH_BASE, HOT_ENTRY_SUFFIXES
 
-from tests.devtools.hot.conftest import HOTPKG
+from tests.devtools.hot.conftest import HOTPKG, REPO_ROOT
 
 
 def _key(finding):
@@ -102,7 +102,22 @@ class TestRanking:
 
 class TestDeterminism:
     def test_two_independent_passes_agree(self):
-        first, errors_a = hot_findings(analyze_project([str(HOTPKG)]))
-        second, errors_b = hot_findings(analyze_project([str(HOTPKG)]))
-        assert errors_a == errors_b == []
-        assert first == second
+        analysis_a = analyze_project([str(HOTPKG)])
+        analysis_b = analyze_project([str(HOTPKG)])
+        assert analysis_a.project.errors == analysis_b.project.errors == []
+        assert hot_findings(analysis_a) == hot_findings(analysis_b)
+
+
+class TestEntryRegistry:
+    def test_every_entry_suffix_roots_exactly_one_function(self):
+        # A suffix that matches nothing silently un-roots the cost model
+        # (its callees rank as cold); one that matches several roots
+        # code nobody registered.
+        functions = analyze_project([str(REPO_ROOT / "src" / "repro")]).project.functions
+        for suffix in HOT_ENTRY_SUFFIXES:
+            matches = [
+                qualname
+                for qualname in functions
+                if qualname == suffix or qualname.endswith("." + suffix)
+            ]
+            assert len(matches) == 1, (suffix, matches)

@@ -1,19 +1,32 @@
-"""End-to-end tests of the lint CLI: exit codes, baseline, autofix."""
+"""End-to-end tests of repro-analyze on the lint fixtures: exit codes,
+baseline, autofix."""
 
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
-import pytest
+import repro
 
+from repro.devtools.analyze import main
 from repro.devtools.baseline import Baseline
-from repro.devtools.lint import discover_files, lint_paths, main
+from repro.devtools.lint import discover_files, lint_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
 VIOLATIONS = FIXTURES / "violations"
-REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _package(tmp_path: Path, *fixtures: Path) -> str:
+    """A package directory holding copies of the given fixture files."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    for fixture in fixtures:
+        shutil.copy(fixture, package / fixture.name)
+    return str(package)
 
 
 class TestExitCodes:
@@ -24,36 +37,37 @@ class TestExitCodes:
         for rule_id in ("R001", "R002", "R003", "R004", "R005", "R006", "R007"):
             assert rule_id in out
 
-    def test_clean_file_passes(self, capsys):
-        assert main([str(FIXTURES / "clean.py"), "--no-baseline"]) == 0
-        assert "clean" in capsys.readouterr().out
+    def test_clean_file_passes(self, tmp_path, capsys):
+        package = _package(tmp_path, FIXTURES / "clean.py")
+        assert main([package, "--no-baseline"]) == 0
+        assert "repro-lint: clean" in capsys.readouterr().out
 
     def test_syntax_error_reported_as_finding(self, tmp_path, capsys):
-        bad = tmp_path / "broken.py"
-        bad.write_text("def f(:\n")
-        assert main([str(bad), "--no-baseline"]) == 1
+        (tmp_path / "broken.py").write_text("def f(:\n")
+        assert main([str(tmp_path), "--no-baseline"]) == 1
         assert "E000" in capsys.readouterr().out
 
     def test_nonexistent_path_is_usage_error(self, capsys):
         assert main(["does/not/exist", "--no-baseline"]) == 2
-        assert "no such path" in capsys.readouterr().err
+        assert "not a package directory" in capsys.readouterr().err
 
-    def test_repo_tree_is_clean_under_committed_baseline(self, capsys, monkeypatch):
-        # Fingerprints record repo-relative paths, so lint from the root
-        # exactly the way CI invokes it.
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["src/repro"]) == 0
+    def test_repo_tree_is_clean_under_committed_baseline(self, repo_tree_report):
+        status, out = repo_tree_report("text")
+        assert status == 0
+        assert "repro-lint: clean" in out
+        assert "stale" not in out
 
 
 class TestJsonFormat:
-    def test_json_payload_shape(self, capsys):
-        status = main(
-            [str(VIOLATIONS / "r001_exceptions.py"), "--no-baseline", "--format", "json"]
-        )
+    def test_json_payload_shape(self, tmp_path, capsys):
+        package = _package(tmp_path, VIOLATIONS / "r001_exceptions.py")
+        status = main([package, "--no-baseline", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert status == 1
         assert payload["baselined"] == 0
+        assert payload["stale_baseline_entries"] == []
         (finding,) = payload["new"]
+        assert finding["tool"] == "repro-lint"
         assert finding["rule"] == "R001"
         assert finding["fixable"] is True
         assert finding["fingerprint"].startswith("R001|")
@@ -108,9 +122,8 @@ class TestBaselineWorkflow:
     def test_corrupt_baseline_is_usage_error(self, tmp_path, capsys):
         baseline_path = tmp_path / "baseline.json"
         baseline_path.write_text("{not json")
-        status = main(
-            [str(FIXTURES / "clean.py"), "--baseline", str(baseline_path)]
-        )
+        package = _package(tmp_path, FIXTURES / "clean.py")
+        status = main([package, "--baseline", str(baseline_path)])
         assert status == 2
         assert "error" in capsys.readouterr().err
 
@@ -187,10 +200,9 @@ class TestAutofix:
 
 
 class TestMachineFormats:
-    def test_sarif_output(self, capsys):
-        status = main(
-            [str(VIOLATIONS / "r005_print.py"), "--no-baseline", "--format", "sarif"]
-        )
+    def test_sarif_output(self, tmp_path, capsys):
+        package = _package(tmp_path, VIOLATIONS / "r005_print.py")
+        status = main([package, "--no-baseline", "--format", "sarif"])
         doc = json.loads(capsys.readouterr().out)
         assert status == 1
         assert doc["version"] == "2.1.0"
@@ -199,8 +211,9 @@ class TestMachineFormats:
             r["ruleId"] == "R005" for r in doc["runs"][0]["results"]
         )
 
-    def test_github_output(self, capsys):
-        main([str(VIOLATIONS / "r005_print.py"), "--no-baseline", "--format", "github"])
+    def test_github_output(self, tmp_path, capsys):
+        package = _package(tmp_path, VIOLATIONS / "r005_print.py")
+        main([package, "--no-baseline", "--format", "github"])
         out = capsys.readouterr().out
         assert out.startswith("::error file=")
         assert "R005" in out
@@ -208,14 +221,14 @@ class TestMachineFormats:
 
 class TestFixExitCode:
     def test_fix_applied_exits_nonzero(self, tmp_path, capsys):
-        target = tmp_path / "mod.py"
-        target.write_text((VIOLATIONS / "r001_exceptions.py").read_text())
-        status = main([str(target), "--no-baseline", "--fix"])
+        package = _package(tmp_path, VIOLATIONS / "r001_exceptions.py")
+        status = main([package, "--no-baseline", "--fix"])
         assert status == 1
         assert "rewrote" in capsys.readouterr().err
 
-    def test_fix_with_nothing_to_do_exits_zero(self, capsys):
-        assert main([str(FIXTURES / "clean.py"), "--no-baseline", "--fix"]) == 0
+    def test_fix_with_nothing_to_do_exits_zero(self, tmp_path):
+        package = _package(tmp_path, FIXTURES / "clean.py")
+        assert main([package, "--no-baseline", "--fix"]) == 0
 
 
 class TestDiscovery:
@@ -231,3 +244,16 @@ class TestDiscovery:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "R001" in out and "R007" in out
+
+
+def test_old_lint_command_fails_loudly():
+    src_root = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.devtools.lint", str(VIOLATIONS)],
+        env={**os.environ, "PYTHONPATH": src_root},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "python -m repro.devtools.analyze" in proc.stderr
