@@ -6,8 +6,7 @@ this package makes per-tick cost scale with the size of the *change*:
 * :mod:`repro.stream.crawl` — re-crawl only the domains a delta
   touched, resuming interrupted crawls from their checkpoints.
 * :mod:`repro.stream.features` — exact incremental TF-IDF document
-  frequencies and NGG class-graph edge sums (add/subtract a site's
-  contribution instead of refitting).
+  frequencies (add/subtract a site's contribution, not a refit).
 * :mod:`repro.stream.rank` — push-based delta TrustRank: residuals
   from edited edges propagate over row-blocked CSR state instead of
   re-running full power iteration.

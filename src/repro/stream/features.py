@@ -21,9 +21,13 @@ against random delta sequences.
   as zero): ``weight(e) = sum_members w(e) / n_members``.  The batch
   :meth:`NGramGraph.merged <repro.text.ngram_graph.NGramGraph.merged>`
   JInsect rule only *approximates* this mean and depends on merge
-  order, so it admits no exact add/subtract form — the stream pins the
+  order, so it admits no exact add/subtract form — the tests pin the
   mean itself, with :func:`mean_class_graphs` as the independent
   from-scratch computation of the same statistic.
+
+The streaming verifier keeps only the document frequencies: its verdict
+is the TF-IDF SVM, and nothing reads a class graph.  The class graphs
+stay only because ``perfbench/layers.py`` still traces their methods.
 """
 
 from __future__ import annotations

@@ -13,8 +13,7 @@ stage                  per-tick cost
 crawl                  changed domains only (checkpointed resume)
 summaries / TF sets    changed domains only
 document frequencies   exact add/subtract (bit-equal to a refit)
-NGG class graphs       exact add/subtract of edge sums (1e-9)
-TF-IDF features        transform changed docs; others' rows reused
+TF-IDF features        transform changed docs; one stack + row gather
 SVM                    ``warm_epochs`` warm-started Pegasos passes
 TrustRank              residual push from edited edges (1e-9)
 =====================  ==============================================
@@ -31,7 +30,7 @@ to exactly zero at every retrain tick.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +44,8 @@ from repro.network.trustrank import trustrank
 from repro.perf.cache import FeatureCache, content_fingerprint
 from repro.stream.crawl import DeltaCrawlStore
 from repro.stream.drift import DriftDetector, DriftReport
-from repro.stream.features import (
-    IncrementalClassGraphs,
-    IncrementalDocumentFrequencies,
-    mean_class_graphs,
-)
+from repro.stream.features import IncrementalDocumentFrequencies
 from repro.stream.rank import DeltaRankState
-from repro.text.ngram_graph import NGramGraph
 from repro.text.summarization import Summarizer
 from repro.text.term_vector import TfidfVectorizer
 
@@ -101,7 +95,6 @@ class FullPipelineState:
     svm_weights: np.ndarray
     svm_bias: float
     trust_scores: dict[str, float]
-    class_graphs: dict[int, NGramGraph] = field(default_factory=dict)
 
 
 class StreamingVerifier:
@@ -155,11 +148,11 @@ class StreamingVerifier:
         )
         self._summarizer = Summarizer()
         self._df = IncrementalDocumentFrequencies()
-        self._ngg = IncrementalClassGraphs()
         self._rank = DeltaRankState(damping=damping)
         self._vectorizer: TfidfVectorizer | None = None
         self._svm: LinearSVC | None = None
-        self._rows: dict[str, sp.csr_matrix] = {}
+        self._matrix: sp.csr_matrix | None = None  # live TF-IDF rows
+        self._row_of: dict[str, int] = {}
         self._tokens: dict[str, tuple[str, ...]] = {}
         self._verdicts: dict[str, int] = {}
         self._epoch = 0
@@ -186,11 +179,6 @@ class StreamingVerifier:
     def document_frequencies(self) -> IncrementalDocumentFrequencies:
         """The maintained exact document-frequency state."""
         return self._df
-
-    @property
-    def class_graphs(self) -> IncrementalClassGraphs:
-        """The maintained NGG class-graph state."""
-        return self._ngg
 
     @property
     def vectorizer(self) -> TfidfVectorizer:
@@ -230,20 +218,14 @@ class StreamingVerifier:
         site = self._crawl.site(domain)
         doc = self._summarizer.summarize_site(site)
         self._tokens[domain] = doc.tokens
-        label = self._corpus.record_for(domain).label
-        graph = self._ngg.build_document_graph(doc.text)
         if domain in self._df:
             self._df.replace(domain, doc.tokens)
-            self._ngg.replace(domain, label, graph)
         else:
             self._df.add(domain, doc.tokens)
-            self._ngg.add(domain, label, graph)
 
     def _drop_site(self, domain: str) -> None:
         self._df.remove(domain)
-        self._ngg.remove(domain)
         self._tokens.pop(domain, None)
-        self._rows.pop(domain, None)
         self._verdicts.pop(domain, None)
         self._rank.remove_source(domain)
 
@@ -255,16 +237,14 @@ class StreamingVerifier:
         labels = self._corpus.labels()
         return np.fromiter((labels[d] for d in domains), dtype=np.int64)
 
-    def _stack_features(self, domains: tuple[str, ...]) -> sp.csr_matrix:
-        return sp.vstack([self._rows[d] for d in domains], format="csr")
-
     def _cold_fit(self) -> None:
         """Refit vocabulary + feature rows + SVM from the exact state."""
         domains = self._corpus.domains()
         vectorizer = self._df.fit_vectorizer(min_df=self._min_df)
         matrix = vectorizer.transform([self._tokens[d] for d in domains])
         self._vectorizer = vectorizer
-        self._rows = {d: matrix[i] for i, d in enumerate(domains)}
+        self._matrix = matrix
+        self._row_of = {d: i for i, d in enumerate(domains)}
         y = self._labels_array(domains)
         svm = LinearSVC(
             lam=self._lam,
@@ -304,11 +284,18 @@ class StreamingVerifier:
         report: DriftReport | None = None
         rank_sweeps = 0
         if applied.n_changes:
+            # Append the changed rows, then gather the live rows in
+            # corpus order; dropped and superseded rows fall out here.
+            stacked = self._matrix
             if applied.changed:
+                base = stacked.shape[0]
                 delta_matrix = self._transform_delta(applied.changed)
+                stacked = sp.vstack([stacked, delta_matrix], format="csr")
                 for i, domain in enumerate(applied.changed):
-                    self._rows[domain] = delta_matrix[i]
-            matrix = self._stack_features(domains)
+                    self._row_of[domain] = base + i
+            matrix = stacked[[self._row_of[d] for d in domains]]
+            self._matrix = matrix
+            self._row_of = {d: i for i, d in enumerate(domains)}
             y = self._labels_array(domains)
             self._svm.warm_fit(
                 matrix,
@@ -401,10 +388,10 @@ class StreamingVerifier:
         """Run the whole pipeline cold on the current corpus state.
 
         Shares nothing with the maintained state — a fresh crawl, a
-        fresh vocabulary fit, a cold SVM, full-power-iteration
-        TrustRank, and exact-mean class graphs.  ``benchmarks/stream``
-        times this against :meth:`apply_tick` and checks the
-        incremental state against it.
+        fresh vocabulary fit, a cold SVM, and full-power-iteration
+        TrustRank.  ``benchmarks/stream`` times this against
+        :meth:`apply_tick` and checks the incremental state against it.
+        No N-gram graphs are built: no verdict reads them.
         """
         store = DeltaCrawlStore(self._corpus)
         store.bootstrap()
@@ -428,11 +415,6 @@ class StreamingVerifier:
         trust = trustrank(
             graph, self._trusted_domains(), damping=self._damping
         )
-        doc_graphs = [NGramGraph.from_text(doc.text) for doc in docs]
-        class_graphs = mean_class_graphs(
-            doc_graphs,
-            [self._corpus.record_for(d).label for d in domains],
-        )
         return FullPipelineState(
             domains=domains,
             verdicts={d: int(predicted[i]) for i, d in enumerate(domains)},
@@ -442,7 +424,6 @@ class StreamingVerifier:
             svm_weights=svm._w.copy(),
             svm_bias=svm._b,
             trust_scores=trust,
-            class_graphs=class_graphs,
         )
 
     def staleness_against(self, full: FullPipelineState) -> float:

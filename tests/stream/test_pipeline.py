@@ -3,9 +3,10 @@
 One tiny corpus is streamed through every planned tick once (module
 scope), then each maintained structure is pinned against a from-scratch
 recompute of the final snapshot: document frequencies and the refit
-vocabulary bit-equal, class-graph means within 1e-9, TrustRank within
-1e-9 of a tight power-iteration run, and — after ``full_retrain`` — the
-SVM weights bit-equal with zero verdict staleness.
+vocabulary bit-equal, TrustRank within 1e-9 of a tight power-iteration
+run, and — after ``full_retrain`` — the SVM weights bit-equal with zero
+verdict staleness.  Separate streams pin the maintained feature matrix
+row by row and check that no tick builds an N-gram graph.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from repro.perf.cache import FeatureCache
 from repro.stream.crawl import DeltaCrawlStore
 from repro.stream.drift import DriftDetector
 from repro.stream.pipeline import StreamingVerifier
+from repro.text.ngram_graph import NGramGraph
+from repro.text.summarization import Summarizer
 
 from tests.stream.conftest import STREAM_CFG, STREAM_GEN
 
@@ -41,6 +44,13 @@ def streamed():
     full = verifier.full_recompute()
     return SimpleNamespace(
         corpus=corpus, verifier=verifier, reports=reports, full=full
+    )
+
+
+def _has_births_deaths_and_drifts(deltas) -> bool:
+    return all(
+        any(getattr(delta, kind) for delta in deltas)
+        for kind in ("added", "removed", "drifted")
     )
 
 
@@ -74,17 +84,6 @@ class TestEquivalences:
         )
         assert refit.vocabulary.terms() == streamed.full.vocabulary_terms
         assert np.array_equal(refit.idf, streamed.full.idf)
-
-    def test_class_graph_means_within_reassociation_error(self, streamed):
-        state = streamed.verifier.class_graphs
-        actual = state.class_graphs()
-        expected = streamed.full.class_graphs
-        assert set(actual) == set(expected)
-        for label in expected:
-            keys_a, weights_a = actual[label]._aligned(state._interner)
-            keys_e, weights_e = expected[label]._aligned(state._interner)
-            assert np.array_equal(keys_a, keys_e)
-            assert np.max(np.abs(weights_a - weights_e), initial=0.0) < 1e-9
 
     def test_trustrank_within_1e9_of_tight_oracle(self, streamed):
         store = DeltaCrawlStore(streamed.corpus)
@@ -146,3 +145,46 @@ class TestFeatureCache:
         # the exact same verdicts.
         assert cache.stats.hits > hits_before
         assert second == first
+
+
+class TestFeatureRows:
+    def test_each_live_row_equals_a_fresh_transform(self, stream_deltas):
+        # Retrain every other tick, so the checks cover incremental
+        # ticks, retrain ticks and the ticks right after a retrain.
+        corpus = StreamCorpus.generate(STREAM_GEN)
+        verifier = StreamingVerifier(
+            corpus, detector=DriftDetector(max_ticks_between_retrains=2)
+        )
+        verifier.bootstrap()
+        summarizer = Summarizer()
+        retrained = []
+        for delta in stream_deltas:
+            report = verifier.apply_tick(delta)
+            retrained.append(report.retrained)
+            domains = corpus.domains()
+            assert verifier._matrix.shape[0] == len(domains)
+            assert set(verifier._row_of) == set(domains)
+            store = DeltaCrawlStore(corpus)
+            store.bootstrap()
+            for domain in domains:
+                tokens = summarizer.summarize_site(store.site(domain)).tokens
+                expected = verifier.vectorizer.transform([tokens])
+                row = verifier._matrix[verifier._row_of[domain]]
+                assert (row != expected).nnz == 0, (delta.epoch, domain)
+        assert any(retrained) and not all(retrained)
+        assert _has_births_deaths_and_drifts(stream_deltas)
+
+
+class TestNoNGramGraphs:
+    def test_stream_builds_no_ngram_graph(self, monkeypatch, stream_deltas):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stream built an N-gram graph")
+
+        monkeypatch.setattr(NGramGraph, "from_text", refuse)
+        corpus = StreamCorpus.generate(STREAM_GEN)
+        verifier = StreamingVerifier(corpus, detector=_quiet_detector())
+        verifier.bootstrap()
+        for delta in stream_deltas:
+            verifier.apply_tick(delta)
+        assert _has_births_deaths_and_drifts(stream_deltas)
+        verifier.full_recompute()
