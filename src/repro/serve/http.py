@@ -28,6 +28,9 @@ does exactly the overload choreography and nothing else:
 Routes: ``POST /v1/verify``, ``POST /v1/verify/batch``,
 ``GET /v1/review-queue``, ``GET /healthz``, ``GET /metrics``.
 
+Connections are keep-alive on a ``TCP_NODELAY`` socket; each response
+is one socket write. A rejected, unread body closes the connection.
+
 Graceful drain (:meth:`VerificationHTTPServer.drain`): stop accepting,
 finish in-flight requests, flush metrics, close the socket.
 """
@@ -155,6 +158,9 @@ class VerificationRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     #: Socket inactivity timeout — a wedged client cannot pin a thread.
     timeout = 30.0
+    #: Responses are one write each (:meth:`_send`); Nagle would only
+    #: hold them for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------
 
@@ -169,6 +175,14 @@ class VerificationRequestHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler contract)
         """Dispatch POST routes."""
         self._dispatch("POST")
+
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """Stdlib rejections before routing (bad request line, oversized
+        headers, unknown method): a JSON error in one write, then close."""
+        self.log_error("code %d, message %s", code, message)
+        self._send_error(int(code), message or self.responses[code][0], close=True)
 
     # -- pipeline -----------------------------------------------------------
 
@@ -187,23 +201,15 @@ class VerificationRequestHandler(BaseHTTPRequestHandler):
             self.server.metrics.observe_latency(route, max(0.0, elapsed))
 
     def _run_pipeline(self, method: str, route: str) -> int:
-        handlers = {
-            ("GET", "/healthz"): self._route_healthz,
-            ("GET", "/metrics"): self._route_metrics,
-            ("GET", "/v1/review-queue"): self._route_review_queue,
-            ("POST", "/v1/verify"): self._route_verify,
-            ("POST", "/v1/verify/batch"): self._route_verify_batch,
-        }
-        handler = handlers.get((method, route))
+        handler = self._ROUTES.get((method, route))
         if handler is None:
-            known_routes = {r for _, r in handlers}
-            if route in known_routes:
+            if route in self._KNOWN_ROUTES:
                 return self._send_error(405, "method not allowed")
             return self._send_error(404, f"no such route: {route}")
         if route in ("/healthz", "/metrics"):
             # Health and metrics stay reachable while draining or
             # rate-limited — they are how operators see the overload.
-            return handler(None)
+            return handler(self, None)
 
         if self.server.draining:
             return self._send_error(
@@ -231,7 +237,7 @@ class VerificationRequestHandler(BaseHTTPRequestHandler):
                 headers={"Retry-After": str(SHED_RETRY_AFTER), **decision.headers()},
             )
         try:
-            return handler(auth, extra_headers=decision.headers())
+            return handler(self, auth, extra_headers=decision.headers())
         finally:
             self.server.bulkhead.release()
 
@@ -251,12 +257,7 @@ class VerificationRequestHandler(BaseHTTPRequestHandler):
         if "format=json" in (self.path.split("?", 1) + [""])[1]:
             return self._send_json(200, self.server.metrics.snapshot())
         body = self.server.metrics.render_text().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        return 200
+        return self._send(200, body, "text/plain; version=0.0.4")
 
     def _route_review_queue(
         self, auth: AuthResult | None, extra_headers: Mapping[str, str] | None = None
@@ -279,9 +280,9 @@ class VerificationRequestHandler(BaseHTTPRequestHandler):
         self, auth: AuthResult | None, extra_headers: Mapping[str, str] | None = None
     ) -> int:
         assert auth is not None
-        body = self._read_json()
-        if body is None:
-            return self._send_error(400, "invalid JSON body", headers=extra_headers)
+        body = self._read_json(extra_headers)
+        if isinstance(body, int):
+            return body
         domain = body.get("domain")
         budget = self._budget(auth, auth.tier.request_budget)
         return self._guarded(
@@ -293,9 +294,9 @@ class VerificationRequestHandler(BaseHTTPRequestHandler):
         self, auth: AuthResult | None, extra_headers: Mapping[str, str] | None = None
     ) -> int:
         assert auth is not None
-        body = self._read_json()
-        if body is None:
-            return self._send_error(400, "invalid JSON body", headers=extra_headers)
+        body = self._read_json(extra_headers)
+        if isinstance(body, int):
+            return body
         domains = body.get("domains")
         if not isinstance(domains, list):
             return self._send_error(
@@ -316,6 +317,16 @@ class VerificationRequestHandler(BaseHTTPRequestHandler):
             },
             extra_headers,
         )
+
+    #: ``(method, route)`` -> route handler, built once with the class.
+    _ROUTES = {
+        ("GET", "/healthz"): _route_healthz,
+        ("GET", "/metrics"): _route_metrics,
+        ("GET", "/v1/review-queue"): _route_review_queue,
+        ("POST", "/v1/verify"): _route_verify,
+        ("POST", "/v1/verify/batch"): _route_verify_batch,
+    }
+    _KNOWN_ROUTES = frozenset(route for _, route in _ROUTES)
 
     # -- helpers ------------------------------------------------------------
 
@@ -358,20 +369,57 @@ class VerificationRequestHandler(BaseHTTPRequestHandler):
             return self._send_error(500, "internal error", headers=extra_headers)
         return self._send_json(200, payload, headers=extra_headers)
 
-    def _read_json(self) -> dict[str, Any] | None:
-        """The request body as a JSON object, or ``None`` when invalid."""
+    def _read_json(self, extra_headers: Mapping[str, str] | None) -> dict[str, Any] | int:
+        """The body as a JSON object, or the status of the 400 sent instead.
+
+        A body rejected by its ``Content-Length`` stays unread and would
+        parse as the next request, so that 400 closes the connection.
+        """
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(self.headers.get("Content-Length", ""))
         except ValueError:
-            return None
-        if length < 0 or length > MAX_BODY_BYTES:
-            return None
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            return self._send_error(
+                400, "invalid JSON body", headers=extra_headers, close=True
+            )
         try:
             raw = self.rfile.read(length)
             parsed = json.loads(raw.decode("utf-8")) if length else {}
         except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        return parsed if isinstance(parsed, dict) else None
+            parsed = None
+        if not isinstance(parsed, dict):
+            return self._send_error(400, "invalid JSON body", headers=extra_headers)
+        return parsed
+
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: Mapping[str, str] | None = None,
+        close: bool = False,
+    ) -> int:
+        """Send status line, headers and body in one socket write.
+
+        Every response leaves here; ``end_headers`` would send the
+        header block alone, splitting a response into two sends.
+        """
+        self.log_request(status)
+        lines = [
+            f"{self.protocol_version} {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+            *(f"{name}: {value}" for name, value in (headers or {}).items()),
+        ]
+        if close:
+            lines.append("Connection: close")
+            self.close_connection = True
+        self.wfile.write("\r\n".join([*lines, "", ""]).encode("latin-1") + body)
+        self.wfile.flush()
+        return status
 
     def _send_json(
         self,
@@ -381,17 +429,7 @@ class VerificationRequestHandler(BaseHTTPRequestHandler):
         close: bool = False,
     ) -> int:
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        if close:
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
-        return status
+        return self._send(status, body, "application/json", headers, close)
 
     def _send_error(
         self,

@@ -1,4 +1,5 @@
-"""Socket-level tests of the HTTP edge: auth, limits, shedding, drain.
+"""Socket-level tests of the HTTP edge: connections, auth, limits,
+shedding, drain.
 
 Real sockets on ephemeral ports, virtual time everywhere else: the
 rate limiter and service share one ``VirtualClock``, so quota windows
@@ -7,8 +8,10 @@ never slide mid-test and latency math is deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.serve import (
     Tier,
     build_server,
 )
+from repro.serve.http import VerificationRequestHandler
 from repro.web.resilience.clock import VirtualClock
 
 #: A tier small enough to exhaust in three requests.
@@ -78,6 +82,78 @@ def server(fitted_verifier, tiny_corpus, tiny_host):
     instance.drain(timeout=10.0)
 
 
+class _CountingWriter:
+    """A socket writer that records every write before passing it on."""
+
+    def __init__(self, inner, writes):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture()
+def recorder(server):
+    """The server's handler, recording each accepted socket's
+    ``TCP_NODELAY`` option and every write that reaches a socket."""
+
+    class RecordingHandler(VerificationRequestHandler):
+        nodelay: list[int] = []
+        writes: list[bytes] = []
+
+        def setup(self):
+            super().setup()
+            self.nodelay.append(
+                self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            self.wfile = _CountingWriter(self.wfile, self.writes)
+
+    server.RequestHandlerClass = RecordingHandler
+    return RecordingHandler
+
+
+@contextlib.contextmanager
+def raw_connection(port):
+    """A plain client socket and a buffered reader over it."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        with sock.makefile("rb") as reader:
+            yield sock, reader
+
+
+def read_response(reader):
+    """One HTTP response off ``reader``: (status, lowercased headers, body)."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, reader.read(int(headers.get("content-length", "0")))
+
+
+def read_until_closed(reader):
+    """Everything the server sends before it closes the connection."""
+    try:
+        return reader.read()
+    except ConnectionResetError:
+        # Closing with the unread body still queued resets the socket.
+        return b""
+
+
+def post_bytes(path, body, length=None):
+    """A raw ``POST`` request with an explicit ``Content-Length``."""
+    length = len(body) if length is None else length
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: localhost\r\n"
+        f"X-API-Key: test-internal-key\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode("latin-1") + body
+
+
 class TestRouting:
     def test_healthz(self, server):
         status, _, payload = request(server.port, "GET", "/healthz", key=None)
@@ -104,6 +180,99 @@ class TestRouting:
         )
         assert status == 200
         assert "counters" in payload and "latency" in payload
+
+
+class TestConnections:
+    """The keep-alive contract, pinned without timing thresholds."""
+
+    def test_accepted_socket_has_tcp_nodelay(self, server, recorder):
+        assert request(server.port, "GET", "/healthz", key=None)[0] == 200
+        assert len(recorder.nodelay) == 1
+        assert recorder.nodelay[0] != 0
+
+    @pytest.mark.parametrize(
+        "method, path, domain, status",
+        [
+            ("POST", "/v1/verify", 0, 200),
+            ("GET", "/nope", None, 404),
+            ("POST", "/v1/verify", "not a domain!", 400),
+            ("GET", "/metrics", None, 200),
+        ],
+        ids=["verdict-json", "send-error-404", "guarded-400", "metrics-text"],
+    )
+    def test_each_response_is_one_socket_write(
+        self, server, recorder, tiny_corpus, method, path, domain, status
+    ):
+        if isinstance(domain, int):
+            domain = tiny_corpus.sites[domain].domain
+        body = None if domain is None else {"domain": domain}
+        got, _, payload = request(server.port, method, path, body=body)
+        assert got == status
+        assert len(recorder.writes) == 1
+        (written,) = recorder.writes
+        assert written.startswith(f"HTTP/1.1 {status} ".encode())
+        raw = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        assert written.endswith(raw)
+
+    def test_malformed_request_line_is_one_write_then_close(self, server, recorder):
+        with raw_connection(server.port) as (sock, reader):
+            sock.sendall(b"GET /a b HTTP/1.1\r\n")
+            status, headers, body = read_response(reader)
+            assert status == 400
+            assert headers["connection"] == "close"
+            assert b"Bad request syntax" in body
+            assert read_until_closed(reader) == b""
+        assert len(recorder.writes) == 1
+        assert recorder.writes[0].startswith(b"HTTP/1.1 400 ")
+
+    def test_expect_100_continue_answered_before_body(self, server, tiny_corpus):
+        body = json.dumps({"domain": tiny_corpus.sites[0].domain}).encode()
+        head = post_bytes("/v1/verify", b"", length=len(body))
+        with raw_connection(server.port) as (sock, reader):
+            sock.sendall(head.replace(b"\r\n\r\n", b"\r\nExpect: 100-continue\r\n\r\n"))
+            assert read_response(reader) == (100, {}, b"")
+            sock.sendall(body)
+            status, _, payload = read_response(reader)
+        assert status == 200
+        assert json.loads(payload)["domain"] == tiny_corpus.sites[0].domain
+
+    def test_fifty_requests_on_one_connection_match_in_process_verdicts(
+        self, server, recorder, fitted_verifier, tiny_corpus
+    ):
+        sites = [tiny_corpus.sites[i % len(tiny_corpus.sites)] for i in range(50)]
+        expected = {
+            report.domain: "legitimate" if report.is_legitimate else "illegitimate"
+            for report in fitted_verifier.verify_sites(sites)
+        }
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            for site in sites:
+                conn.request(
+                    "POST", "/v1/verify",
+                    body=json.dumps({"domain": site.domain}),
+                    headers={"X-API-Key": "test-internal-key"},
+                )
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                assert response.status == 200
+                assert payload["verdict"] == expected[site.domain]
+        finally:
+            conn.close()
+        assert len(recorder.nodelay) == 1  # one accepted socket for all 50
+
+    def test_rejected_unread_body_closes_connection(self, server, tiny_corpus):
+        # The oversized first request's "body" is a second complete
+        # request; left unread, it must never be answered.
+        smuggled = post_bytes(
+            "/v1/verify",
+            json.dumps({"domain": tiny_corpus.sites[0].domain}).encode(),
+        )
+        with raw_connection(server.port) as (sock, reader):
+            sock.sendall(post_bytes("/v1/verify", smuggled, length=2_000_000))
+            status, headers, _ = read_response(reader)
+            assert status == 400
+            assert headers["connection"] == "close"
+            assert read_until_closed(reader) == b""
 
 
 class TestAuth:
