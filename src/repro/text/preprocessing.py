@@ -8,11 +8,12 @@ would corrupt.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Iterable
 
 from repro.devtools.sanitizers import sanitizes
 from repro.text.stopwords import default_stop_words
-from repro.text.tokenization import iter_tokens
+from repro.text.tokenization import tokenize
 from repro.exceptions import ValidationError
 
 __all__ = ["TextPreprocessor"]
@@ -51,13 +52,16 @@ class TextPreprocessor:
     def preprocess(self, text: str) -> list[str]:
         """Return the non-stop-word tokens of ``text`` in order.
 
-        Inherits :func:`~repro.text.tokenization.iter_tokens`'s
-        sanitizer guarantee: every emitted token is ``[a-z0-9'-]``."""
-        return [
-            tok
-            for tok in iter_tokens(text)
-            if len(tok) >= self._min_len and tok not in self._stop_words
-        ]
+        Inherits :func:`~repro.text.tokenization.tokenize`'s sanitizer
+        guarantee: every emitted token is ``[a-z0-9'-]``.  Stop words
+        are dropped by a C-level ``filterfalse``; the length filter runs
+        only when ``min_token_length > 1``, since every token the
+        tokenizer emits is at least one character long."""
+        tokens = filterfalse(self._stop_words.__contains__, tokenize(text))
+        if self._min_len > 1:
+            min_len = self._min_len
+            return [tok for tok in tokens if len(tok) >= min_len]
+        return list(tokens)
 
     def preprocess_to_text(self, text: str) -> str:
         """Like :meth:`preprocess` but re-joined with single spaces.

@@ -17,6 +17,7 @@ model behaves on "new" data in the paper's temporal experiments.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -146,36 +147,36 @@ class TfidfVectorizer:
     def transform(self, documents: Sequence[Sequence[str]]) -> sp.csr_matrix:
         """Transform tokenized documents to a sparse TF-IDF matrix.
 
-        The CSR matrix is assembled in one batched pass: in-vocabulary
-        token ids of all documents are flattened, term counts come from
-        a single ``np.unique`` over ``row * |V| + col`` keys (whose
-        sorted order *is* CSR row-major order), and the TF-IDF weights
-        are computed with one vectorized expression.  Output is
-        bit-identical to the former per-document dict loop (pinned by a
-        regression test against
-        :func:`repro.perf.reference.reference_tfidf_transform`).
+        The CSR matrix is assembled in one batched pass.  The vocabulary
+        lookup is one C-level pass over all tokens of all documents
+        (``map(dict.get)`` chained into ``np.fromiter``, with ``-1``
+        for out-of-vocabulary terms), and one mask drops the ``-1``
+        entries with their row ids.  Term counts come from a single
+        ``np.unique`` over ``row * |V| + col`` keys (whose sorted order
+        *is* CSR row-major order), and the TF-IDF weights are computed
+        with one vectorized expression.  Output is bit-identical to the
+        former per-document dict loop (pinned by a regression test
+        against :func:`repro.perf.reference.reference_tfidf_transform`).
         """
         vocab = self.vocabulary
         idf = self.idf
         n_docs = len(documents)
         n_vocab = len(vocab)
         lookup = vocab._index.get
-        id_chunks: list[list[int]] = []
-        lengths = np.empty(n_docs, dtype=np.int64)
-        for i, doc in enumerate(documents):
-            ids = [idx for term in doc if (idx := lookup(term)) is not None]
-            id_chunks.append(ids)
-            lengths[i] = len(ids)
-        total = int(lengths.sum())
-        if total == 0 or n_vocab == 0:
+        lengths = np.fromiter(map(len, documents), dtype=np.int64, count=n_docs)
+        ids = np.fromiter(
+            chain.from_iterable(
+                map(lookup, doc, repeat(-1)) for doc in documents
+            ),
+            dtype=np.int64,
+            count=int(lengths.sum()),
+        )
+        known = ids >= 0
+        flat_cols = ids[known]
+        if flat_cols.size == 0:
             matrix = sp.csr_matrix((n_docs, n_vocab), dtype=np.float64)
             return _l2_normalize_rows(matrix) if self._normalize else matrix
-        flat_cols = np.fromiter(
-            (c for chunk in id_chunks for c in chunk),
-            dtype=np.int64,
-            count=total,
-        )
-        flat_rows = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
+        flat_rows = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)[known]
         keys = flat_rows * n_vocab + flat_cols
         uniq, counts = np.unique(keys, return_counts=True)
         out_rows = uniq // n_vocab

@@ -35,7 +35,11 @@ def iter_tokens(text: str) -> Iterator[str]:
 def tokenize(text: str) -> list[str]:
     """Tokenize ``text`` into a list of lowercase tokens.
 
+    One ``findall`` over the lowercased text: the pattern has no
+    capturing group, so it returns exactly the ``group(0)`` strings
+    :func:`iter_tokens` yields, built in C.  Same sanitizer guarantee.
+
     >>> tokenize("Buy FDA-Approved drugs, no prescription!")
     ['buy', 'fda-approved', 'drugs', 'no', 'prescription']
     """
-    return list(iter_tokens(text))
+    return _TOKEN_RE.findall(text.lower())

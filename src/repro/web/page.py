@@ -69,6 +69,20 @@ class WebPage:
             if (e := _safe_endpoint(u)) is not None and e != own
         )
 
+    def external_endpoints(self) -> tuple[str, ...]:
+        """The endpoint of each of :meth:`external_links`, in order.
+
+        Equal to ``tuple(endpoint(u) for u in self.external_links())``,
+        but each link's endpoint is computed once, by the same test that
+        decides the link is external.
+        """
+        own = self.domain
+        return tuple(
+            e
+            for u in self.resolved_links()
+            if (e := _safe_endpoint(u)) is not None and e != own
+        )
+
 
 def _safe_endpoint(url: str) -> str | None:
     """``endpoint`` that swallows malformed URLs (returns None)."""

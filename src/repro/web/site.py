@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.exceptions import DataGenerationError
 from repro.web.page import WebPage
-from repro.web.url import endpoint
 
 __all__ = ["Website"]
 
@@ -53,19 +53,17 @@ class Website:
         This is ``outboundLinks`` + ``endpoint`` of Algorithm 1, already
         deduplicated, in first-seen order.
         """
-        seen: dict[str, None] = {}
-        for page in self.pages:
-            for url in page.external_links():
-                seen.setdefault(endpoint(url), None)
-        return tuple(seen)
+        return tuple(
+            dict.fromkeys(
+                chain.from_iterable(page.external_endpoints() for page in self.pages)
+            )
+        )
 
     def outbound_endpoint_counts(self) -> Counter[str]:
         """Multiplicity of external endpoints (how often each is linked)."""
-        counts: Counter[str] = Counter()
-        for page in self.pages:
-            for url in page.external_links():
-                counts[endpoint(url)] += 1
-        return counts
+        return Counter(
+            chain.from_iterable(page.external_endpoints() for page in self.pages)
+        )
 
     def front_page(self) -> WebPage | None:
         """The first crawled page (by convention the site root), if any."""

@@ -52,6 +52,16 @@ def random_documents(rng, n_docs, min_len=5, max_len=40):
     ]
 
 
+def assert_transform_matches_reference(vectorizer, documents):
+    fast = vectorizer.transform(documents)
+    slow = reference_tfidf_transform(vectorizer, documents)
+    assert fast.shape == slow.shape
+    np.testing.assert_array_equal(fast.indptr, slow.indptr)
+    np.testing.assert_array_equal(fast.indices, slow.indices)
+    np.testing.assert_array_equal(fast.data, slow.data)
+    return fast
+
+
 class TestPegasosEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("batch_size", [1, 7, 16])
@@ -258,12 +268,39 @@ class TestTfidfEquivalence:
             sublinear_tf=sublinear_tf, normalize=normalize
         )
         vectorizer.fit(train)
-        fast = vectorizer.transform(test)
-        slow = reference_tfidf_transform(vectorizer, test)
-        assert fast.shape == slow.shape
-        np.testing.assert_array_equal(fast.indptr, slow.indptr)
-        np.testing.assert_array_equal(fast.indices, slow.indices)
-        np.testing.assert_array_equal(fast.data, slow.data)
+        assert_transform_matches_reference(vectorizer, test)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "all_oov_document",
+            "no_token_in_vocabulary",
+            "zero_documents",
+            "tuple_documents",
+            "oov_last_token",
+        ],
+    )
+    def test_transform_edge_batches_bit_identical(self, case, normalize):
+        """Out-of-vocabulary masking at the batch's edges: every lookup
+        that misses must drop exactly its own entry and row id."""
+        rng = random.Random(11)
+        vectorizer = TfidfVectorizer(normalize=normalize)
+        vectorizer.fit(random_documents(rng, 20))
+        test = random_documents(rng, 6)
+        if case == "all_oov_document":
+            test[2] = ["never-seen", "oov-term", "never-seen"]
+        elif case == "no_token_in_vocabulary":
+            test = [["never-seen"], [], ["oov-a", "oov-b", "oov-a"]]
+        elif case == "zero_documents":
+            test = []
+        elif case == "tuple_documents":
+            test = [tuple(doc) for doc in test]  # as SummaryDocument.tokens
+            test[0] = test[0] + ("never-seen",)
+        elif case == "oov_last_token":
+            test[-1] = test[-1] + ["never-seen"]
+        fast = assert_transform_matches_reference(vectorizer, test)
+        assert fast.shape == (len(test), len(vectorizer.vocabulary))
 
 
 class TestAucManyEquivalence:

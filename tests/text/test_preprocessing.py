@@ -1,8 +1,10 @@
 """Tests for preprocessing and stop-word lists."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.text.preprocessing import TextPreprocessor
+from repro.text.tokenization import iter_tokens
 from repro.text.stopwords import (
     EXTENDED_ENGLISH_STOP_WORDS,
     LUCENE_ENGLISH_STOP_WORDS,
@@ -67,3 +69,43 @@ class TestTextPreprocessor:
         the strongest illegitimate marker in the paper."""
         pre = TextPreprocessor()
         assert "prescription" in pre.preprocess("no prescription needed")
+
+
+def _reference_preprocess(text, stop_words, min_len):
+    """The token-by-token filter ``preprocess`` was defined by."""
+    return [
+        tok
+        for tok in iter_tokens(text)
+        if len(tok) >= min_len and tok not in stop_words
+    ]
+
+
+_STOP_SETS = {
+    "default": None,
+    "custom": {"the", "Pharmacy", "no", "a", "rx-free"},
+    "empty": (),
+}
+
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("abtheno'- "),
+        st.sampled_from("ABCXYZ0123456789.,\n"),
+        st.sampled_from("éİß"),
+    ),
+    max_size=200,
+) | st.lists(
+    st.sampled_from(
+        ["the", "THE", "a", "an", "no", "pharmacy", "Rx-Free", "pills", "20", "mg", "x"]
+    ),
+    max_size=40,
+).map(" ".join)
+
+
+@pytest.mark.parametrize("min_len", [1, 3])
+@pytest.mark.parametrize("stop_set", sorted(_STOP_SETS))
+@given(text=_TEXT)
+def test_preprocess_equals_token_filter(stop_set, min_len, text):
+    pre = TextPreprocessor(stop_words=_STOP_SETS[stop_set], min_token_length=min_len)
+    assert pre.preprocess(text) == _reference_preprocess(
+        text, pre.stop_words, min_len
+    )

@@ -2,7 +2,22 @@
 
 from hypothesis import given, strategies as st
 
-from repro.text.tokenization import iter_tokens, tokenize
+from repro.text.tokenization import _TOKEN_RE, iter_tokens, tokenize
+
+#: Text weighted toward the token alphabet ``[a-z0-9'-]`` (so runs,
+#: internal hyphens/apostrophes and their edge cases are common), plus
+#: uppercase, whitespace and non-ASCII letters whose lowercasing is
+#: not one-to-one (``"İ"`` lowercases to two code points).
+_TOKENISH_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("abcdefghijklmnopqrstuvwxyz0123456789'-"),
+        st.sampled_from("abcxyz09'-"),
+        st.sampled_from("ABCXYZ"),
+        st.sampled_from(" \t\n.,!"),
+        st.sampled_from("éÉßİıΣσçÇøÅ日本"),
+    ),
+    max_size=200,
+)
 
 
 class TestTokenize:
@@ -33,6 +48,19 @@ class TestTokenize:
     def test_iter_matches_list(self):
         text = "Buy cheap-pills now, no prescription!"
         assert list(iter_tokens(text)) == tokenize(text)
+
+
+@given(_TOKENISH_TEXT)
+def test_tokenize_equals_finditer_group0(text):
+    """``findall`` returns exactly the ``group(0)`` of every match."""
+    assert tokenize(text) == [
+        m.group(0) for m in _TOKEN_RE.finditer(text.lower())
+    ]
+
+
+@given(st.one_of(_TOKENISH_TEXT, st.text(max_size=200)))
+def test_iter_tokens_equals_tokenize(text):
+    assert list(iter_tokens(text)) == tokenize(text)
 
 
 @given(st.text(max_size=200))
