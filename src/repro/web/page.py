@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.exceptions import InvalidURLError
-from repro.web.url import endpoint, parse_url, resolve_url
+from repro.web.url import ParsedURL, _resolve, parse_url
 
 __all__ = ["WebPage"]
 
@@ -33,7 +34,15 @@ class WebPage:
     @property
     def domain(self) -> str:
         """Second-level domain this page belongs to."""
-        return endpoint(self.url)
+        return parse_url(self.url).registered_domain
+
+    def _targets(self, base: ParsedURL) -> Iterator[ParsedURL]:
+        """Each link resolved against ``base``; unresolvable ones dropped."""
+        for href in self.links:
+            try:
+                yield _resolve(base, href)
+            except InvalidURLError:
+                continue
 
     def resolved_links(self) -> tuple[str, ...]:
         """The page's links as absolute URLs.
@@ -42,51 +51,41 @@ class WebPage:
         resolved against the page URL; unresolvable entries (mailto:,
         javascript:, garbage) are dropped.
         """
-        resolved: list[str] = []
-        for href in self.links:
-            try:
-                resolved.append(resolve_url(self.url, href))
-            except InvalidURLError:
-                continue
-        return tuple(resolved)
+        return tuple(map(str, self._targets(parse_url(self.url))))
 
     def internal_links(self) -> tuple[str, ...]:
         """Links that stay on this page's registrable domain."""
-        own = self.domain
-        return tuple(
-            u for u in self.resolved_links() if _safe_endpoint(u) == own
-        )
+        base = parse_url(self.url)
+        own = base.registered_domain
+        return tuple(str(t) for t in self._targets(base) if t._domain == own)
 
     def external_links(self) -> tuple[str, ...]:
         """Links that leave this page's registrable domain.
 
         These are the *outbound links* of Algorithm 1 in the paper.
+        Links to a bare public suffix have no endpoint and are dropped.
         """
-        own = self.domain
+        base = parse_url(self.url)
+        own = base.registered_domain
         return tuple(
-            u
-            for u in self.resolved_links()
-            if (e := _safe_endpoint(u)) is not None and e != own
+            str(t)
+            for t in self._targets(base)
+            if (e := t._domain) is not None and e != own
         )
 
     def external_endpoints(self) -> tuple[str, ...]:
         """The endpoint of each of :meth:`external_links`, in order.
 
         Equal to ``tuple(endpoint(u) for u in self.external_links())``,
-        but each link's endpoint is computed once, by the same test that
-        decides the link is external.
+        but each endpoint is read off the link's parse — one
+        :func:`~repro.web.url.parse_url` lookup per absolute link and
+        none per relative one — by the same test that decides the link
+        is external.
         """
-        own = self.domain
+        base = parse_url(self.url)
+        own = base.registered_domain
         return tuple(
             e
-            for u in self.resolved_links()
-            if (e := _safe_endpoint(u)) is not None and e != own
+            for t in self._targets(base)
+            if (e := t._domain) is not None and e != own
         )
-
-
-def _safe_endpoint(url: str) -> str | None:
-    """``endpoint`` that swallows malformed URLs (returns None)."""
-    try:
-        return endpoint(url)
-    except InvalidURLError:
-        return None

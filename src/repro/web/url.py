@@ -11,13 +11,27 @@ This module implements that mapping without any network access.  It
 understands a small embedded list of multi-part public suffixes
 (``co.uk``-style) so that ``shop.example.co.uk`` maps to
 ``example.co.uk`` rather than ``co.uk``.
+
+Two host forms are not domain names and get their own rules:
+
+* **userinfo** — everything up to the last ``@`` of the authority
+  (``user[:password]@``) is dropped before the port, so both
+  ``http://good.com@evil.com/x`` and ``http://user:pw@evil.com:8080/``
+  name the host ``evil.com``; credentials never survive a parse.
+* **IPv4 literals** — a dotted-quad host (``10.0.0.1``) is its own
+  registered domain, so unrelated addresses never collapse into one
+  endpoint such as ``0.1``.
+
+Each :class:`ParsedURL` computes its registered domain once, when it is
+built, so mapping a link to its endpoint is one :func:`parse_url` lookup
+plus an attribute read.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.devtools.sanitizers import sanitizes
 from repro.exceptions import InvalidURLError
@@ -54,6 +68,9 @@ _MULTI_PART_SUFFIXES = frozenset(
 
 _ALLOWED_SCHEMES = ("http", "https")
 
+_IPV4_RE = re.compile(r"\d{1,3}(?:\.\d{1,3}){3}", re.ASCII)
+_NON_HIERARCHICAL_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9+.-]*:")
+
 
 @dataclass(frozen=True, slots=True)
 class ParsedURL:
@@ -64,16 +81,30 @@ class ParsedURL:
         host: full host name, lowercased (e.g. ``"www.fda.gov"``).
         path: path component including the leading slash (``"/"`` if
             the URL had no explicit path).
+
+    The registered domain is computed once, at construction, and kept
+    out of equality, hashing and ``repr``.
     """
 
     scheme: str
     host: str
     path: str
+    _domain: str | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_domain", _registered_domain(self.host))
 
     @property
     def registered_domain(self) -> str:
-        """The second-level (registrable) domain of :attr:`host`."""
-        return _registered_domain(self.host)
+        """The second-level (registrable) domain of :attr:`host`.
+
+        Raises:
+            InvalidURLError: when the host has none (a bare public
+                suffix such as ``co.uk``, or a single label).
+        """
+        if self._domain is None:
+            raise InvalidURLError(f"host {self.host!r} has no registrable domain")
+        return self._domain
 
     def __str__(self) -> str:
         return f"{self.scheme}://{self.host}{self.path}"
@@ -119,7 +150,7 @@ def parse_url(url: str) -> ParsedURL:
     # Strip fragment and query before splitting host/path.
     rest = rest.split("#", 1)[0].split("?", 1)[0]
     host, slash, path = rest.partition("/")
-    host = host.lower().rstrip(".")
+    host = host.rpartition("@")[2].lower().rstrip(".")  # drop any userinfo
     if ":" in host:  # drop an explicit port
         host = host.split(":", 1)[0]
     if not host or any(not label for label in host.split(".")):
@@ -129,16 +160,21 @@ def parse_url(url: str) -> ParsedURL:
     return ParsedURL(scheme=scheme, host=host, path=(slash + path) if slash else "/")
 
 
-def _registered_domain(host: str) -> str:
-    """Return the registrable (second-level) domain of ``host``."""
-    labels = host.lower().split(".")
+def _registered_domain(host: str) -> str | None:
+    """The registrable (second-level) domain of ``host``, or None.
+
+    None for a single label or a bare public suffix; an IPv4 literal is
+    its own registered domain.
+    """
+    host = host.lower()
+    if _IPV4_RE.fullmatch(host):
+        return host
+    labels = host.split(".")
     if len(labels) < 2:
-        raise InvalidURLError(f"host {host!r} has no registrable domain")
+        return None
     two = ".".join(labels[-2:])
     if two in _MULTI_PART_SUFFIXES:
-        if len(labels) < 3:
-            raise InvalidURLError(f"host {host!r} is a bare public suffix")
-        return ".".join(labels[-3:])
+        return ".".join(labels[-3:]) if len(labels) >= 3 else None
     return two
 
 
@@ -195,21 +231,30 @@ def resolve_url(base: str, href: str) -> str:
         InvalidURLError: when the base is invalid or the resolved
             result is not a usable http(s) URL.
     """
-    parsed_base = parse_url(base)
+    return str(_resolve(parse_url(base), href))
+
+
+def _resolve(parsed_base: ParsedURL, href: str) -> ParsedURL:
+    """:func:`resolve_url` against an already parsed base, unserialized.
+
+    The one resolver behind :func:`resolve_url` and every link view of
+    :class:`~repro.web.page.WebPage`: an absolute or protocol-relative
+    href costs one :func:`parse_url` lookup, a relative one none.
+    """
     text = href.strip()
     if not text:
         raise InvalidURLError("empty href")
     if "://" in text:
-        return str(parse_url(text))
+        return parse_url(text)
     if text.startswith("//"):
-        return str(parse_url(f"{parsed_base.scheme}:{text}"))
-    if re.match(r"^[a-zA-Z][a-zA-Z0-9+.-]*:", text):
+        return parse_url(f"{parsed_base.scheme}:{text}")
+    if _NON_HIERARCHICAL_RE.match(text):
         # Non-hierarchical scheme (mailto:, javascript:, tel:, ...).
         raise InvalidURLError(f"unresolvable href scheme: {href!r}")
     text = text.split("#", 1)[0].split("?", 1)[0]
     if not text:
         # Fragment-/query-only link: resolves to the page itself.
-        return str(parsed_base)
+        return parsed_base
     if text.startswith("/"):
         path = text
     else:
@@ -229,6 +274,4 @@ def resolve_url(base: str, href: str) -> str:
     normalized = "/" + "/".join(segments)
     if path.endswith("/") and normalized != "/":
         normalized += "/"
-    return str(
-        ParsedURL(scheme=parsed_base.scheme, host=parsed_base.host, path=normalized)
-    )
+    return ParsedURL(scheme=parsed_base.scheme, host=parsed_base.host, path=normalized)

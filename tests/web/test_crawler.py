@@ -105,3 +105,29 @@ class TestCrawler:
         site = Crawler(chain_host(4)).crawl_site("https://www.a.com/p2")
         # From p2 only p2 -> p3 are reachable.
         assert site.n_pages == 2
+
+
+class TestSameSiteGuard:
+    def test_userinfo_cannot_smuggle_another_domain(self):
+        assert Crawler._same_site("https://www.a.com@evil.com/", "a.com") is None
+
+    def test_credentials_never_reach_the_frontier(self):
+        safe = Crawler._same_site("https://user:pw@www.a.com:8443/p1?x=1", "a.com")
+        assert safe == "https://www.a.com/p1"
+
+    def test_crawl_follows_userinfo_link_without_credentials(self):
+        host = InMemoryWebHost(
+            [
+                WebPage(
+                    url="https://www.a.com/",
+                    text="home",
+                    links=("https://user:pw@www.a.com/p1", "https://www.a.com@evil.com/"),
+                ),
+                WebPage(url="https://www.a.com/p1", text="one"),
+            ]
+        )
+        site = Crawler(host).crawl_site("https://www.a.com/")
+        assert [page.url for page in site.pages] == [
+            "https://www.a.com/",
+            "https://www.a.com/p1",
+        ]

@@ -1,5 +1,7 @@
 """Tests for URL parsing and endpoint extraction."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,6 +114,67 @@ class TestRegisteredDomainProperty:
         parsed = parse_url("http://example.com/")
         with pytest.raises(AttributeError):
             parsed.host = "other.com"  # type: ignore[misc]
+
+    def test_bare_public_suffix_parses_but_has_no_domain(self):
+        parsed = parse_url("http://co.uk/")
+        assert parsed.host == "co.uk"
+        with pytest.raises(InvalidURLError):
+            parsed.registered_domain
+
+
+class TestParsedURLCachedDomain:
+    """The cached domain is invisible to equality, hashing and repr."""
+
+    def test_eq_and_hash_follow_the_three_fields(self):
+        a = parse_url("https://www.example.com/a")
+        b = ParsedURL(scheme="https", host="www.example.com", path="/a")
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash(("https", "www.example.com", "/a"))
+        assert a != ParsedURL(scheme="https", host="www.example.com", path="/b")
+
+    def test_repr_unchanged(self):
+        assert repr(parse_url("https://www.example.com/a")) == (
+            "ParsedURL(scheme='https', host='www.example.com', path='/a')"
+        )
+
+    @pytest.mark.parametrize(
+        "url", ["https://www.example.com/a", "http://shop.x.co.uk/", "http://co.uk/"]
+    )
+    def test_pickle_roundtrip(self, url):
+        parsed = parse_url(url)
+        back = pickle.loads(pickle.dumps(parsed))
+        assert back == parsed and hash(back) == hash(parsed)
+        assert repr(back) == repr(parsed)
+        assert back._domain == parsed._domain
+
+
+class TestUserinfo:
+    def test_userinfo_host_is_the_real_host(self):
+        parsed = parse_url("http://good.com@evil.com/x")
+        assert parsed.host == "evil.com"
+        assert endpoint("http://good.com@evil.com/x") == "evil.com"
+
+    def test_userinfo_with_password_and_port(self):
+        assert endpoint("http://user:pw@evil.com:8080/") == "evil.com"
+        assert str(parse_url("http://user:pw@evil.com:8080/")) == "http://evil.com/"
+
+    def test_last_at_sign_ends_userinfo(self):
+        assert endpoint("https://a@b.com@www.evil.com/") == "evil.com"
+
+    def test_at_sign_in_path_is_not_userinfo(self):
+        assert parse_url("https://www.shop.com/u/@me").host == "www.shop.com"
+
+
+class TestIPv4Literal:
+    def test_dotted_quad_is_its_own_domain(self):
+        assert endpoint("http://10.0.0.1/") == "10.0.0.1"
+        assert endpoint("http://192.168.0.1:8080/admin") == "192.168.0.1"
+
+    def test_distinct_addresses_stay_distinct(self):
+        assert not same_domain("http://10.0.0.1/", "http://192.168.0.1/")
+
+    def test_numeric_label_in_a_name_is_not_an_address(self):
+        assert endpoint("http://1.2.3.example.com/") == "example.com"
 
 
 _label = st.text(
