@@ -4,7 +4,10 @@ Run in CI's ``scale-smoke`` job: a 10^4-site corpus is written as 3
 shards, and ``verify_sites`` over the lazy ``ShardedCorpus.sites_view()``
 must return exactly the reports it returns for the same sites held in a
 list.  The same pass, with the reader's default LRU, must parse each
-shard file exactly once.
+shard file exactly once.  The sharded pass scores the shards' rows and
+the in-memory one ``Website`` objects, so this pins the row path to the
+object path; ``rank_sites`` over the view with the rows' labels must
+likewise equal the in-memory ranking.
 """
 
 from __future__ import annotations
@@ -61,3 +64,14 @@ def test_sharded_view_equals_in_memory(verifier, corpus_dir):
     in_memory = verifier.verify_sites(list(ShardedCorpus(corpus_dir).iter_sites()))
     assert len(lazy) == N_SITES
     assert lazy == in_memory
+
+
+def test_sharded_ranking_equals_in_memory(verifier, corpus_dir):
+    corpus = ShardedCorpus(corpus_dir)
+    labels = corpus.labels()
+    assert len(labels) == N_SITES
+    lazy = verifier.rank_sites(corpus.sites_view(), labels)
+    reader = ShardedCorpus(corpus_dir)
+    sites = list(reader.iter_sites())
+    in_memory = verifier.rank_sites(sites, [reader.oracle(s.domain) for s in sites])
+    assert lazy.entries == in_memory.entries

@@ -38,7 +38,7 @@ from repro.core.verifier import PharmacyVerifier
 from repro.data.loaders import make_dataset
 from repro.data.synthesis import GeneratorConfig
 from repro.io import export_corpus, import_corpus, load_model, save_model
-from repro.web.site import Website
+from repro.web.site import SiteEvidence
 
 __all__ = ["main", "build_parser"]
 
@@ -158,26 +158,26 @@ def _is_sharded(path: str) -> bool:
     return (Path(path) / MANIFEST_FILENAME).is_file()
 
 
-def _load_sites(path: str) -> tuple[Sequence[Website], list[int] | None]:
-    """Sites + labels from a ``.jsonl`` corpus or a sharded directory.
+def _load_sites(
+    path: str, with_labels: bool
+) -> tuple[Sequence[SiteEvidence], list[int] | None]:
+    """Sites, plus labels when asked, from a ``.jsonl`` corpus or a
+    sharded directory.
 
     Sharded corpora come back as a lazy view: a verification pass walks
-    it once, so each shard is parsed once per pass and memory holds the
-    reader's shard LRU plus one verification block of sites.
+    it once, scoring the shards' rows, so each shard is parsed once per
+    pass and memory holds the reader's shard LRU plus one verification
+    block.  Their labels are read off the rows, and only when asked.
     Single-file corpora load as before.
     """
     if _is_sharded(path):
         from repro.data.sharding import ShardedCorpus
 
         corpus = ShardedCorpus(path)
-        labels = [
-            record.label
-            for _, _, records in corpus.iter_shards()
-            for record in records
-        ]
-        return corpus.sites_view(), labels
+        return corpus.sites_view(), corpus.labels() if with_labels else None
     corpus = import_corpus(path)
-    return list(corpus.sites), [int(y) for y in corpus.labels]
+    labels = [int(y) for y in corpus.labels] if with_labels else None
+    return list(corpus.sites), labels
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -232,7 +232,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     verifier = load_model(args.model)
-    sites, _ = _load_sites(args.corpus)
+    sites, _ = _load_sites(args.corpus, with_labels=False)
     reports = verifier.verify_sites(sites)
     print(f"{'domain':40}  {'verdict':12}  {'P(legit)':>8}")
     print("-" * 66)
@@ -252,7 +252,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     verifier = load_model(args.model)
-    sites, labels = _load_sites(args.corpus)
+    sites, labels = _load_sites(args.corpus, with_labels=True)
     ranking = verifier.rank_sites(sites, labels)
     print(f"{'rank score':>10}  {'oracle':8}  domain")
     print("-" * 66)

@@ -40,7 +40,7 @@ from repro.web.crawler import Crawler, CrawlStats
 from repro.web.host import WebHost
 from repro.web.resilience.clock import Clock, VirtualClock
 from repro.web.resilience.retry import RetryPolicy
-from repro.web.site import Website
+from repro.web.site import SiteEvidence, Website
 
 logger = logging.getLogger(__name__)
 
@@ -62,8 +62,8 @@ MIN_CONFIDENCE = 0.1
 #: Sites materialised and scored together by :meth:`PharmacyVerifier.verify_sites`
 #: when no deadline is set.  Each block is read from the input sequence
 #: once, so a lazy sharded view is walked in shard-major order and each
-#: shard parsed once per pass; only one block of sites and summaries is
-#: alive at a time.
+#: shard parsed once per pass; only one block of evidence and summaries
+#: is alive at a time.
 _BLOCK_SITES = 1024
 
 
@@ -209,7 +209,7 @@ class PharmacyVerifier:
 
     def verify_sites(
         self,
-        sites: Sequence[Website],
+        sites: Sequence[SiteEvidence],
         crawl_stats: Sequence[CrawlStats | None] | None = None,
         *,
         deadline: float | None = None,
@@ -223,10 +223,20 @@ class PharmacyVerifier:
         fall back to network-only scoring with ``degraded=True`` — this
         method does not raise on thin or partial content.
 
+        Each site is read only through
+        :class:`~repro.web.site.SiteEvidence` (domain, merged text,
+        whether it has text, outbound endpoints), so ``sites`` may hold
+        :class:`Website` objects or shard rows alike.
+
         The batch is walked once, in consecutive blocks of
         :data:`_BLOCK_SITES` sites: each block is read from ``sites``
-        once (a lazy sharded view therefore parses each shard once per
-        pass), summarized, and sent through one TF-IDF transform.
+        once, summarized, and sent through one TF-IDF transform.  A
+        sequence that offers ``rows(start, stop)``, as
+        :meth:`ShardedCorpus.sites_view()
+        <repro.data.sharding.ShardedCorpus.sites_view>` does, is read
+        through it: each block is the shards' validated rows, sliced
+        per shard, so a pass parses each shard once and builds no
+        :class:`Website`, page or record object.
 
         With a ``deadline``, the blocks shrink to ``deadline_chunk``
         sites and the clock is checked between them: blocks whose turn
@@ -238,7 +248,7 @@ class PharmacyVerifier:
         alike for every site the budget covers.
 
         Args:
-            sites: crawled websites.
+            sites: crawled websites, or any site evidence.
             crawl_stats: optional per-site crawl statistics, aligned
                 with ``sites``; partial crawls (see
                 :attr:`~repro.web.crawler.CrawlStats.is_partial`) mark
@@ -263,9 +273,14 @@ class PharmacyVerifier:
             )
         step = _BLOCK_SITES if deadline is None else deadline_chunk
         timer: Clock = clock if clock is not None else VirtualClock()
+        read_rows = getattr(sites, "rows", None)
         reports: list[VerificationReport] = []
         for start in range(0, len(sites), step):
-            block = list(sites[start : start + step])
+            block = (
+                read_rows(start, start + step)
+                if read_rows is not None
+                else list(sites[start : start + step])
+            )
             block_stats = (
                 crawl_stats[start : start + step]
                 if crawl_stats is not None
@@ -284,7 +299,7 @@ class PharmacyVerifier:
 
     def _verify_batch(
         self,
-        sites: Sequence[Website],
+        sites: Sequence[SiteEvidence],
         crawl_stats: Sequence[CrawlStats | None] | None,
     ) -> list[VerificationReport]:
         """Score one block with no deadline bookkeeping."""
@@ -296,7 +311,7 @@ class PharmacyVerifier:
             stats = crawl_stats[i] if crawl_stats is not None else None
             if stats is not None and stats.is_partial:
                 site_reasons.append("partial_crawl")
-            if any(page.text.strip() for page in site.pages):
+            if site.has_text():
                 scorable.append(i)
             else:
                 site_reasons.append("no_text")
@@ -350,7 +365,7 @@ class PharmacyVerifier:
 
     def _expired_reports(
         self,
-        sites: Sequence[Website],
+        sites: Sequence[SiteEvidence],
         crawl_stats: Sequence[CrawlStats | None] | None,
     ) -> list[VerificationReport]:
         """Cheap network-only reports for sites past their deadline.
@@ -388,7 +403,7 @@ class PharmacyVerifier:
             )
         return reports
 
-    def _score_text(self, sites: Sequence[Website]):
+    def _score_text(self, sites: Sequence[SiteEvidence]):
         """Run the text pipeline; ``(None, None, None)`` on failure."""
         if not sites:
             return np.empty(0), np.empty(0, dtype=int), np.empty(0)
@@ -435,7 +450,7 @@ class PharmacyVerifier:
         site = crawler.crawl_site(url)
         return self.verify_site(site, crawl_stats=crawler.last_stats)
 
-    def rank_sites(self, sites: Sequence[Website],
+    def rank_sites(self, sites: Sequence[SiteEvidence],
                    oracle_labels: Sequence[int] | None = None) -> RankingResult:
         """Rank a batch of sites by decreasing legitimacy (Problem 2)."""
         reports = self.verify_sites(sites)
@@ -450,7 +465,7 @@ class PharmacyVerifier:
 
     def _network_ranks(
         self,
-        sites: Sequence[Website],
+        sites: Sequence[SiteEvidence],
         per_site: Sequence[tuple[str, ...]],
     ) -> np.ndarray:
         """TrustRank-derived network scores of (possibly unseen) sites.

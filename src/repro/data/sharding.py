@@ -26,7 +26,12 @@ web *sharded*:
 * **Lazy reading** — :class:`ShardedCorpus` opens shards on demand with
   a small LRU of parsed shards, so ``get(domain)`` on a million-site
   corpus loads exactly one shard, and block-wise pipelines stream
-  ``iter_shards()`` holding one shard in memory at a time.
+  ``iter_shards()`` holding one shard in memory at a time.  The LRU
+  holds each shard as validated rows (:class:`repro.io.SiteRow`), not
+  objects: a verification pass over ``sites_view()`` scores the rows
+  directly, and :class:`~repro.web.site.Website` /
+  :class:`~repro.data.synthesis.PharmacyRecord` objects are built only
+  for the callers that ask for them.
 
 Generation fans out over shards via :func:`repro.perf.pmap` — each
 worker writes only its own shard files, no shared state.
@@ -57,8 +62,9 @@ from repro.devtools.sanitizers import sanitizes
 from repro.exceptions import MissingKeyError, ValidationError
 from repro.io import (
     PersistenceError,
+    SiteRow,
     atomic_write,
-    site_record_from_row,
+    parse_site_row,
     site_record_to_row,
 )
 from repro.perf.parallel import pmap
@@ -340,23 +346,42 @@ class ShardManifest:
         """Parse a manifest payload written by :meth:`as_dict`.
 
         Raises:
-            PersistenceError: wrong format marker or version.
+            PersistenceError: not an object, wrong format marker or
+                version, a missing key, or a field of the wrong type
+                (including a shard entry without ``file`` or
+                ``n_sites``).
         """
         if (
-            payload.get("format") != _MANIFEST_FORMAT
+            not isinstance(payload, dict)
+            or payload.get("format") != _MANIFEST_FORMAT
             or payload.get("version") != _FORMAT_VERSION
         ):
             raise PersistenceError("not a repro shard manifest")
-        return cls(
-            name=str(payload["name"]),
-            n_shards=int(payload["n_shards"]),
-            n_sites=int(payload["n_sites"]),
-            n_legitimate=int(payload["n_legitimate"]),
-            n_illegitimate=int(payload["n_illegitimate"]),
-            generation=int(payload["generation"]),
-            config=dict(payload["config"]),
-            shards=tuple(dict(s) for s in payload["shards"]),
-        )
+        try:
+            shards = tuple(dict(s) for s in payload["shards"])
+            for entry in shards:
+                if not isinstance(entry.get("file"), str) or not isinstance(
+                    entry.get("n_sites"), int
+                ):
+                    raise PersistenceError(
+                        f"malformed shard manifest: bad shard entry {entry!r}"
+                    )
+            return cls(
+                name=str(payload["name"]),
+                n_shards=int(payload["n_shards"]),
+                n_sites=int(payload["n_sites"]),
+                n_legitimate=int(payload["n_legitimate"]),
+                n_illegitimate=int(payload["n_illegitimate"]),
+                generation=int(payload["generation"]),
+                config=dict(payload["config"]),
+                shards=shards,
+            )
+        except KeyError as exc:
+            raise PersistenceError(
+                f"malformed shard manifest: missing {exc}"
+            ) from None
+        except (TypeError, ValueError) as exc:
+            raise PersistenceError(f"malformed shard manifest: {exc}") from None
 
     @property
     def generator_config(self) -> GeneratorConfig:
@@ -436,11 +461,17 @@ def write_shards(
 
 @dataclass(slots=True)
 class _LoadedShard:
-    """One parsed shard held in the reader's LRU."""
+    """One parsed shard held in the reader's LRU.
 
-    sites: tuple[Website, ...]
-    records: tuple[PharmacyRecord, ...]
+    ``rows`` are the validated rows; ``sites`` memoizes the
+    :class:`Website` of each domain :meth:`ShardedCorpus.get` has
+    built since the shard was loaded, so the LRU holds objects only
+    for the domains looked up, never a whole shard twice.
+    """
+
+    rows: tuple[SiteRow, ...]
     by_domain: dict[str, int]
+    sites: dict[int, Website] = field(default_factory=dict)
 
 
 class _LazySiteSequence(Sequence[Website]):
@@ -448,11 +479,13 @@ class _LazySiteSequence(Sequence[Website]):
 
     Index ``i`` maps to shard ``k`` via cumulative shard sizes, and an
     index outside the reader's LRU re-parses its whole shard.  Only the
-    shards a caller touches are parsed.  A caller that walks the view
-    once in index order, as ``verify_sites`` does in blocks, parses each
-    shard once per pass and holds the LRU's shards plus the block it
-    materialised; walking it again re-parses every shard the LRU has
-    evicted.
+    shards a caller touches are parsed.  Indexing builds the
+    :class:`Website` of each site asked for; :meth:`rows` hands out the
+    validated rows themselves, which is how ``verify_sites`` reads the
+    view: in blocks, each touched shard through the LRU once per block.
+    A pass that walks the view once in index order therefore parses
+    each shard once; walking it again re-parses every shard the LRU
+    has evicted.
     """
 
     def __init__(self, corpus: "ShardedCorpus") -> None:
@@ -475,7 +508,25 @@ class _LazySiteSequence(Sequence[Website]):
             raise IndexError(index)  # repro-lint: disable=R001
         shard_index = bisect_right(self._offsets, i) - 1
         shard = self._corpus._shard(shard_index)
-        return shard.sites[i - self._offsets[shard_index]]
+        return shard.rows[i - self._offsets[shard_index]].to_site()
+
+    def rows(self, start: int, stop: int) -> list[SiteRow]:
+        """The validated rows of sites ``start:stop``, in view order.
+
+        Each shard the range touches is read once, through the
+        reader's LRU, and sliced as a block; no site object is built.
+        """
+        start, stop, _ = slice(start, stop).indices(len(self))
+        out: list[SiteRow] = []
+        k = bisect_right(self._offsets, start) - 1
+        while start < stop:
+            first, end = int(self._offsets[k]), int(self._offsets[k + 1])
+            if end > start:
+                rows = self._corpus._shard(k).rows
+                out.extend(rows[start - first : min(stop, end) - first])
+                start = end
+            k += 1
+        return out
 
 
 class ShardedCorpus:
@@ -510,7 +561,10 @@ class ShardedCorpus:
             raise PersistenceError(
                 f"malformed shard manifest at {manifest_path}"
             ) from exc
-        self._manifest = ShardManifest.from_dict(payload)
+        try:
+            self._manifest = ShardManifest.from_dict(payload)
+        except PersistenceError as exc:
+            raise PersistenceError(f"{manifest_path}: {exc}") from exc
         self._max_open = max_open_shards
         self._cache: OrderedDict[int, _LoadedShard] = OrderedDict()
         self.shard_opens = 0
@@ -552,12 +606,14 @@ class ShardedCorpus:
 
     @sanitizes("*")
     def _parse_shard(self, shard_index: int) -> _LoadedShard:
-        """Parse one shard file into typed sites and records.
+        """Read and validate one shard file into rows.
 
-        Sanitizer: every row passes through
-        :func:`repro.io.site_record_from_row`, which coerces fields to
-        typed frozen dataclasses; malformed or format-skewed input
-        raises :class:`PersistenceError` instead of flowing onward.
+        The one place a shard file is read.  Sanitizer: every row passes
+        through :func:`repro.io.parse_site_row`, which checks its
+        structure and field types; malformed or format-skewed input
+        raises :class:`PersistenceError` naming the file and line
+        instead of flowing onward.  Page URLs are checked when a row's
+        evidence or objects are read (see :class:`repro.io.SiteRow`).
         """
         path = self._root / str(
             self._manifest.shards[shard_index]["file"]
@@ -572,14 +628,14 @@ class ShardedCorpus:
         try:
             header = json.loads(lines[0])
         except json.JSONDecodeError as exc:
-            raise PersistenceError(f"malformed shard header: {path}") from exc
+            raise PersistenceError(f"malformed shard header: {path}:1") from exc
         if (
-            header.get("format") != _SHARD_FORMAT
+            not isinstance(header, dict)
+            or header.get("format") != _SHARD_FORMAT
             or header.get("version") != _FORMAT_VERSION
         ):
-            raise PersistenceError(f"unsupported shard format: {path}")
-        sites: list[Website] = []
-        records: list[PharmacyRecord] = []
+            raise PersistenceError(f"unsupported shard format: {path}:1")
+        rows: list[SiteRow] = []
         for line_no, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -589,13 +645,10 @@ class ShardedCorpus:
                 raise PersistenceError(
                     f"malformed shard row at {path}:{line_no}"
                 ) from exc
-            site, record = site_record_from_row(row)
-            sites.append(site)
-            records.append(record)
+            rows.append(parse_site_row(row, f"{path}:{line_no}"))
         return _LoadedShard(
-            sites=tuple(sites),
-            records=tuple(records),
-            by_domain={r.domain: i for i, r in enumerate(records)},
+            rows=tuple(rows),
+            by_domain={row.domain: i for i, row in enumerate(rows)},
         )
 
     def _shard(self, shard_index: int) -> _LoadedShard:
@@ -618,11 +671,17 @@ class ShardedCorpus:
     def get(self, domain: str) -> Website | None:
         """The site of ``domain``, or ``None`` when absent.
 
-        Opens only the one shard that ``sha256(domain)`` maps to.
+        Opens only the one shard that ``sha256(domain)`` maps to, and
+        builds the :class:`Website` at most once per shard load.
         """
         shard = self._shard(shard_of(domain, self.n_shards))
         i = shard.by_domain.get(domain)
-        return None if i is None else shard.sites[i]
+        if i is None:
+            return None
+        site = shard.sites.get(i)
+        if site is None:
+            site = shard.sites.setdefault(i, shard.rows[i].to_site())
+        return site
 
     def site_for(self, domain: str) -> Website:
         """The site of ``domain``; raises :class:`MissingKeyError`."""
@@ -637,7 +696,7 @@ class ShardedCorpus:
         i = shard.by_domain.get(domain)
         if i is None:
             raise MissingKeyError(domain)
-        return shard.records[i]
+        return shard.rows[i].to_record()
 
     def oracle(self, domain: str) -> int:
         """The oracle O(p): ground-truth label of ``domain``."""
@@ -648,15 +707,30 @@ class ShardedCorpus:
     def iter_shards(
         self,
     ) -> Iterator[tuple[int, tuple[Website, ...], tuple[PharmacyRecord, ...]]]:
-        """Yield ``(shard_index, sites, records)`` one shard at a time."""
+        """Yield ``(shard_index, sites, records)`` one shard at a time.
+
+        The objects are built from the shard's rows per call and are
+        not kept in the LRU.
+        """
         for k in range(self.n_shards):
-            shard = self._shard(k)
-            yield k, shard.sites, shard.records
+            rows = self._shard(k).rows
+            yield (
+                k,
+                tuple(row.to_site() for row in rows),
+                tuple(row.to_record() for row in rows),
+            )
 
     def iter_sites(self) -> Iterator[Website]:
         """All sites in global (shard-major) order, streamed."""
         for _, sites, _ in self.iter_shards():
             yield from sites
+
+    def labels(self) -> list[int]:
+        """Every site's oracle label in global (shard-major) order.
+
+        Read off the rows; no site or record object is built.
+        """
+        return [row.label for k in range(self.n_shards) for row in self._shard(k).rows]
 
     def domains(self) -> tuple[str, ...]:
         """All domains in global (shard-major) order, from headers only."""
@@ -671,8 +745,12 @@ class ShardedCorpus:
     def sites_view(self) -> Sequence[Website]:
         """Lazy, indexable, sliceable view over every site.
 
-        Drop-in for APIs that expect a sequence of sites (e.g.
-        ``PharmacyVerifier.verify_sites``) without materializing the
-        corpus: only the shards behind the touched indices are opened.
+        Drop-in for APIs that expect a sequence of sites without
+        materializing the corpus: only the shards behind the touched
+        indices are opened, and indexing builds the
+        :class:`Website` asked for.  ``PharmacyVerifier.verify_sites``
+        and ``rank_sites`` read it through its ``rows(start, stop)``
+        blocks instead, scoring the validated rows with no site,
+        page or record objects built.
         """
         return _LazySiteSequence(self)

@@ -6,7 +6,11 @@
   fail loudly instead of mis-predicting.
 * Corpora export to a line-oriented JSON format (one pharmacy per line:
   domain, label, ground-truth flags, pages) so labelled crawls can be
-  shared without pickling arbitrary code.
+  shared without pickling arbitrary code.  Every reader of that format
+  (:func:`import_corpus` and the sharded corpus reader) validates each
+  row with :func:`parse_site_row`, which keeps it as a
+  :class:`SiteRow`: verifiable evidence that builds page objects only
+  on demand.
 
 All writers are *atomic*: content goes to a sibling temporary file that
 is :func:`os.replace`-d over the destination, so a crash mid-write
@@ -19,14 +23,16 @@ import json
 import os
 import pickle
 import tempfile
+from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, IO
+from typing import Any, Callable, IO, NamedTuple
 
 from repro.data.corpus import PharmacyCorpus
 from repro.data.synthesis import PharmacyRecord
-from repro.exceptions import ValidationError
-from repro.web.page import WebPage
+from repro.exceptions import DataGenerationError, ValidationError
+from repro.web.page import WebPage, _external_endpoints
 from repro.web.site import Website
+from repro.web.url import parse_url
 
 __all__ = [
     "save_model",
@@ -37,6 +43,8 @@ __all__ = [
     "atomic_write_text",
     "site_record_to_row",
     "site_record_from_row",
+    "parse_site_row",
+    "SiteRow",
 ]
 
 _MAGIC = "repro-model"
@@ -130,6 +138,16 @@ def load_model(path: str | Path) -> Any:
     return payload["model"]
 
 
+#: Ground-truth role flags of a row, in the order rows store them.
+_FLAGS = (
+    "is_affiliate_hub",
+    "is_affiliate_member",
+    "is_outlier",
+    "is_asocial",
+    "is_trust_imitator",
+)
+
+
 def site_record_to_row(site: Website, record: PharmacyRecord) -> dict[str, Any]:
     """The JSON-line row of one (site, record) pair.
 
@@ -140,13 +158,7 @@ def site_record_to_row(site: Website, record: PharmacyRecord) -> dict[str, Any]:
     return {
         "domain": record.domain,
         "label": record.label,
-        "flags": {
-            "is_affiliate_hub": record.is_affiliate_hub,
-            "is_affiliate_member": record.is_affiliate_member,
-            "is_outlier": record.is_outlier,
-            "is_asocial": record.is_asocial,
-            "is_trust_imitator": record.is_trust_imitator,
-        },
+        "flags": {name: getattr(record, name) for name in _FLAGS},
         "pages": [
             {"url": p.url, "text": p.text, "links": list(p.links)}
             for p in site.pages
@@ -154,23 +166,156 @@ def site_record_to_row(site: Website, record: PharmacyRecord) -> dict[str, Any]:
     }
 
 
-def site_record_from_row(row: dict[str, Any]) -> tuple[Website, PharmacyRecord]:
-    """Parse one row written by :func:`site_record_to_row`."""
-    pages = tuple(
-        WebPage(url=p["url"], text=p["text"], links=tuple(p["links"]))
-        for p in row["pages"]
-    )
+class SiteRow(NamedTuple):
+    """One validated pharmacy row, kept as parsed JSON.
+
+    Satisfies :class:`~repro.web.site.SiteEvidence`, so verification
+    scores it directly; :meth:`to_site` and :meth:`to_record` build the
+    :class:`Website` and :class:`PharmacyRecord` only when a caller asks
+    for objects.
+
+    Page URLs are checked when evidence is read, exactly as building
+    the :class:`Website` checks them: :meth:`outbound_endpoints` and
+    :meth:`to_site` raise :class:`~repro.exceptions.InvalidURLError`
+    for a page URL that does not parse and
+    :class:`~repro.exceptions.DataGenerationError` for a page on a
+    foreign domain.
+
+    A named tuple rather than a frozen dataclass: as immutable, and a
+    batch pass builds one per site at under half the cost.
+
+    Attributes:
+        domain: registrable domain of the pharmacy.
+        label: oracle label (1 legitimate, 0 illegitimate).
+        flags: ground-truth role flags as stored in the row.
+        pages: ``(url, text, links)`` per page, in row order.
+    """
+
+    domain: str
+    label: int
+    flags: dict[str, Any]
+    pages: tuple[tuple[str, str, tuple[str, ...]], ...]
+
+    def merged_text(self) -> str:
+        """Concatenated text of all pages (as :meth:`Website.merged_text`)."""
+        return "\n".join(text for _, text, _ in self.pages)
+
+    def has_text(self) -> bool:
+        """True when any page has non-blank text."""
+        return any(text.strip() for _, text, _ in self.pages)
+
+    def outbound_endpoints(self) -> tuple[str, ...]:
+        """Equal to ``self.to_site().outbound_endpoints()``.
+
+        Each page URL costs one :func:`~repro.web.url.parse_url` lookup,
+        which is both the ownership check and the base its links
+        resolve against; nothing is memoized on the row.
+        """
+        bases = [parse_url(url) for url, _, _ in self.pages]
+        for base, (url, _, _) in zip(bases, self.pages):
+            if base.registered_domain != self.domain:
+                raise DataGenerationError(
+                    f"page {url!r} does not belong to domain {self.domain!r}"
+                )
+        return tuple(
+            dict.fromkeys(
+                chain.from_iterable(
+                    _external_endpoints(base, self.domain, links)
+                    for base, (_, _, links) in zip(bases, self.pages)
+                )
+            )
+        )
+
+    def to_site(self) -> Website:
+        """The row's :class:`Website` (validates every page URL)."""
+        return Website(
+            domain=self.domain,
+            pages=tuple(
+                WebPage(url=url, text=text, links=links)
+                for url, text, links in self.pages
+            ),
+        )
+
+    def to_record(self) -> PharmacyRecord:
+        """The row's ground-truth :class:`PharmacyRecord`."""
+        flags = self.flags
+        return PharmacyRecord(
+            domain=self.domain,
+            label=self.label,
+            **{name: bool(flags.get(name, False)) for name in _FLAGS},
+        )
+
+
+def _malformed(where: str, why: str) -> PersistenceError:
+    return PersistenceError(f"malformed row at {where}: {why}")
+
+
+def parse_site_row(row: Any, where: str = "row") -> SiteRow:
+    """Validate one decoded JSON row written by :func:`site_record_to_row`.
+
+    The one row parser of every corpus reader.  It checks structure and
+    types only; page URLs are checked when the row's evidence or
+    objects are read (see :class:`SiteRow`).
+
+    Args:
+        row: the decoded JSON value of one line.
+        where: location named in errors, e.g. ``"shard.jsonl:3"``.
+
+    Raises:
+        PersistenceError: the row is not an object, lacks ``domain``,
+            ``label`` or ``pages``, or has a field of the wrong type.
+    """
+    if not isinstance(row, dict):
+        raise _malformed(where, "not a JSON object")
+    try:
+        domain = row["domain"]
+        raw_label = row["label"]
+        raw_pages = row["pages"]
+    except KeyError as exc:
+        raise _malformed(where, f"missing {exc}") from None
     flags = row.get("flags", {})
-    record = PharmacyRecord(
-        domain=row["domain"],
-        label=int(row["label"]),
-        is_affiliate_hub=bool(flags.get("is_affiliate_hub", False)),
-        is_affiliate_member=bool(flags.get("is_affiliate_member", False)),
-        is_outlier=bool(flags.get("is_outlier", False)),
-        is_asocial=bool(flags.get("is_asocial", False)),
-        is_trust_imitator=bool(flags.get("is_trust_imitator", False)),
-    )
-    return Website(domain=row["domain"], pages=pages), record
+    if not isinstance(domain, str):
+        raise _malformed(where, "domain is not a string")
+    if not isinstance(raw_pages, list):
+        raise _malformed(where, "pages is not a list")
+    if not isinstance(flags, dict):
+        raise _malformed(where, "flags is not an object")
+    try:
+        label = int(raw_label)
+    except (TypeError, ValueError):
+        raise _malformed(where, f"label {raw_label!r} is not an integer") from None
+    pages = []
+    for page in raw_pages:
+        if not isinstance(page, dict):
+            raise _malformed(where, "page is not a JSON object")
+        try:
+            url, text, links = page["url"], page["text"], page["links"]
+        except KeyError as exc:
+            raise _malformed(where, f"page missing {exc}") from None
+        if not (
+            isinstance(url, str)
+            and isinstance(text, str)
+            and isinstance(links, list)
+            and all(isinstance(href, str) for href in links)
+        ):
+            raise _malformed(where, "page url, text or links of the wrong type")
+        pages.append((url, text, tuple(links)))
+    return SiteRow(domain, label, flags, tuple(pages))
+
+
+def site_record_from_row(
+    row: Any, where: str = "row"
+) -> tuple[Website, PharmacyRecord]:
+    """Parse one row written by :func:`site_record_to_row` into objects.
+
+    Raises:
+        PersistenceError: structurally malformed row (see
+            :func:`parse_site_row`).
+        InvalidURLError: a page URL that does not parse.
+        DataGenerationError: a page on a foreign domain.
+    """
+    parsed = parse_site_row(row, where)
+    return parsed.to_site(), parsed.to_record()
 
 
 def export_corpus(corpus: PharmacyCorpus, path: str | Path) -> None:
@@ -201,9 +346,13 @@ def import_corpus(path: str | Path) -> PharmacyCorpus:
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
-        raise PersistenceError(f"malformed corpus header in {path}") from exc
-    if header.get("format") != "repro-corpus" or header.get("version") != 1:
-        raise PersistenceError(f"unsupported corpus format in {path}")
+        raise PersistenceError(f"malformed corpus header at {path}:1") from exc
+    if (
+        not isinstance(header, dict)
+        or header.get("format") != "repro-corpus"
+        or header.get("version") != 1
+    ):
+        raise PersistenceError(f"unsupported corpus format at {path}:1")
 
     sites: list[Website] = []
     records: list[PharmacyRecord] = []
@@ -216,23 +365,9 @@ def import_corpus(path: str | Path) -> PharmacyCorpus:
             raise PersistenceError(
                 f"malformed corpus row at {path}:{line_no}"
             ) from exc
-        pages = tuple(
-            WebPage(url=p["url"], text=p["text"], links=tuple(p["links"]))
-            for p in row["pages"]
-        )
-        sites.append(Website(domain=row["domain"], pages=pages))
-        flags = row.get("flags", {})
-        records.append(
-            PharmacyRecord(
-                domain=row["domain"],
-                label=int(row["label"]),
-                is_affiliate_hub=bool(flags.get("is_affiliate_hub", False)),
-                is_affiliate_member=bool(flags.get("is_affiliate_member", False)),
-                is_outlier=bool(flags.get("is_outlier", False)),
-                is_asocial=bool(flags.get("is_asocial", False)),
-                is_trust_imitator=bool(flags.get("is_trust_imitator", False)),
-            )
-        )
+        site, record = site_record_from_row(row, f"{path}:{line_no}")
+        sites.append(site)
+        records.append(record)
     return PharmacyCorpus(
         name=str(header.get("name", "imported")),
         sites=tuple(sites),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.text.preprocessing import TextPreprocessor
-from repro.web.site import Website
+from repro.web.site import SiteEvidence
 from repro.exceptions import ValidationError
 
 __all__ = ["Summarizer", "SummaryDocument", "TERM_SUBSET_SIZES"]
@@ -79,8 +79,8 @@ class Summarizer:
     def max_terms(self) -> int | None:
         return self._max_terms
 
-    def summarize_site(self, site: Website) -> SummaryDocument:
-        """Summarize a crawled :class:`Website`."""
+    def summarize_site(self, site: SiteEvidence) -> SummaryDocument:
+        """Summarize a crawled site (any :class:`~repro.web.site.SiteEvidence`)."""
         return self.summarize_text(site.domain, site.merged_text())
 
     def summarize_text(self, domain: str, text: str) -> SummaryDocument:

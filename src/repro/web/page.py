@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.exceptions import InvalidURLError
@@ -83,9 +83,24 @@ class WebPage:
         is external.
         """
         base = parse_url(self.url)
-        own = base.registered_domain
-        return tuple(
-            e
-            for t in self._targets(base)
-            if (e := t._domain) is not None and e != own
-        )
+        return tuple(_external_endpoints(base, base.registered_domain, self.links))
+
+
+def _external_endpoints(
+    base: ParsedURL, own: str, links: Iterable[str]
+) -> Iterator[str]:
+    """Endpoints of the ``links`` of a page at ``base`` that leave ``own``.
+
+    The one per-page endpoint rule, shared by
+    :meth:`WebPage.external_endpoints` and the shard-row evidence of
+    :class:`repro.io.SiteRow`: each href is resolved against ``base``
+    (unresolvable ones dropped), and its registered domain is yielded
+    unless it is ``own`` or a bare public suffix.
+    """
+    for href in links:
+        try:
+            e = _resolve(base, href)._domain
+        except InvalidURLError:
+            continue
+        if e is not None and e != own:
+            yield e

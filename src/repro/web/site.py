@@ -6,6 +6,11 @@ registrable domain and exposes the two raw signals the system uses:
 
 * the merged text of all crawled pages (input to summarization), and
 * the set of outbound link endpoints (input to the network graph).
+
+Verification reads a site only through :class:`SiteEvidence`: its
+domain, merged text, whether it has any text, and its outbound
+endpoints.  :class:`Website` satisfies it, and so does a shard row
+(:class:`repro.io.SiteRow`) without building any page objects.
 """
 
 from __future__ import annotations
@@ -13,11 +18,34 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import Protocol
 
 from repro.exceptions import DataGenerationError
 from repro.web.page import WebPage
 
-__all__ = ["Website"]
+__all__ = ["SiteEvidence", "Website"]
+
+
+class SiteEvidence(Protocol):
+    """What verification reads of one site (paper §4, Algorithm 1).
+
+    The pages merged into one summary document, and the outbound links
+    pruned to second-level domains, plus whether any page has text at
+    all (a textless site gets a network-only verdict).
+    """
+
+    @property
+    def domain(self) -> str:
+        """Registrable domain of the site."""
+
+    def merged_text(self) -> str:
+        """Text of all pages joined by newlines."""
+
+    def has_text(self) -> bool:
+        """True when any page has non-blank text."""
+
+    def outbound_endpoints(self) -> tuple[str, ...]:
+        """Distinct external second-level domains, in first-seen order."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,6 +74,10 @@ class Website:
     def merged_text(self) -> str:
         """Concatenated text of all pages (paper's summarization input)."""
         return "\n".join(page.text for page in self.pages)
+
+    def has_text(self) -> bool:
+        """True when any page has non-blank text."""
+        return any(page.text.strip() for page in self.pages)
 
     def outbound_endpoints(self) -> tuple[str, ...]:
         """Distinct external second-level domains linked from any page.

@@ -26,7 +26,13 @@ from repro.data.sharding import (
     write_shards,
 )
 from repro.data.synthesis import GeneratorConfig
-from repro.exceptions import MissingKeyError, ValidationError
+from repro.core.verifier import PharmacyVerifier
+from repro.exceptions import (
+    DataGenerationError,
+    InvalidURLError,
+    MissingKeyError,
+    ValidationError,
+)
 from repro.io import PersistenceError
 
 CONFIG = GeneratorConfig(
@@ -213,6 +219,124 @@ class TestShardedCorpusReader:
         with pytest.raises(PersistenceError):
             corpus._shard(0)
 
+    def test_get_builds_each_site_once_per_load(self, corpus_dir):
+        corpus = ShardedCorpus(corpus_dir)
+        _, illegit, _ = plan_domains(CONFIG)
+        assert corpus.get(illegit[0]) is corpus.get(illegit[0])
+        assert corpus.get(illegit[0]) == corpus.sites_view()[
+            corpus.domains().index(illegit[0])
+        ]
+
+    def test_labels_read_off_rows(self, corpus_dir):
+        corpus = ShardedCorpus(corpus_dir)
+        assert corpus.labels() == [
+            record.label
+            for _, _, records in corpus.iter_shards()
+            for record in records
+        ]
+
     def test_rejects_bad_lru_capacity(self, corpus_dir):
         with pytest.raises(ValidationError):
             ShardedCorpus(corpus_dir, max_open_shards=0)
+
+
+GOOD_PAGE = {"url": "https://www.a-rx.com/", "text": "pills", "links": ["/x"]}
+GOOD_ROW = {"domain": "a-rx.com", "label": 0, "pages": [GOOD_PAGE]}
+SHARD_HEADER = {"format": "repro-shard", "version": 1, "domains": ["a-rx.com"]}
+
+#: Structurally malformed shard files: (header value, row value).
+MALFORMED_SHARDS = {
+    "header-not-object": ([1, 2], GOOD_ROW),
+    "row-missing-pages": (SHARD_HEADER, {"domain": "a-rx.com", "label": 0}),
+    "row-missing-domain": (SHARD_HEADER, {"label": 0, "pages": []}),
+    "row-is-string": (SHARD_HEADER, "a-rx.com"),
+    "label-not-integer": (SHARD_HEADER, dict(GOOD_ROW, label="legit")),
+    "flags-not-object": (SHARD_HEADER, dict(GOOD_ROW, flags=[])),
+    "page-missing-text": (
+        SHARD_HEADER,
+        dict(GOOD_ROW, pages=[{"url": GOOD_PAGE["url"], "links": []}]),
+    ),
+}
+
+
+def one_shard_corpus(root, header, row):
+    """A one-shard corpus directory whose shard holds ``row``."""
+    root.mkdir(parents=True, exist_ok=True)
+    (root / shard_filename(0)).write_text(
+        json.dumps(header) + "\n" + json.dumps(row) + "\n"
+    )
+    manifest = ShardManifest(
+        name="bad",
+        n_shards=1,
+        n_sites=1,
+        n_legitimate=0,
+        n_illegitimate=1,
+        generation=1,
+        config={},
+        shards=({"shard": 0, "file": shard_filename(0), "n_sites": 1},),
+    )
+    (root / MANIFEST_FILENAME).write_text(json.dumps(manifest.as_dict()))
+    return ShardedCorpus(root)
+
+
+class TestMalformedShards:
+    """Structural faults raise PersistenceError naming file and line."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SHARDS))
+    def test_structural_fault(self, tmp_path, case):
+        header, row = MALFORMED_SHARDS[case]
+        corpus = one_shard_corpus(tmp_path / "c", header, row)
+        line = 1 if case.startswith("header") else 2
+        name = shard_filename(0)
+        with pytest.raises(PersistenceError, match=f"{name}:{line}"):
+            corpus.sites_view().rows(0, 1)
+        with pytest.raises(PersistenceError, match=f"{name}:{line}"):
+            corpus.get("a-rx.com")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"format": "repro-shard-manifest", "version": 1},
+            {
+                "format": "repro-shard-manifest",
+                "version": 1,
+                "name": "x",
+                "n_shards": 1,
+                "n_sites": 1,
+                "n_legitimate": 0,
+                "n_illegitimate": 1,
+                "generation": 1,
+                "config": {},
+                "shards": [{"file": "shard-00000.jsonl"}],
+            },
+        ],
+        ids=["not-object", "missing-keys", "shard-entry-missing-n-sites"],
+    )
+    def test_malformed_manifest(self, tmp_path, payload):
+        (tmp_path / MANIFEST_FILENAME).write_text(json.dumps(payload))
+        with pytest.raises(PersistenceError, match=MANIFEST_FILENAME):
+            ShardedCorpus(tmp_path)
+        if isinstance(payload, dict):
+            with pytest.raises(PersistenceError):
+                ShardManifest.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "page, error",
+        [
+            (dict(GOOD_PAGE, url="ftp://www.a-rx.com/"), InvalidURLError),
+            (dict(GOOD_PAGE, url="https://www.other-rx.com/"), DataGenerationError),
+        ],
+        ids=["non-http-url", "foreign-page"],
+    )
+    def test_url_faults_keep_their_types(self, tmp_path, tiny_corpus, page, error):
+        corpus = one_shard_corpus(
+            tmp_path / "c", SHARD_HEADER, dict(GOOD_ROW, pages=[page])
+        )
+        with pytest.raises(error):
+            corpus.get("a-rx.com")
+        with pytest.raises(error):
+            list(corpus.iter_sites())
+        verifier = PharmacyVerifier(max_terms=50).fit(tiny_corpus)
+        with pytest.raises(error):
+            verifier.verify_sites(corpus.sites_view())

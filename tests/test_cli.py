@@ -181,6 +181,37 @@ class TestShardedCommands:
         assert main(["rank", model_path, sharded_dir, "--top", "3"]) == 0
         assert "pairwise orderedness" in capsys.readouterr().out
 
+    def test_verify_parses_each_shard_once(
+        self, cli_artifacts, sharded_dir, monkeypatch, capsys
+    ):
+        from repro.data.sharding import ShardedCorpus
+
+        parsed = []
+        parse = ShardedCorpus._parse_shard
+
+        def counting(self, shard_index):
+            parsed.append(shard_index)
+            return parse(self, shard_index)
+
+        monkeypatch.setattr(ShardedCorpus, "_parse_shard", counting)
+        _, model_path = cli_artifacts
+        assert main(["verify", model_path, sharded_dir]) == 0
+        assert sorted(parsed) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("command", ["verify", "rank"])
+    def test_sharded_pass_builds_no_objects(
+        self, cli_artifacts, sharded_dir, monkeypatch, capsys, command
+    ):
+        from repro.io import SiteRow
+
+        def unexpected(self):
+            raise AssertionError("object built on the row path")
+
+        monkeypatch.setattr(SiteRow, "to_site", unexpected)
+        monkeypatch.setattr(SiteRow, "to_record", unexpected)
+        _, model_path = cli_artifacts
+        assert main([command, model_path, sharded_dir]) == 0
+
     def test_serve_check_on_sharded_dir(self, cli_artifacts, sharded_dir, capsys):
         _, model_path = cli_artifacts
         assert (

@@ -1,15 +1,38 @@
 """Tests for model and corpus persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.exceptions import DataGenerationError, InvalidURLError
 from repro.io import (
     PersistenceError,
     export_corpus,
     import_corpus,
     load_model,
     save_model,
+    site_record_from_row,
 )
+
+HEADER = '{"format": "repro-corpus", "version": 1, "name": "x"}'
+GOOD_PAGE = {"url": "https://www.a-rx.com/", "text": "pills", "links": ["/x"]}
+GOOD_ROW = {"domain": "a-rx.com", "label": 0, "pages": [GOOD_PAGE]}
+
+#: Structurally malformed corpus files: (header line, row value).
+MALFORMED = {
+    "header-not-object": ("[1, 2]", GOOD_ROW),
+    "row-missing-pages": (HEADER, {"domain": "a-rx.com", "label": 0}),
+    "row-missing-domain": (HEADER, {"label": 0, "pages": []}),
+    "row-is-string": (HEADER, "a-rx.com"),
+    "label-not-integer": (HEADER, dict(GOOD_ROW, label="legit")),
+    "label-null": (HEADER, dict(GOOD_ROW, label=None)),
+    "page-not-object": (HEADER, dict(GOOD_ROW, pages=["https://www.a-rx.com/"])),
+    "links-not-strings": (
+        HEADER,
+        dict(GOOD_ROW, pages=[dict(GOOD_PAGE, links=[1])]),
+    ),
+}
 
 
 class TestModelPersistence:
@@ -105,3 +128,32 @@ class TestCorpusPersistence:
         path.write_text("")
         with pytest.raises(PersistenceError):
             import_corpus(path)
+
+
+class TestMalformedCorpus:
+    """Structural faults raise PersistenceError naming file and line."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_structural_fault(self, tmp_path, case):
+        header, row = MALFORMED[case]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(header + "\n" + json.dumps(row) + "\n")
+        line = 1 if case.startswith("header") else 2
+        with pytest.raises(PersistenceError, match=f"bad.jsonl:{line}"):
+            import_corpus(path)
+
+    def test_row_parser_names_location(self):
+        with pytest.raises(PersistenceError, match="here:7"):
+            site_record_from_row({"domain": "a-rx.com"}, "here:7")
+
+    def test_url_faults_keep_their_types(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        for page, error in (
+            (dict(GOOD_PAGE, url="ftp://www.a-rx.com/"), InvalidURLError),
+            (dict(GOOD_PAGE, url="https://www.other-rx.com/"), DataGenerationError),
+        ):
+            path.write_text(
+                HEADER + "\n" + json.dumps(dict(GOOD_ROW, pages=[page])) + "\n"
+            )
+            with pytest.raises(error):
+                import_corpus(path)
