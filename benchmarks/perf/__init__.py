@@ -1,7 +1,3 @@
-"""Performance benchmarks for the vectorized fast paths.
-
-Run ``python -m benchmarks.perf.harness`` (with ``src`` on
-``PYTHONPATH``) to time the vectorized kernels against the reference
-implementations in :mod:`repro.perf.reference` and emit
-``BENCH_perf.json``.
-"""
+"""Scale benchmark of the sharded, out-of-core pipeline
+(``python -m benchmarks.perf.scale_harness``, with ``src`` on
+``PYTHONPATH``)."""

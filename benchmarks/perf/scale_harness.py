@@ -1,6 +1,6 @@
 """Scale-out harness: sites/sec and peak RSS from 10^4 to 10^6 sites.
 
-Where ``benchmarks/perf/harness.py`` times individual kernels against
+Where ``benchmarks/test_kernel_speed_floor.py`` times kernels against
 their pure-Python references, this harness sweeps the *sharded*
 pipeline end to end at site counts the references could never touch:
 

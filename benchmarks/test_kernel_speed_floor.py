@@ -1,0 +1,220 @@
+"""Speed floor: no fast kernel is slower than the loop it replaced.
+
+Each case runs a vectorized kernel and its pure-Python reference
+(:mod:`repro.perf.reference`) on small fixed inputs, takes the best of
+``REPEAT`` timings of each, asserts the two outputs are equivalent, and
+requires reference time / fast time >= ``MIN_SPEEDUP``.  Tier-1 runs
+``tables.table12`` end to end (``tests/experiments/test_tables.py``).
+
+Run from the repo root::
+
+    PYTHONPATH=src python -m pytest benchmarks/test_kernel_speed_floor.py -q
+"""
+
+from __future__ import annotations
+
+import functools
+import time
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import repro.perf.reference as ref
+from repro.core.config import preset
+from repro.data.loaders import make_dataset
+from repro.experiments import tables
+from repro.experiments.sweep import run_tfidf_sweep
+from repro.ml.base import ensure_dense
+from repro.ml.ensemble import EnsembleSelection, LibraryModel
+from repro.ml.sampling import SMOTE
+from repro.ml.svm import pegasos_weights
+from repro.ml.tree import C45Tree
+from repro.network.construction import build_pharmacy_graph
+from repro.network.graph import DirectedGraph
+from repro.network.pagerank import personalized_pagerank
+from repro.text.ngram_graph import ClassGraphModel, NGramGraph
+
+REPEAT = 3
+MIN_SPEEDUP = 1.0
+
+
+def _best_of(fn):
+    """(best wall seconds, last result) over ``REPEAT`` runs."""
+    best, result = float("inf"), None
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def _same(fast, reference):
+    assert fast == reference, "fast and reference outputs differ"
+
+
+@functools.cache
+def _corpus():
+    return make_dataset(preset("tiny").generator)
+
+
+def _documents(n_docs=20):
+    """Merged page texts and labels of the first ``n_docs`` sites."""
+    corpus = _corpus()
+    texts = [" ".join(p.text for p in site.pages) for site in corpus.sites]
+    return texts[:n_docs], [int(y) for y in corpus.labels[:n_docs]]
+
+
+def ngg_build():
+    texts, _ = _documents()
+    return (
+        lambda: [NGramGraph.from_text(t) for t in texts],
+        lambda: [ref.ReferenceNGramGraph.from_text(t) for t in texts],
+        lambda f, r: _same([dict(g.edges()) for g in f], [g.edges() for g in r]),
+    )
+
+
+def ngg_batch_similarity():
+    texts, labels = _documents()
+    model = ClassGraphModel(class_sample_fraction=1.0).fit(texts, labels)
+    doc_graphs = [NGramGraph.from_text(t) for t in texts]
+    ref_docs = [ref.ReferenceNGramGraph.from_text(t) for t in texts]
+    merged = ref.ReferenceNGramGraph.merged
+    ref_class = [merged([g for g, y in zip(ref_docs, labels) if y == c]) for c in model.classes]
+
+    def reference():
+        out = np.zeros((len(ref_docs), 4 * len(ref_class)))
+        for k, class_graph in enumerate(ref_class):
+            for row, doc in enumerate(ref_docs):
+                out[row, 4 * k : 4 * k + 4] = doc.similarities(class_graph)
+        return out
+
+    return (
+        lambda: model.transform_graphs(doc_graphs),
+        reference,
+        lambda f, r: np.testing.assert_allclose(f, r, atol=1e-9),
+    )
+
+
+def _pagerank_case(graph, teleport):
+    def check(fast, reference):
+        assert max(abs(fast[n] - reference[n]) for n in reference) < 1e-9
+
+    return (
+        lambda: personalized_pagerank(graph, teleport=teleport),
+        lambda: ref.reference_personalized_pagerank(graph, teleport=teleport),
+        check,
+    )
+
+
+def trustrank(n_nodes=400, n_edges=2_000):
+    rng = np.random.default_rng(7)
+    graph = DirectedGraph()
+    names = [f"d{i}.example" for i in range(n_nodes)]
+    for name in names:
+        graph.add_node(name)
+    for s, d in zip(rng.integers(0, n_nodes, n_edges), rng.integers(0, n_nodes, n_edges)):
+        if s != d:
+            graph.add_edge(names[s], names[d])
+    return _pagerank_case(graph, {name: 1.0 for name in names[::10]})
+
+
+def trustrank_corpus_graph():
+    corpus = _corpus()
+    trusted = {d: 1.0 for d, y in zip(corpus.domains, corpus.labels) if int(y) == 1}
+    return _pagerank_case(build_pharmacy_graph(corpus.sites), trusted)
+
+
+def svm_fit(n_rows=150, n_features=100):
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(n_rows, n_features))
+    signs = np.where(rng.random(n_rows) < 0.5, -1.0, 1.0)
+    X += 0.5 * signs[:, None]
+    args = (X, signs, np.ones(n_rows))
+    kwargs = dict(lam=1e-4, n_epochs=10, seed=0, batch_size=32)
+    return (
+        lambda: pegasos_weights(*args, **kwargs),
+        lambda: ref.reference_pegasos_fit(*args, **kwargs),
+        lambda f, r: np.testing.assert_allclose(f, r, atol=1e-9),
+    )
+
+
+def tree_fit(n_rows=200, n_features=40):
+    X = np.random.default_rng(13).normal(size=(n_rows, n_features))
+    y = ((X[:, 0] + 0.5 * X[:, 1] - 0.25 * X[:, 2]) > 0.0).astype(np.int64)
+    return (
+        lambda: C45Tree(seed=0).fit(X, y),
+        lambda: ref.ReferenceC45Tree(seed=0).fit(X, y),
+        lambda f, r: _same(
+            (f.to_text(), f.predict(X).tolist()), (r.to_text(), r.predict(X).tolist())
+        ),
+    )
+
+
+def ensemble_select(n_models=16, n_instances=120):
+    rng = np.random.default_rng(17)
+    y = (rng.random(n_instances) < 0.3).astype(np.int64)
+    predictions = {}
+    for m in range(n_models):
+        noise = rng.normal(scale=0.35 + 0.02 * m, size=n_instances)
+        p = np.clip(0.65 * y + 0.2 + noise, 0.0, 1.0)
+        predictions[f"m{m:03d}"] = np.column_stack([1.0 - p, p])
+    library = [
+        LibraryModel(name=name, predict_proba=lambda idx, arr=arr: arr[idx])
+        for name, arr in predictions.items()
+    ]
+    return (
+        lambda: EnsembleSelection().fit(library, np.arange(n_instances), y).bag_counts,
+        lambda: ref.reference_ensemble_select(predictions, y),
+        _same,
+    )
+
+
+def smote(n_minority=60, n_features=30):
+    rng = np.random.default_rng(19)
+    X_min = rng.normal(size=(n_minority, n_features))
+    X = np.vstack([X_min, rng.normal(loc=1.5, size=(3 * n_minority, n_features))])
+    y = np.repeat(np.array([1, 0], dtype=np.int64), [n_minority, 3 * n_minority])
+    return (
+        lambda: SMOTE(seed=0).fit_resample(X, y),
+        lambda: ref.ReferenceSMOTE(seed=0).fit_resample(X, y),
+        lambda f, r: [np.testing.assert_array_equal(a, b) for a, b in zip(f, r, strict=True)],
+    )
+
+
+def densify(n_rows=2_000, n_features=600):
+    X = sp.random(n_rows, n_features, density=0.05, format="csr", random_state=11)
+    counts = (X * 20).astype(np.int64)
+
+    def check(fast, reference):
+        np.testing.assert_array_equal(fast, reference)
+        assert fast.dtype == reference.dtype == np.float64
+
+    return lambda: ensure_dense(counts), lambda: ref.reference_ensure_dense(counts), check
+
+
+def sweep_end_to_end(subsets=(100, 250)):
+    corpus = _corpus()
+    tokens = [" ".join(p.text for p in site.pages).split() for site in corpus.sites]
+    by_subset = {n: [t[:n] for t in tokens] for n in subsets}
+
+    run = functools.partial(
+        run_tfidf_sweep, tables.TFIDF_ROSTER, corpus.labels, by_subset, n_folds=3, cv_seed=0
+    )
+    return lambda: run(shared=True), lambda: run(shared=False), _same
+
+
+CASES = (
+    ngg_build, ngg_batch_similarity, trustrank, trustrank_corpus_graph, svm_fit,
+    tree_fit, ensemble_select, smote, densify, sweep_end_to_end,
+)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.__name__)
+def test_fast_kernel_not_slower_than_reference(case):
+    fast, reference, check = case()
+    fast_s, fast_out = _best_of(fast)
+    reference_s, reference_out = _best_of(reference)
+    check(fast_out, reference_out)
+    speedup = reference_s / fast_s
+    assert speedup >= MIN_SPEEDUP, f"{speedup:.2f}x: fast {fast_s:.4f}s, loop {reference_s:.4f}s"

@@ -12,22 +12,29 @@ a response that outlives its deadline budget.
 
 Runs in the CI ``fault-soak`` job.  Service-level passes use a
 :class:`~repro.web.resilience.clock.VirtualClock` end to end, so the
-soak is bit-deterministic; the HTTP pass runs on the wall clock to
-check the real transport honours budgets.
+soak is bit-deterministic; the HTTP passes run on the wall clock to
+check the real transport honours budgets.  :class:`TestClosedLoopLoad`
+adds concurrent clients on a healthy host: a cold then warm verdict
+cache, with a throughput floor and p99 ceiling on the warm pass, and an
+undersized server where 429s and 503s are expected but 500s are not.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import json
+import random
+import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import PharmacyVerifier
 from repro.data.loaders import crawl_snapshot
 from repro.data.synthesis import GeneratorConfig, SyntheticWebGenerator
-from repro.serve import ServiceConfig, VerificationService, build_server
+from repro.serve import Authenticator, ServiceConfig, VerificationService, build_server
 from repro.web.resilience import (
     FaultInjectingWebHost,
     FaultKind,
@@ -55,6 +62,18 @@ RETRY = RetryPolicy(max_attempts=5, seed=17)
 #: top of it before a response counts as having outlived its deadline.
 BUDGET_S = 5.0
 DEADLINE_GRACE_S = 2.0
+
+#: Closed-loop load: the soak's web with at most 6 pages per site, an
+#: unlimited key and a key on a 25-requests-a-minute tier.
+LOAD_CONFIG = dataclasses.replace(SOAK_CONFIG, max_pages=6)
+LOAD_BUDGET_S = 10.0
+LIMITED_TIER = dict(
+    rate_limit=25, window_seconds=60.0, max_batch=5, request_budget=2.0, batch_budget=5.0
+)
+LOAD_AUTH = {
+    "keys": {"bench-internal": "internal", "bench-limited": "limited"},
+    "tiers": {"limited": LIMITED_TIER},
+}
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +203,9 @@ class TestHTTPSoak:
             statuses = []
             for method, path, body in calls:
                 started = time.monotonic()
-                status, payload = self._request(server.port, method, path, body)
+                status, payload = _request(
+                    server.port, method, path, body, {"X-Request-Budget": str(BUDGET_S)}
+                )
                 elapsed = time.monotonic() - started
                 statuses.append(status)
                 assert status in (200, 400, 404, 429, 503), (path, payload)
@@ -198,19 +219,108 @@ class TestHTTPSoak:
         finally:
             server.drain(timeout=30.0)
 
-    @staticmethod
-    def _request(port, method, path, body):
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+
+
+def _request(port, method, path, body, headers):
+    """One call on a fresh connection: (status, parsed JSON or raw body)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        if body is not None:
+            body = json.dumps(body)
+            headers = dict(headers, **{"Content-Type": "application/json"})
+        conn.request(method, path, body=body, headers=headers)
+        response = conn.getresponse()
+        raw = response.read()
+        parsed = json.loads(raw) if raw.strip().startswith(b"{") else raw
+        return response.status, parsed
+    finally:
+        conn.close()
+
+
+def _load_schedule(seed, domains):
+    """80 seeded (path, body, budget) calls over ``domains``: every 10th a
+    3-domain batch, calls 13 mod 25 the review queue, the rest one verify."""
+    rng = random.Random(seed)
+    calls = []
+    for i in range(80):
+        if i % 10 == 9:
+            batch = {"domains": [rng.choice(domains) for _ in range(3)]}
+            calls.append(("/v1/verify/batch", batch, LOAD_BUDGET_S))
+        elif i % 25 == 13:
+            calls.append(("/v1/review-queue?limit=5", None, None))
+        else:
+            rng.random()  # a mixed schedule's pool pick (one pool here): same calls per seed
+            calls.append(("/v1/verify", {"domain": rng.choice(domains)}, LOAD_BUDGET_S))
+    return calls
+
+
+def _closed_loop(server, calls, key, clients):
+    """Run ``calls`` on ``clients`` threads, each sending its next call
+    when the last answer lands; return (latencies, wall seconds).
+
+    Every call is answered, none with a 500 or past budget + grace, and
+    the server counts no unhandled error.
+    """
+    done = [[] for _ in range(clients)]
+
+    def client(i):
+        for path, body, budget in calls[i::clients]:
+            headers = {"X-API-Key": key}
+            if budget is not None:
+                headers["X-Request-Budget"] = f"{budget:g}"
+            started = time.monotonic()
+            method = "GET" if body is None else "POST"
+            status, _ = _request(server.port, method, path, body, headers)
+            done[i].append((status, time.monotonic() - started, budget))
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(clients)]
+    started = time.monotonic()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    wall = time.monotonic() - started
+    results = [result for per_client in done for result in per_client]
+    assert len(results) == len(calls)
+    assert 500 not in {status for status, _, _ in results}
+    assert server.metrics.counter_value("http_unhandled_errors_total") == 0.0
+    late = [(t, b) for _, t, b in results if b is not None and t > b + DEADLINE_GRACE_S]
+    assert not late, f"{len(late)} responses past budget + {DEADLINE_GRACE_S}s"
+    return [latency for _, latency, _ in results], wall
+
+
+class TestClosedLoopLoad:
+    @pytest.fixture(scope="class")
+    def load_corpus(self):
+        return crawl_snapshot(SyntheticWebGenerator(LOAD_CONFIG).generate_snapshot())
+
+    @pytest.fixture(scope="class")
+    def load_verifier(self, load_corpus):
+        return PharmacyVerifier().fit(load_corpus)
+
+    def _server(self, verifier, sites, **kwargs):
+        auth = Authenticator.from_config(LOAD_AUTH)
+        server = build_server(verifier, sites=sites, port=0, authenticator=auth, **kwargs)
+        server.start_background()
+        return server
+
+    def test_warm_cache_throughput_and_p99(self, load_verifier, load_corpus, tmp_path):
+        sites = load_corpus.sites
+        calls = _load_schedule(1319, [site.domain for site in sites])
+        server = self._server(load_verifier, sites, cache_dir=str(tmp_path / "verdicts"))
         try:
-            headers = {"X-Request-Budget": str(BUDGET_S)}
-            payload = None
-            if body is not None:
-                payload = json.dumps(body)
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            parsed = json.loads(raw) if raw.strip().startswith(b"{") else raw
-            return response.status, parsed
+            _closed_loop(server, calls, "bench-internal", clients=4)  # cold cache
+            latencies, wall = _closed_loop(server, calls, "bench-internal", clients=4)
         finally:
-            conn.close()
+            server.drain(timeout=30.0)
+        assert len(latencies) / wall >= 25.0
+        assert np.quantile(latencies, 0.99) <= 2.0
+
+    def test_overload_sheds_and_rate_limits_without_errors(self, load_verifier, load_corpus):
+        sites = load_corpus.sites
+        indexed = [site.domain for site in sites[: 3 * len(sites) // 4]]
+        server = self._server(load_verifier, sites, jobs=2, max_queue=2, admission_timeout=0.02)
+        try:
+            _closed_loop(server, _load_schedule(1321, indexed), "bench-limited", clients=8)
+        finally:
+            server.drain(timeout=30.0)

@@ -32,9 +32,9 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-from repro.core.verifier import PharmacyVerifier
+from repro.core.verifier import PharmacyVerifier, rank_reports
 from repro.data.loaders import make_dataset
 from repro.data.synthesis import GeneratorConfig
 from repro.io import export_corpus, import_corpus, load_model, save_model
@@ -159,25 +159,26 @@ def _is_sharded(path: str) -> bool:
 
 
 def _load_sites(
-    path: str, with_labels: bool
-) -> tuple[Sequence[SiteEvidence], list[int] | None]:
-    """Sites, plus labels when asked, from a ``.jsonl`` corpus or a
-    sharded directory.
+    path: str,
+) -> tuple[Sequence[SiteEvidence], Callable[[], list[int]]]:
+    """Sites, plus a reader of their labels, from a ``.jsonl`` corpus or
+    a sharded directory.
 
     Sharded corpora come back as a lazy view: a verification pass walks
     it once, scoring the shards' rows, so each shard is parsed once per
     pass and memory holds the reader's shard LRU plus one verification
-    block.  Their labels are read off the rows, and only when asked.
+    block.  Their labels are read off the rows, and only when the
+    returned reader is called; called after the pass, it opens no
+    shard, because the reader keeps each parsed shard's labels.
     Single-file corpora load as before.
     """
     if _is_sharded(path):
         from repro.data.sharding import ShardedCorpus
 
         corpus = ShardedCorpus(path)
-        return corpus.sites_view(), corpus.labels() if with_labels else None
+        return corpus.sites_view(), corpus.labels
     corpus = import_corpus(path)
-    labels = [int(y) for y in corpus.labels] if with_labels else None
-    return list(corpus.sites), labels
+    return list(corpus.sites), lambda: [int(y) for y in corpus.labels]
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -232,7 +233,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     verifier = load_model(args.model)
-    sites, _ = _load_sites(args.corpus, with_labels=False)
+    sites, _ = _load_sites(args.corpus)
     reports = verifier.verify_sites(sites)
     print(f"{'domain':40}  {'verdict':12}  {'P(legit)':>8}")
     print("-" * 66)
@@ -252,8 +253,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     verifier = load_model(args.model)
-    sites, labels = _load_sites(args.corpus, with_labels=True)
-    ranking = verifier.rank_sites(sites, labels)
+    sites, labels = _load_sites(args.corpus)
+    # Labels after the pass, so a sharded corpus parses each shard once.
+    ranking = rank_reports(verifier.verify_sites(sites), labels())
     print(f"{'rank score':>10}  {'oracle':8}  domain")
     print("-" * 66)
     for entry in ranking.entries[: args.top]:

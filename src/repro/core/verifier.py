@@ -133,7 +133,6 @@ class PharmacyVerifier:
         self._pipeline = TfidfTextPipeline(classifier or MultinomialNB())
         self._damping = damping
         self._trust_scores: dict[str, float] | None = None
-        self._training_corpus: PharmacyCorpus | None = None
         self._decision_threshold: float | None = None
 
     @property
@@ -189,7 +188,6 @@ class PharmacyVerifier:
             if label == LEGITIMATE
         ]
         self._trust_scores = trustrank(graph, trusted, damping=self._damping)
-        self._training_corpus = corpus
         logger.info(
             "verifier fitted on %d pharmacies (%d legitimate seeds, "
             "%d graph nodes)",
@@ -453,13 +451,7 @@ class PharmacyVerifier:
     def rank_sites(self, sites: Sequence[SiteEvidence],
                    oracle_labels: Sequence[int] | None = None) -> RankingResult:
         """Rank a batch of sites by decreasing legitimacy (Problem 2)."""
-        reports = self.verify_sites(sites)
-        return rank_pharmacies(
-            domains=[r.domain for r in reports],
-            text_ranks=[r.text_rank for r in reports],
-            network_ranks=[r.network_rank for r in reports],
-            oracle_labels=oracle_labels,
-        )
+        return rank_reports(self.verify_sites(sites), oracle_labels)
 
     # -- internals --------------------------------------------------------------
 
@@ -499,3 +491,21 @@ class PharmacyVerifier:
         outlink = np.zeros(len(per_site), dtype=np.float64)
         outlink[nonzero] = np.add.reduceat(flat, offsets) / lengths[nonzero]
         return own + outlink
+
+
+def rank_reports(
+    reports: Sequence[VerificationReport],
+    oracle_labels: Sequence[int] | None = None,
+) -> RankingResult:
+    """Rank verified sites by decreasing legitimacy (Problem 2).
+
+    :meth:`PharmacyVerifier.rank_sites` is this over
+    :meth:`~PharmacyVerifier.verify_sites`; calling it on reports lets a
+    caller read ``oracle_labels`` after the verification pass.
+    """
+    return rank_pharmacies(
+        domains=[r.domain for r in reports],
+        text_ranks=[r.text_rank for r in reports],
+        network_ranks=[r.network_rank for r in reports],
+        oracle_labels=oracle_labels,
+    )

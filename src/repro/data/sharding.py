@@ -459,6 +459,34 @@ def write_shards(
     return manifest
 
 
+def _header_domains(line: str, path: Path) -> list[str]:
+    """The domains listed by the header (first line) of shard ``path``.
+
+    The one reader of shard headers, for :meth:`ShardedCorpus.domains`
+    and for the shard parse.  Raises :class:`PersistenceError` naming
+    ``path:1`` unless the line is a JSON object with this module's
+    format marker and version and a ``domains`` list of strings.
+    """
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise PersistenceError(f"malformed shard header: {path}:1") from exc
+    if (
+        not isinstance(header, dict)
+        or header.get("format") != _SHARD_FORMAT
+        or header.get("version") != _FORMAT_VERSION
+    ):
+        raise PersistenceError(f"unsupported shard format: {path}:1")
+    domains = header.get("domains")
+    if not isinstance(domains, list) or not all(
+        isinstance(domain, str) for domain in domains
+    ):
+        raise PersistenceError(
+            f"shard header domains is not a list of strings: {path}:1"
+        )
+    return domains
+
+
 @dataclass(slots=True)
 class _LoadedShard:
     """One parsed shard held in the reader's LRU.
@@ -567,6 +595,9 @@ class ShardedCorpus:
             raise PersistenceError(f"{manifest_path}: {exc}") from exc
         self._max_open = max_open_shards
         self._cache: OrderedDict[int, _LoadedShard] = OrderedDict()
+        # Each parsed shard's labels outlive its LRU slot: one int per
+        # site, so labels() after a pass opens no shard.
+        self._labels: dict[int, tuple[int, ...]] = {}
         self.shard_opens = 0
 
     # -- metadata ----------------------------------------------------------
@@ -608,9 +639,10 @@ class ShardedCorpus:
     def _parse_shard(self, shard_index: int) -> _LoadedShard:
         """Read and validate one shard file into rows.
 
-        The one place a shard file is read.  Sanitizer: every row passes
-        through :func:`repro.io.parse_site_row`, which checks its
-        structure and field types; malformed or format-skewed input
+        The one place a shard's rows are read; its header goes through
+        :func:`_header_domains`, as in :meth:`domains`.  Sanitizer: every
+        row passes through :func:`repro.io.parse_site_row`, which checks
+        its structure and field types; malformed or format-skewed input
         raises :class:`PersistenceError` naming the file and line
         instead of flowing onward.  Page URLs are checked when a row's
         evidence or objects are read (see :class:`repro.io.SiteRow`).
@@ -625,16 +657,7 @@ class ShardedCorpus:
             raise PersistenceError(f"missing shard file: {path}") from exc
         if not lines:
             raise PersistenceError(f"empty shard file: {path}")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise PersistenceError(f"malformed shard header: {path}:1") from exc
-        if (
-            not isinstance(header, dict)
-            or header.get("format") != _SHARD_FORMAT
-            or header.get("version") != _FORMAT_VERSION
-        ):
-            raise PersistenceError(f"unsupported shard format: {path}:1")
+        _header_domains(lines[0], path)
         rows: list[SiteRow] = []
         for line_no, line in enumerate(lines[1:], start=2):
             if not line.strip():
@@ -661,6 +684,7 @@ class ShardedCorpus:
             return cached
         shard = self._parse_shard(shard_index)
         self.shard_opens += 1
+        self._labels[shard_index] = tuple(row.label for row in shard.rows)
         self._cache[shard_index] = shard
         while len(self._cache) > self._max_open:
             self._cache.popitem(last=False)
@@ -728,18 +752,33 @@ class ShardedCorpus:
     def labels(self) -> list[int]:
         """Every site's oracle label in global (shard-major) order.
 
-        Read off the rows; no site or record object is built.
+        Read off the rows; no site or record object is built.  A shard
+        this reader has parsed before is not opened again: its labels
+        are kept when it is parsed.
         """
-        return [row.label for k in range(self.n_shards) for row in self._shard(k).rows]
+        out: list[int] = []
+        for k in range(self.n_shards):
+            if k not in self._labels:
+                self._shard(k)
+            out.extend(self._labels[k])
+        return out
 
     def domains(self) -> tuple[str, ...]:
-        """All domains in global (shard-major) order, from headers only."""
+        """All domains in global (shard-major) order, from headers only.
+
+        Raises:
+            PersistenceError: a shard file is missing, or its header is
+                not a valid shard header (the message names ``file:1``).
+        """
         out: list[str] = []
         for entry in self._manifest.shards:
             path = self._root / str(entry["file"])
-            with open(path, encoding="utf-8") as fh:
-                header = json.loads(fh.readline())
-            out.extend(header["domains"])
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    line = fh.readline()
+            except FileNotFoundError as exc:
+                raise PersistenceError(f"missing shard file: {path}") from exc
+            out.extend(_header_domains(line, path))
         return tuple(out)
 
     def sites_view(self) -> Sequence[Website]:

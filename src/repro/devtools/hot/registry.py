@@ -101,7 +101,7 @@ HOT_ENTRY_SUFFIXES: tuple[str, ...] = (
     "sharding._write_shard_worker",
     # the incremental-stream tick path: delta application materializes
     # changed sites every tick, and the residual push is the per-tick
-    # TrustRank kernel (driven by benchmarks/stream, invisible to the
+    # TrustRank kernel (driven by `repro stream`, invisible to the
     # call graph from the batch entries)
     "deltas.StreamCorpus.apply",
     "rank.DeltaRankState.push",

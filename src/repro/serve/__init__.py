@@ -14,8 +14,8 @@ verification, per-backend circuit breaking, and graceful drain::
     server.drain()
 
 See ``docs/api.md`` (Serve section) for the endpoint and semantics
-reference, and ``benchmarks/serve/harness.py`` for the closed-loop
-load harness that gates this layer in CI.
+reference, and ``benchmarks/test_serve_fault_soak.py`` for the fault
+soak and closed-loop load passes that gate this layer in CI.
 """
 
 from repro.serve.admission import AdmissionStats, Bulkhead, Deadline

@@ -15,8 +15,8 @@ this package makes per-tick cost scale with the size of the *change*:
 * :mod:`repro.stream.pipeline` — :class:`StreamingVerifier`, wiring
   the above into bootstrap / apply_tick / full_retrain, with
   :meth:`~repro.stream.pipeline.StreamingVerifier.full_recompute` as
-  the from-scratch oracle the equivalence tests and the
-  ``benchmarks/stream`` harness compare against.
+  the from-scratch oracle the equivalence tests and
+  ``benchmarks/test_stream_speed_floor.py`` compare against.
 
 Snapshot deltas themselves are planned and applied by
 :mod:`repro.data.deltas` (data layer); this package consumes them.

@@ -389,9 +389,9 @@ class StreamingVerifier:
 
         Shares nothing with the maintained state — a fresh crawl, a
         fresh vocabulary fit, a cold SVM, and full-power-iteration
-        TrustRank.  ``benchmarks/stream`` times this against
-        :meth:`apply_tick` and checks the incremental state against it.
-        No N-gram graphs are built: no verdict reads them.
+        TrustRank.  ``benchmarks/test_stream_speed_floor.py`` times this
+        against :meth:`apply_tick` and checks the incremental state
+        against it.  No N-gram graphs are built: no verdict reads them.
         """
         store = DeltaCrawlStore(self._corpus)
         store.bootstrap()

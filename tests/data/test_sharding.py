@@ -294,6 +294,39 @@ class TestMalformedShards:
             corpus.get("a-rx.com")
 
     @pytest.mark.parametrize(
+        "header",
+        [
+            "[1, 2]",
+            json.dumps({"format": "repro-shard", "version": 1}),
+            "not json",
+            json.dumps(dict(SHARD_HEADER, domains="a-rx.com")),
+            json.dumps(dict(SHARD_HEADER, domains=["a-rx.com", 7])),
+        ],
+        ids=[
+            "not-object",
+            "missing-domains",
+            "not-json",
+            "domains-not-list",
+            "domains-not-strings",
+        ],
+    )
+    def test_bad_header_names_file_and_line(self, tmp_path, header):
+        corpus = one_shard_corpus(tmp_path / "c", SHARD_HEADER, GOOD_ROW)
+        shard = tmp_path / "c" / shard_filename(0)
+        shard.write_text(header + "\n" + json.dumps(GOOD_ROW) + "\n")
+        where = f"{shard_filename(0)}:1"
+        with pytest.raises(PersistenceError, match=where):
+            corpus.domains()
+        with pytest.raises(PersistenceError, match=where):
+            corpus.sites_view().rows(0, 1)
+
+    def test_domains_missing_shard_file(self, tmp_path):
+        corpus = one_shard_corpus(tmp_path / "c", SHARD_HEADER, GOOD_ROW)
+        (tmp_path / "c" / shard_filename(0)).unlink()
+        with pytest.raises(PersistenceError, match=shard_filename(0)):
+            corpus.domains()
+
+    @pytest.mark.parametrize(
         "payload",
         [
             [1, 2],

@@ -181,8 +181,9 @@ class TestShardedCommands:
         assert main(["rank", model_path, sharded_dir, "--top", "3"]) == 0
         assert "pairwise orderedness" in capsys.readouterr().out
 
-    def test_verify_parses_each_shard_once(
-        self, cli_artifacts, sharded_dir, monkeypatch, capsys
+    @pytest.mark.parametrize("command", ["verify", "rank"])
+    def test_sharded_pass_parses_each_shard_once(
+        self, cli_artifacts, sharded_dir, monkeypatch, capsys, command
     ):
         from repro.data.sharding import ShardedCorpus
 
@@ -195,7 +196,9 @@ class TestShardedCommands:
 
         monkeypatch.setattr(ShardedCorpus, "_parse_shard", counting)
         _, model_path = cli_artifacts
-        assert main(["verify", model_path, sharded_dir]) == 0
+        assert main([command, model_path, sharded_dir]) == 0
+        # Four shards against the reader's 2-shard LRU: rank reads the
+        # labels after the pass, from the labels kept at parse time.
         assert sorted(parsed) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("command", ["verify", "rank"])

@@ -1,5 +1,6 @@
 """Tests for model and corpus persistence."""
 
+import io
 import json
 
 import numpy as np
@@ -58,6 +59,24 @@ class TestModelPersistence:
         restored = loaded.verify_site(tiny_corpus.sites[0])
         assert restored.predicted_label == original.predicted_label
         assert restored.rank_score == pytest.approx(original.rank_score)
+
+    def test_saved_verifier_holds_no_training_corpus(self, tmp_path, tiny_corpus):
+        import pickle
+
+        from repro.core.verifier import PharmacyVerifier
+
+        path = tmp_path / "verifier.pkl"
+        save_model(PharmacyVerifier(seed=0).fit(tiny_corpus), path)
+        classes = set()
+
+        class Recorder(pickle.Unpickler):
+            def find_class(self, module, name):
+                classes.add(name)
+                return super().find_class(module, name)
+
+        Recorder(io.BytesIO(pickle.dumps(load_model(path)))).load()
+        assert "PharmacyVerifier" in classes
+        assert not classes & {"PharmacyCorpus", "Website"}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(PersistenceError):
