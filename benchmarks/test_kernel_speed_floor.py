@@ -3,7 +3,10 @@
 Each case runs a vectorized kernel and its pure-Python reference
 (:mod:`repro.perf.reference`) on small fixed inputs, takes the best of
 ``REPEAT`` timings of each, asserts the two outputs are equivalent, and
-requires reference time / fast time >= ``MIN_SPEEDUP``.  Tier-1 runs
+requires reference time / fast time >= ``MIN_SPEEDUP``.  The sweep
+case's reference is the library's per-entry cross-validation
+(``cross_validate_pipeline`` over one ``TfidfTextPipeline`` per roster
+entry and term subset).  Tier-1 runs
 ``tables.table12`` end to end (``tests/experiments/test_tables.py``).
 
 Run from the repo root::
@@ -22,6 +25,8 @@ import scipy.sparse as sp
 
 import repro.perf.reference as ref
 from repro.core.config import preset
+from repro.core.evaluation import cross_validate_pipeline
+from repro.core.text_pipeline import TfidfTextPipeline
 from repro.data.loaders import make_dataset
 from repro.experiments import tables
 from repro.experiments.sweep import run_tfidf_sweep
@@ -34,6 +39,7 @@ from repro.network.construction import build_pharmacy_graph
 from repro.network.graph import DirectedGraph
 from repro.network.pagerank import personalized_pagerank
 from repro.text.ngram_graph import ClassGraphModel, NGramGraph
+from repro.text.summarization import SummaryDocument
 
 REPEAT = 3
 MIN_SPEEDUP = 1.0
@@ -198,10 +204,24 @@ def sweep_end_to_end(subsets=(100, 250)):
     tokens = [" ".join(p.text for p in site.pages).split() for site in corpus.sites]
     by_subset = {n: [t[:n] for t in tokens] for n in subsets}
 
-    run = functools.partial(
+    def per_entry():
+        out = {}
+        for n, subset_tokens in by_subset.items():
+            docs = [
+                SummaryDocument(site.domain, tuple(t), len(t))
+                for site, t in zip(corpus.sites, subset_tokens)
+            ]
+            for e in tables.TFIDF_ROSTER:
+                out[(e.name, n)] = cross_validate_pipeline(
+                    lambda: TfidfTextPipeline(e.classifier, e.sampler),
+                    docs, corpus.labels, n_folds=3, seed=0,
+                )
+        return out
+
+    shared = functools.partial(
         run_tfidf_sweep, tables.TFIDF_ROSTER, corpus.labels, by_subset, n_folds=3, cv_seed=0
     )
-    return lambda: run(shared=True), lambda: run(shared=False), _same
+    return shared, per_entry, _same
 
 
 CASES = (

@@ -129,12 +129,6 @@ class ExperimentConfig:
             (:class:`repro.perf.cache.FeatureCache`); ``None`` disables
             disk caching.  Excluded from equality/hash: the cache only
             memoizes, it never changes values.
-        shared_sweeps: fit each (subset, fold)'s feature matrices once
-            and share them across every classifier/sampling config of a
-            sweep (:mod:`repro.experiments.sweep`).  ``False`` refits
-            per config — slower, identical tables (the equivalence the
-            sweep tests pin).  Excluded from equality/hash for the same
-            reason as ``jobs``.
     """
 
     scale: str = "medium"
@@ -144,7 +138,6 @@ class ExperimentConfig:
     summary_seed: int = 0
     jobs: int = field(default=1, compare=False)
     cache_dir: str | None = field(default=None, compare=False)
-    shared_sweeps: bool = field(default=True, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_folds < 2:

@@ -31,7 +31,27 @@ from repro.text.ngram_graph import ClassGraphModel
 from repro.text.summarization import SummaryDocument
 from repro.text.term_vector import TfidfVectorizer
 
-__all__ = ["TfidfTextPipeline", "NGramGraphTextPipeline"]
+__all__ = ["TfidfTextPipeline", "NGramGraphTextPipeline", "similarity_rank"]
+
+
+def similarity_rank(features: np.ndarray, classes: Sequence[int]) -> np.ndarray:
+    """Equation 3: the 8-term similarity sum against both classes.
+
+    ``CS_legit + (1 - CS_illegit) + SS_legit + (1 - SS_illegit) +
+    VS_legit + (1 - VS_illegit) + NVS_legit + (1 - NVS_illegit)``
+
+    Args:
+        features: :class:`~repro.text.ngram_graph.ClassGraphModel`
+            similarity features, 4 columns per class in ``classes``
+            order.
+        classes: the model's class labels; the largest is legitimate.
+    """
+    by_class = {
+        label: features[:, 4 * i : 4 * (i + 1)] for i, label in enumerate(classes)
+    }
+    legit = by_class[max(classes)]
+    illegit = by_class[min(classes)]
+    return legit.sum(axis=1) + (1.0 - illegit).sum(axis=1)
 
 
 class TfidfTextPipeline:
@@ -249,19 +269,7 @@ class NGramGraphTextPipeline:
         return self.classifier.decision_scores(self._transform(documents))
 
     def text_rank(self, documents: Sequence[SummaryDocument]) -> np.ndarray:
-        """Equation 3: the 8-term similarity sum against both classes.
-
-        ``CS_legit + (1 - CS_illegit) + SS_legit + (1 - SS_illegit) +
-        VS_legit + (1 - VS_illegit) + NVS_legit + (1 - NVS_illegit)``
-        """
-        model = self.class_graph_model
-        features = self._transform(documents)
-        classes = model.classes
-        # Columns are 4 similarities per class, in model.classes order.
-        by_class = {
-            label: features[:, 4 * i : 4 * (i + 1)]
-            for i, label in enumerate(classes)
-        }
-        legit = by_class[max(classes)]
-        illegit = by_class[min(classes)]
-        return legit.sum(axis=1) + (1.0 - illegit).sum(axis=1)
+        """Equation 3 (:func:`similarity_rank`) of each document."""
+        return similarity_rank(
+            self._transform(documents), self.class_graph_model.classes
+        )

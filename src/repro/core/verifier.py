@@ -340,11 +340,10 @@ class PharmacyVerifier:
                 label = int(labels[pos])
                 text_rank = float(text_ranks[pos])
             else:
-                # Network-only verdict: neutral probability, any trust
-                # at all tips the label to legitimate.
+                # Network-only verdict, as for a site past its deadline.
                 proba = 0.5
                 text_rank = 0.0
-                label = LEGITIMATE if network_rank > 0.0 else ILLEGITIMATE
+                label = self._network_only_label(network_rank)
             site_reasons = tuple(dict.fromkeys(reasons[i]))
             reports.append(
                 VerificationReport(
@@ -387,9 +386,7 @@ class PharmacyVerifier:
             reports.append(
                 VerificationReport(
                     domain=site.domain,
-                    predicted_label=(
-                        LEGITIMATE if network_rank > 0.0 else ILLEGITIMATE
-                    ),
+                    predicted_label=self._network_only_label(network_rank),
                     legitimacy_probability=0.5,
                     text_rank=0.0,
                     network_rank=network_rank,
@@ -400,6 +397,15 @@ class PharmacyVerifier:
                 )
             )
         return reports
+
+    def _network_only_label(self, network_rank: float) -> int:
+        """The verdict of a site scored without text evidence.
+
+        Textless sites and sites past their deadline share this cut
+        (with a neutral 0.5 probability): any trust at all tips the
+        label to legitimate.
+        """
+        return LEGITIMATE if network_rank > 0.0 else ILLEGITIMATE
 
     def _score_text(self, sites: Sequence[SiteEvidence]):
         """Run the text pipeline; ``(None, None, None)`` on failure."""

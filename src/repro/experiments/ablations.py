@@ -11,28 +11,39 @@ decision and sweeps it, holding everything else at the paper's setting.
   (the paper fixes Lmin = Lmax = Dwin = 4 following [13]).
 * :func:`ranking_combiner_ablation` — textRank-only vs networkRank-only
   vs the paper's cumulative sum.
+
+Every text, N-Gram-Graph and network classifier here is a
+:mod:`repro.core` pipeline cross-validated by a
+:mod:`repro.core.evaluation` driver, under the same folds as the
+paper's tables.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import itertools
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.config import ExperimentConfig
+from repro.core.evaluation import cross_validate_indexed, cross_validate_pipeline
 from repro.core.network_pipeline import NetworkClassificationPipeline
 from repro.core.ranking import rank_pharmacies
+from repro.core.text_pipeline import NGramGraphTextPipeline, TfidfTextPipeline
 from repro.experiments.results import TableResult
-from repro.experiments.tables import _dataset_pair, _documents
+from repro.experiments.tables import (
+    _dataset_pair,
+    _documents,
+    _link_graph,
+    _network_report,
+)
 from repro.ml.base import BaseClassifier
-from repro.ml.metrics import classification_report
 from repro.ml.model_selection import StratifiedKFold
 from repro.ml.naive_bayes import GaussianNB, MultinomialNB
 from repro.ml.sampling import RandomUnderSampler, SMOTE
 from repro.ml.svm import LinearSVC
 from repro.ml.tree import C45Tree
-from repro.text.ngram_graph import ClassGraphModel, NGramGraph
-from repro.text.term_vector import TfidfVectorizer
+from repro.text.summarization import SummaryDocument
 
 __all__ = [
     "sampling_ablation",
@@ -49,8 +60,8 @@ __all__ = [
     "gray_zone_experiment",
 ]
 
-_SAMPLERS: tuple[tuple[str, Callable[[], object] | None], ...] = (
-    ("NO", None),
+_SAMPLERS: tuple[tuple[str, Callable[[], object | None]], ...] = (
+    ("NO", lambda: None),
     ("SUB", lambda: RandomUnderSampler(seed=0)),
     ("SMOTE", lambda: SMOTE(seed=0)),
 )
@@ -60,6 +71,23 @@ _CLASSIFIERS: tuple[tuple[str, Callable[[], BaseClassifier]], ...] = (
     ("SVM", lambda: LinearSVC(seed=0)),
     ("J48", lambda: C45Tree(max_candidate_features=400)),
 )
+
+
+def _fit_predict(
+    pipeline: TfidfTextPipeline,
+    documents: Sequence[SummaryDocument],
+    y_train: np.ndarray,
+    train_idx: np.ndarray,
+    test_idx: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fit on the training rows; labels and scores of the test rows.
+
+    The body of a :func:`cross_validate_indexed` fold for text
+    pipelines whose training labels or documents vary per fold.
+    """
+    pipeline.fit([documents[i] for i in train_idx], y_train)
+    test_documents = [documents[i] for i in test_idx]
+    return pipeline.predict(test_documents), pipeline.decision_scores(test_documents)
 
 
 def sampling_ablation(
@@ -73,33 +101,20 @@ def sampling_ablation(
     J48 benefits from SMOTE.
     """
     corpus, _ = _dataset_pair(config)
-    y = corpus.labels
     docs = _documents(config, corpus, max_terms)
-    tokens = [doc.tokens for doc in docs]
-    splitter = StratifiedKFold(config.n_folds, shuffle=True, seed=config.cv_seed)
-    folds = list(splitter.split(y))
 
     rows = []
     for clf_name, proto in _CLASSIFIERS:
         cells: list[object] = [clf_name]
         for _, sampler_factory in _SAMPLERS:
-            aucs = []
-            for train_idx, test_idx in folds:
-                vectorizer = TfidfVectorizer()
-                X_train = vectorizer.fit_transform([tokens[i] for i in train_idx])
-                X_test = vectorizer.transform([tokens[i] for i in test_idx])
-                X_fit, y_fit = X_train, y[train_idx]
-                if sampler_factory is not None:
-                    X_fit, y_fit = sampler_factory().fit_resample(X_fit, y_fit)
-                model = proto()
-                model.fit(X_fit, y_fit)
-                report = classification_report(
-                    y[test_idx],
-                    model.predict(X_test),
-                    model.decision_scores(X_test),
-                )
-                aucs.append(report.auc_roc)
-            cells.append(float(np.mean(aucs)))
+            report = cross_validate_pipeline(
+                lambda: TfidfTextPipeline(proto(), sampler_factory()),
+                docs,
+                corpus.labels,
+                config.n_folds,
+                config.cv_seed,
+            )
+            cells.append(report.auc_roc.mean)
         rows.append(tuple(cells))
     return TableResult(
         table_id="ablation_sampling",
@@ -115,33 +130,18 @@ def trustrank_ablation(
 ) -> TableResult:
     """Network-classifier AUC vs TrustRank damping and seed signals."""
     corpus, _ = _dataset_pair(config)
-    y = corpus.labels
-    splitter = StratifiedKFold(config.n_folds, shuffle=True, seed=config.cv_seed)
-    folds = list(splitter.split(y))
 
     rows = []
     for damping in dampings:
         for anti in (False, True):
-            aucs = []
-            for train_idx, test_idx in folds:
-                pipeline = NetworkClassificationPipeline(
-                    corpus,
-                    GaussianNB(),
-                    damping=damping,
-                    include_anti_trustrank=anti,
-                )
-                pipeline.fit(train_idx)
-                report = classification_report(
-                    y[test_idx],
-                    pipeline.predict(test_idx),
-                    pipeline.decision_scores(test_idx),
-                )
-                aucs.append(report.auc_roc)
+            report = _network_report(
+                config, corpus, damping=damping, include_anti_trustrank=anti
+            )
             rows.append(
                 (
                     f"damping={damping}",
                     "trust+distrust" if anti else "trust-only",
-                    float(np.mean(aucs)),
+                    report.auc_roc.mean,
                 )
             )
     return TableResult(
@@ -159,29 +159,23 @@ def ngg_parameter_ablation(
 ) -> TableResult:
     """N-Gram-Graph rank/window sweep (paper fixes n = Dwin = 4)."""
     corpus, _ = _dataset_pair(config)
-    y = corpus.labels
     docs = _documents(config, corpus, max_terms)
-    texts = [doc.text for doc in docs]
-    splitter = StratifiedKFold(config.n_folds, shuffle=True, seed=config.cv_seed)
-    folds = list(splitter.split(y))
 
     rows = []
     for n in ranks:
-        graphs = [NGramGraph.from_text(t, n=n, window=n) for t in texts]
-        aucs = []
-        for fold_no, (train_idx, test_idx) in enumerate(folds):
-            model = ClassGraphModel(n=n, window=n, seed=config.cv_seed + fold_no)
-            model.fit_graphs([graphs[i] for i in train_idx], y[train_idx].tolist())
-            features = model.transform_graphs(graphs)
-            clf = GaussianNB()
-            clf.fit(features[train_idx], y[train_idx])
-            report = classification_report(
-                y[test_idx],
-                clf.predict(features[test_idx]),
-                clf.decision_scores(features[test_idx]),
-            )
-            aucs.append(report.auc_roc)
-        rows.append((f"n={n}", float(np.mean(aucs))))
+        # The driver builds one pipeline per fold, in fold order: fold
+        # k subsamples its class graphs with seed cv_seed + k.
+        fold_seeds = itertools.count(config.cv_seed)
+        report = cross_validate_pipeline(
+            lambda: NGramGraphTextPipeline(
+                GaussianNB(), n=n, window=n, seed=next(fold_seeds)
+            ),
+            docs,
+            corpus.labels,
+            config.n_folds,
+            config.cv_seed,
+        )
+        rows.append((f"n={n}", report.auc_roc.mean))
     return TableResult(
         table_id="ablation_ngg_params",
         title="N-Gram-Graph rank/window ablation - NB AUC ROC (250 terms)",
@@ -198,7 +192,6 @@ def ranking_combiner_ablation(
     y = corpus.labels
     domains = corpus.domains
     docs = _documents(config, corpus, max_terms)
-    tokens = [doc.tokens for doc in docs]
     splitter = StratifiedKFold(config.n_folds, shuffle=True, seed=config.cv_seed)
 
     text_only, network_only, cumulative = [], [], []
@@ -207,11 +200,9 @@ def ranking_combiner_ablation(
         network.fit(train_idx)
         net_rank = network.network_rank(test_idx)
 
-        vectorizer = TfidfVectorizer()
-        X_train = vectorizer.fit_transform([tokens[i] for i in train_idx])
-        X_test = vectorizer.transform([tokens[i] for i in test_idx])
-        model = MultinomialNB().fit(X_train, y[train_idx])
-        text_rank = model.predict_proba(X_test)[:, -1]
+        text = TfidfTextPipeline(MultinomialNB())
+        text.fit([docs[i] for i in train_idx], y[train_idx])
+        text_rank = text.text_rank([docs[i] for i in test_idx])
 
         test_domains = [domains[i] for i in test_idx]
         y_test = y[test_idx]
@@ -253,53 +244,48 @@ def representation_ablation(
     corpus, _ = _dataset_pair(config)
     y = corpus.labels
     docs = _documents(config, corpus, max_terms)
-    tokens = [doc.tokens for doc in docs]
     texts = [doc.text for doc in docs]
-    splitter = StratifiedKFold(config.n_folds, shuffle=True, seed=config.cv_seed)
-    folds = list(splitter.split(y))
 
-    def evaluate(fit_predict) -> float:
-        aucs = []
-        for fold_no, (train_idx, test_idx) in enumerate(folds):
-            predictions, scores = fit_predict(fold_no, train_idx, test_idx)
-            report = classification_report(y[test_idx], predictions, scores)
-            aucs.append(report.auc_roc)
-        return float(np.mean(aucs))
-
-    def term_vector(fold_no, train_idx, test_idx):
-        vec = TfidfVectorizer()
-        X_train = vec.fit_transform([tokens[i] for i in train_idx])
-        X_test = vec.transform([tokens[i] for i in test_idx])
-        model = MultinomialNB().fit(X_train, y[train_idx])
-        return model.predict(X_test), model.decision_scores(X_test)
-
-    def char_ngrams(fold_no, train_idx, test_idx):
+    def char_ngrams(train_idx, test_idx):
         vec = CharNGramVectorizer(n=4)
         X_train = vec.fit_transform([texts[i] for i in train_idx])
         X_test = vec.transform([texts[i] for i in test_idx])
         model = MultinomialNB().fit(X_train, y[train_idx])
         return model.predict(X_test), model.decision_scores(X_test)
 
-    def ngram_graphs(fold_no, train_idx, test_idx):
-        model = ClassGraphModel(seed=config.cv_seed + fold_no)
-        model.fit(
-            [texts[i] for i in train_idx], y[train_idx].tolist()
-        )
-        features_train = model.transform([texts[i] for i in train_idx])
-        features_test = model.transform([texts[i] for i in test_idx])
-        clf = GaussianNB().fit(features_train, y[train_idx])
-        return clf.predict(features_test), clf.decision_scores(features_test)
-
-    rows = (
-        ("Term Vector (TF-IDF) + NBM", evaluate(term_vector)),
-        ("Character 4-Grams (bag) + NBM", evaluate(char_ngrams)),
-        ("N-Gram Graphs (CS/SS/VS/NVS) + NB", evaluate(ngram_graphs)),
+    # One N-Gram-Graph pipeline per fold, seeded cv_seed + fold number.
+    fold_seeds = itertools.count(config.cv_seed)
+    reports = (
+        (
+            "Term Vector (TF-IDF) + NBM",
+            cross_validate_pipeline(
+                lambda: TfidfTextPipeline(MultinomialNB()),
+                docs,
+                y,
+                config.n_folds,
+                config.cv_seed,
+            ),
+        ),
+        (
+            "Character 4-Grams (bag) + NBM",
+            cross_validate_indexed(char_ngrams, y, config.n_folds, config.cv_seed),
+        ),
+        (
+            "N-Gram Graphs (CS/SS/VS/NVS) + NB",
+            cross_validate_pipeline(
+                lambda: NGramGraphTextPipeline(GaussianNB(), seed=next(fold_seeds)),
+                docs,
+                y,
+                config.n_folds,
+                config.cv_seed,
+            ),
+        ),
     )
     return TableResult(
         table_id="ablation_representation",
         title="Text-representation ablation - AUC ROC (1000-term subsamples)",
         columns=("Representation", "AUC ROC"),
-        rows=rows,
+        rows=tuple((name, report.auc_roc.mean) for name, report in reports),
     )
 
 
@@ -310,7 +296,6 @@ def trust_algorithm_ablation(config: ExperimentConfig) -> TableResult:
     paper cites; both propagate from the legitimate training seed, and
     per-pharmacy scores use the same outbound-neighbourhood reading.
     """
-    from repro.network.construction import build_pharmacy_graph
     from repro.network.eigentrust import eigentrust
     from repro.network.trustrank import trustrank as run_trustrank
 
@@ -318,8 +303,7 @@ def trust_algorithm_ablation(config: ExperimentConfig) -> TableResult:
     y = corpus.labels
     domains = corpus.domains
     sites = corpus.sites
-    splitter = StratifiedKFold(config.n_folds, shuffle=True, seed=config.cv_seed)
-    folds = list(splitter.split(y))
+    graph = _link_graph(config, corpus)
 
     def outlink_mean(site, scores) -> float:
         endpoints = site.outbound_endpoints()
@@ -328,20 +312,17 @@ def trust_algorithm_ablation(config: ExperimentConfig) -> TableResult:
         return float(np.mean([scores.get(e, 0.0) for e in endpoints]))
 
     def evaluate(score_fn) -> float:
-        aucs = []
-        for train_idx, test_idx in folds:
-            graph = build_pharmacy_graph(sites)
+        def fit_predict(train_idx, test_idx):
             seed = [domains[i] for i in train_idx if y[i] == 1]
             scores = score_fn(graph, seed)
             X = np.array([[outlink_mean(s, scores)] for s in sites])
             clf = GaussianNB().fit(X[train_idx], y[train_idx])
-            report = classification_report(
-                y[test_idx],
-                clf.predict(X[test_idx]),
-                clf.decision_scores(X[test_idx]),
-            )
-            aucs.append(report.auc_roc)
-        return float(np.mean(aucs))
+            return clf.predict(X[test_idx]), clf.decision_scores(X[test_idx])
+
+        report = cross_validate_indexed(
+            fit_predict, y, config.n_folds, config.cv_seed
+        )
+        return report.auc_roc.mean
 
     rows = (
         ("TrustRank (paper)", evaluate(lambda g, s: run_trustrank(g, s))),
@@ -373,31 +354,24 @@ def label_noise_ablation(
     corpus, _ = _dataset_pair(config)
     y = corpus.labels
     docs = _documents(config, corpus, max_terms)
-    tokens = [doc.tokens for doc in docs]
-    splitter = StratifiedKFold(config.n_folds, shuffle=True, seed=config.cv_seed)
-    folds = list(splitter.split(y))
 
     rows = []
     for clf_name, proto in (("NBM", MultinomialNB), ("SVM", LinearSVC)):
         cells: list[object] = [clf_name]
         for rate in noise_rates:
-            aucs = []
-            for fold_no, (train_idx, test_idx) in enumerate(folds):
-                noisy = inject_label_noise(
-                    y[train_idx], rate, seed=config.cv_seed + fold_no
+            # Folds run in order: fold k flips labels with seed cv_seed + k.
+            fold_seeds = itertools.count(config.cv_seed)
+
+            def noisy_fold(train_idx, test_idx):
+                noisy = inject_label_noise(y[train_idx], rate, seed=next(fold_seeds))
+                return _fit_predict(
+                    TfidfTextPipeline(proto()), docs, noisy, train_idx, test_idx
                 )
-                vec = TfidfVectorizer()
-                X_train = vec.fit_transform([tokens[i] for i in train_idx])
-                X_test = vec.transform([tokens[i] for i in test_idx])
-                model = proto()
-                model.fit(X_train, noisy)
-                report = classification_report(
-                    y[test_idx],
-                    model.predict(X_test),
-                    model.decision_scores(X_test),
-                )
-                aucs.append(report.auc_roc)
-            cells.append(float(np.mean(aucs)))
+
+            report = cross_validate_indexed(
+                noisy_fold, y, config.n_folds, config.cv_seed
+            )
+            cells.append(report.auc_roc.mean)
         rows.append(tuple(cells))
     return TableResult(
         table_id="ablation_label_noise",
@@ -424,7 +398,6 @@ def review_effort_experiment(
     corpus, _ = _dataset_pair(config)
     y = corpus.labels
     docs = _documents(config, corpus, max_terms)
-    tokens = [doc.tokens for doc in docs]
     splitter = StratifiedKFold(config.n_folds, shuffle=True, seed=config.cv_seed)
 
     ranked_effort, random_effort, test_sizes, n_legit = [], [], [], []
@@ -433,11 +406,9 @@ def review_effort_experiment(
         network = NetworkClassificationPipeline(corpus, GaussianNB())
         network.fit(train_idx)
         net_rank = network.network_rank(test_idx)
-        vec = TfidfVectorizer()
-        X_train = vec.fit_transform([tokens[i] for i in train_idx])
-        X_test = vec.transform([tokens[i] for i in test_idx])
-        model = MultinomialNB().fit(X_train, y[train_idx])
-        ranks = model.predict_proba(X_test)[:, -1] + net_rank
+        text = TfidfTextPipeline(MultinomialNB())
+        text.fit([docs[i] for i in train_idx], y[train_idx])
+        ranks = text.text_rank([docs[i] for i in test_idx]) + net_rank
         y_test = y[test_idx]
         ranked_effort.append(
             effort_to_find_fraction(ranks, y_test, 0.9, target_label=1)
@@ -484,35 +455,23 @@ def auxiliary_sites_ablation(config: ExperimentConfig) -> TableResult:
     )
     snapshot = SyntheticWebGenerator(generator_config).generate_snapshot()
     corpus = crawl_snapshot(snapshot)
-    y = corpus.labels
-    splitter = StratifiedKFold(config.n_folds, shuffle=True, seed=config.cv_seed)
-    folds = list(splitter.split(y))
-
-    def evaluate(use_auxiliary: bool) -> tuple[float, float]:
-        aucs, recalls = [], []
-        for train_idx, test_idx in folds:
-            pipeline = NetworkClassificationPipeline(
-                corpus, GaussianNB(), use_auxiliary_sites=use_auxiliary
-            )
-            pipeline.fit(train_idx)
-            report = classification_report(
-                y[test_idx],
-                pipeline.predict(test_idx),
-                pipeline.decision_scores(test_idx),
-            )
-            aucs.append(report.auc_roc)
-            recalls.append(report.legitimate_recall)
-        return float(np.mean(aucs)), float(np.mean(recalls))
-
-    plain_auc, plain_recall = evaluate(False)
-    enriched_auc, enriched_recall = evaluate(True)
+    plain = _network_report(config, corpus)
+    enriched = _network_report(config, corpus, use_auxiliary_sites=True)
     return TableResult(
         table_id="ablation_auxiliary_sites",
         title="Network graph enrichment with non-pharmacy sites (future work a)",
         columns=("Graph", "AUC ROC", "legit recall"),
         rows=(
-            ("pharmacy-only (paper)", plain_auc, plain_recall),
-            ("+ portals & directories", enriched_auc, enriched_recall),
+            (
+                "pharmacy-only (paper)",
+                plain.auc_roc.mean,
+                plain.legitimate_recall.mean,
+            ),
+            (
+                "+ portals & directories",
+                enriched.auc_roc.mean,
+                enriched.legitimate_recall.mean,
+            ),
         ),
         notes=(
             f"{generator_config.n_health_portals} portals, "
@@ -533,55 +492,53 @@ def term_selection_ablation(
     AUC-ROC under both policies at small term budgets, where the
     difference matters most.
     """
+    import dataclasses
+
     from repro.text.feature_selection import filter_documents, select_terms
 
     corpus, _ = _dataset_pair(config)
     y = corpus.labels
     full_docs = _documents(config, corpus, None)  # all terms
-    splitter = StratifiedKFold(config.n_folds, shuffle=True, seed=config.cv_seed)
-    folds = list(splitter.split(y))
+    full_tokens = [doc.tokens for doc in full_docs]
 
     rows = []
     for budget in budgets:
-        random_docs = _documents(config, corpus, budget)
-        random_tokens = [doc.tokens for doc in random_docs]
-        random_aucs, informed_aucs = [], []
-        for train_idx, test_idx in folds:
-            # Paper policy: random per-document subsample.
-            vec = TfidfVectorizer()
-            X_train = vec.fit_transform([random_tokens[i] for i in train_idx])
-            X_test = vec.transform([random_tokens[i] for i in test_idx])
-            model = MultinomialNB().fit(X_train, y[train_idx])
-            random_aucs.append(
-                classification_report(
-                    y[test_idx],
-                    model.predict(X_test),
-                    model.decision_scores(X_test),
-                ).auc_roc
+        # Paper policy: random per-document subsample.
+        random_report = cross_validate_pipeline(
+            lambda: TfidfTextPipeline(MultinomialNB()),
+            _documents(config, corpus, budget),
+            y,
+            config.n_folds,
+            config.cv_seed,
+        )
+
+        # Informed policy: keep the top-IG terms of the training fold.
+        def informed_fold(train_idx, test_idx):
+            keep = select_terms(
+                [full_tokens[i] for i in train_idx], y[train_idx], k=budget
             )
-            # Informed policy: keep the top-IG terms of the training fold.
-            train_tokens = [list(full_docs[i].tokens) for i in train_idx]
-            keep = select_terms(train_tokens, y[train_idx], k=budget)
-            informed_train = filter_documents(train_tokens, keep)
-            informed_test = filter_documents(
-                [list(full_docs[i].tokens) for i in test_idx], keep
+            docs = [
+                dataclasses.replace(doc, tokens=tuple(tokens))
+                for doc, tokens in zip(
+                    full_docs, filter_documents(full_tokens, keep)
+                )
+            ]
+            return _fit_predict(
+                TfidfTextPipeline(MultinomialNB()),
+                docs,
+                y[train_idx],
+                train_idx,
+                test_idx,
             )
-            vec = TfidfVectorizer()
-            X_train = vec.fit_transform(informed_train)
-            X_test = vec.transform(informed_test)
-            model = MultinomialNB().fit(X_train, y[train_idx])
-            informed_aucs.append(
-                classification_report(
-                    y[test_idx],
-                    model.predict(X_test),
-                    model.decision_scores(X_test),
-                ).auc_roc
-            )
+
+        informed_report = cross_validate_indexed(
+            informed_fold, y, config.n_folds, config.cv_seed
+        )
         rows.append(
             (
                 f"budget={budget}",
-                float(np.mean(random_aucs)),
-                float(np.mean(informed_aucs)),
+                random_report.auc_roc.mean,
+                informed_report.auc_roc.mean,
             )
         )
     return TableResult(
@@ -617,39 +574,19 @@ def seed_stability_experiment(
         corpus = crawl_snapshot(
             SyntheticWebGenerator(generator_config).generate_snapshot()
         )
-        y = corpus.labels
         summarizer = Summarizer(max_terms=max_terms, seed=config.summary_seed)
-        tokens = [
-            summarizer.summarize_site(site).tokens for site in corpus.sites
-        ]
-        splitter = StratifiedKFold(
-            config.n_folds, shuffle=True, seed=config.cv_seed
+        docs = [summarizer.summarize_site(site) for site in corpus.sites]
+        text = cross_validate_pipeline(
+            lambda: TfidfTextPipeline(MultinomialNB()),
+            docs,
+            corpus.labels,
+            config.n_folds,
+            config.cv_seed,
         )
-        fold_text, fold_net, fold_recall = [], [], []
-        for train_idx, test_idx in splitter.split(y):
-            vec = TfidfVectorizer()
-            X_train = vec.fit_transform([tokens[i] for i in train_idx])
-            X_test = vec.transform([tokens[i] for i in test_idx])
-            model = MultinomialNB().fit(X_train, y[train_idx])
-            fold_text.append(
-                classification_report(
-                    y[test_idx],
-                    model.predict(X_test),
-                    model.decision_scores(X_test),
-                ).auc_roc
-            )
-            pipeline = NetworkClassificationPipeline(corpus, GaussianNB())
-            pipeline.fit(train_idx)
-            report = classification_report(
-                y[test_idx],
-                pipeline.predict(test_idx),
-                pipeline.decision_scores(test_idx),
-            )
-            fold_net.append(report.auc_roc)
-            fold_recall.append(report.legitimate_recall)
-        text_auc = float(np.mean(fold_text))
-        net_auc = float(np.mean(fold_net))
-        net_recall = float(np.mean(fold_recall))
+        network = _network_report(config, corpus)
+        text_auc = text.auc_roc.mean
+        net_auc = network.auc_roc.mean
+        net_recall = network.legitimate_recall.mean
         text_aucs.append(text_auc)
         net_aucs.append(net_auc)
         net_recalls.append(net_recall)

@@ -10,13 +10,12 @@ identifiers: ``table1 table3 ... table17 figure2 figure3``.
 ``--jobs N`` fans per-document feature extraction and the TF-IDF sweep
 grid out to N worker processes (0 = one per CPU) with identical
 results at any worker count; ``--cache-dir DIR`` memoizes extracted
-features on disk so repeated runs skip recomputation.  By default the
-sweep scheduler fits each (subset, fold)'s feature matrices once and
-shares them across all classifier/sampling configs;
-``--per-config-refit`` disables that sharing (every config refits its
-own vectorizer — slower, identical tables; useful for validating the
-sharing).  Each experiment's wall time is printed as it finishes, plus
-a summary at the end.
+features on disk so repeated runs skip recomputation.  Every table
+runs through the :mod:`repro.core` pipelines and evaluation drivers;
+the TF-IDF sweep fits each (subset, fold)'s feature matrices once and
+shares them across all classifier/sampling configs
+(:mod:`repro.experiments.sweep`).  Each experiment's wall time is
+printed as it finishes, plus a summary at the end.
 """
 
 from __future__ import annotations
@@ -98,19 +97,12 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="directory for the on-disk feature cache (default: disabled)",
     )
-    parser.add_argument(
-        "--per-config-refit",
-        action="store_true",
-        help="refit sweep feature matrices per classifier config instead "
-        "of sharing them per (subset, fold); slower, identical tables",
-    )
     args = parser.parse_args(argv)
     config = ExperimentConfig(
         scale=args.scale,
         n_folds=args.folds,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        shared_sweeps=not args.per_config_refit,
     )
     timings: list[tuple[str, float]] = []
     for experiment_id in args.ids:

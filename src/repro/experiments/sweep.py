@@ -5,15 +5,13 @@ classifier/sampling configuration with every term-subset size under
 3-fold cross-validation.  The expensive work of one cell — fitting the
 TF-IDF vectorizer on the training fold and transforming both folds —
 depends only on ``(subset, fold)``, never on the classifier, so the
-scheduler here factors the grid accordingly:
-
-* each ``(subset, fold)`` pair becomes one :class:`FoldTask` whose
-  feature matrices are fitted **once** and shared by every roster
-  entry (``shared=True``, the default);
-* ``shared=False`` is the per-config-refit reference mode: every
-  roster entry refits its own vectorizer.  Fitting is deterministic,
-  so both modes produce identical tables — pinned by
-  ``tests/experiments/test_sweep.py``.
+scheduler here makes each ``(subset, fold)`` pair one :class:`FoldTask`
+whose feature matrices are fitted **once** and shared by every roster
+entry.  Vectorizer fitting is deterministic, so the sweep equals the
+library's per-entry cross-validation, which refits the vectorizer for
+every entry: :func:`~repro.core.evaluation.cross_validate_pipeline`
+over one :class:`~repro.core.text_pipeline.TfidfTextPipeline` per
+entry.  ``tests/experiments/test_sweep.py`` pins that equality.
 
 Tasks are plain picklable dataclasses mapped with
 :func:`repro.perf.pmap`, so ``--jobs N`` fans the (fold × subset) grid
@@ -91,7 +89,6 @@ class FoldTask:
     y_train: np.ndarray
     y_test: np.ndarray
     entries: tuple[SweepEntry, ...]
-    shared: bool
 
 
 def _entry_report(
@@ -115,30 +112,15 @@ def _entry_report(
 def run_fold(task: FoldTask) -> dict[str, BinaryClassificationReport]:
     """Evaluate every roster entry of one (subset, fold) cell.
 
-    With ``task.shared`` the vectorizer is fitted once and its matrices
-    feed every entry; without it each entry refits its own vectorizer.
-    Vectorizer fitting is deterministic, so the two modes return
-    identical reports — the flag only changes how much work is done.
+    The vectorizer is fitted once and its matrices feed every entry.
     """
-    if task.shared:
-        vectorizer = TfidfVectorizer()
-        X_train = vectorizer.fit_transform(task.train_tokens)
-        X_test = vectorizer.transform(task.test_tokens)
-        return {
-            entry.name: _entry_report(
-                entry, X_train, task.y_train, X_test, task.y_test
-            )
-            for entry in task.entries
-        }
-    out: dict[str, BinaryClassificationReport] = {}
-    for entry in task.entries:
-        vectorizer = TfidfVectorizer()
-        X_train = vectorizer.fit_transform(task.train_tokens)
-        X_test = vectorizer.transform(task.test_tokens)
-        out[entry.name] = _entry_report(
-            entry, X_train, task.y_train, X_test, task.y_test
-        )
-    return out
+    vectorizer = TfidfVectorizer()
+    X_train = vectorizer.fit_transform(task.train_tokens)
+    X_test = vectorizer.transform(task.test_tokens)
+    return {
+        entry.name: _entry_report(entry, X_train, task.y_train, X_test, task.y_test)
+        for entry in task.entries
+    }
 
 
 def run_tfidf_sweep(
@@ -147,7 +129,6 @@ def run_tfidf_sweep(
     tokens_by_subset: Mapping[int | None, Sequence[Sequence[str]]],
     n_folds: int = 3,
     cv_seed: int = 0,
-    shared: bool = True,
     jobs: int | None = None,
     cache: FeatureCache | None = None,
     cache_fingerprint: str | None = None,
@@ -162,9 +143,6 @@ def run_tfidf_sweep(
             the whole corpus at that size.
         n_folds: stratified CV folds (paper: 3).
         cv_seed: fold-assignment seed.
-        shared: fit each (subset, fold)'s vectorizer once and share the
-            matrices across entries (default); ``False`` refits per
-            entry — slower, identical results.
         jobs: ``pmap`` worker processes over the (subset × fold) grid.
         cache: optional disk cache for the aggregated sweep.
         cache_fingerprint: corpus content fingerprint for the cache
@@ -193,7 +171,6 @@ def run_tfidf_sweep(
                 y_train=y[train_idx],
                 y_test=y[test_idx],
                 entries=roster,
-                shared=shared,
             )
             for subset, tokens in tokens_by_subset.items()
             for fold_no, (train_idx, test_idx) in enumerate(folds)
@@ -226,10 +203,8 @@ def run_tfidf_sweep(
             "cv_seed": cv_seed,
             "roster": [entry.describe() for entry in entries],
             # Everything compute() reads must be keyed: the fold labels
-            # drive the CV split, and shared=False refits per entry —
-            # identical tables, but the flag is an input all the same.
+            # drive the CV split.
             "labels": [int(v) for v in np.asarray(labels).ravel()],
-            "shared": shared,
         },
     )
     return cache.get_or_compute(key, compute)

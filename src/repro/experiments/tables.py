@@ -26,9 +26,11 @@ from repro.core.ensemble_pipeline import EnsembleClassificationPipeline
 from repro.core.evaluation import (
     AggregatedReport,
     cross_validate_indexed,
+    train_test_evaluate,
 )
 from repro.core.network_pipeline import NetworkClassificationPipeline
 from repro.core.ranking import rank_pharmacies
+from repro.core.text_pipeline import TfidfTextPipeline, similarity_rank
 from repro.data.corpus import PharmacyCorpus
 from repro.data.loaders import make_dataset_pair
 from repro.experiments.results import TableResult, term_subset_header
@@ -47,7 +49,6 @@ from repro.perf.cache import FeatureCache, content_fingerprint
 from repro.perf.parallel import pmap
 from repro.text.ngram_graph import ClassGraphModel, NGramGraph
 from repro.text.summarization import Summarizer, SummaryDocument
-from repro.text.term_vector import TfidfVectorizer
 from repro.exceptions import ValidationError
 
 logger = logging.getLogger(__name__)
@@ -247,7 +248,7 @@ def _tfidf_sweep(
 
     Delegates to the :mod:`repro.experiments.sweep` scheduler, which
     fits each (subset, fold)'s feature matrices once and shares them
-    across the roster (unless ``config.shared_sweeps`` is off).
+    across the roster.
     """
 
     def build() -> dict[tuple[str, int | None], AggregatedReport]:
@@ -263,7 +264,6 @@ def _tfidf_sweep(
             tokens_by_subset,
             n_folds=config.n_folds,
             cv_seed=config.cv_seed,
-            shared=config.shared_sweeps,
             jobs=config.jobs,
             cache=disk,
             cache_fingerprint=(
@@ -320,24 +320,37 @@ def _ngg_sweep(
     return _cached(("ngg", config), build)  # type: ignore[return-value]
 
 
+def _network_report(
+    config: ExperimentConfig, corpus: PharmacyCorpus, **pipeline_params
+) -> AggregatedReport:
+    """CV of the TrustRank Naive Bayes network classifier on ``corpus``.
+
+    ``pipeline_params`` go to every fold's
+    :class:`~repro.core.network_pipeline.NetworkClassificationPipeline`.
+    """
+
+    def fit_predict(train_idx, test_idx):
+        pipeline = NetworkClassificationPipeline(
+            corpus, GaussianNB(), **pipeline_params
+        )
+        pipeline.fit(train_idx)
+        return pipeline.predict(test_idx), pipeline.decision_scores(test_idx)
+
+    return cross_validate_indexed(
+        fit_predict, corpus.labels, n_folds=config.n_folds, seed=config.cv_seed
+    )
+
+
 def _network_cv(config: ExperimentConfig) -> AggregatedReport:
     """3-fold CV of the TrustRank network classifier."""
 
     def build() -> AggregatedReport:
         corpus, _ = _dataset_pair(config)
-
-        def fit_predict(train_idx, test_idx):
-            pipeline = NetworkClassificationPipeline(
-                corpus,
-                GaussianNB(),
-                cache=_feature_cache(config),
-                graph=_link_graph(config, corpus),
-            )
-            pipeline.fit(train_idx)
-            return pipeline.predict(test_idx), pipeline.decision_scores(test_idx)
-
-        return cross_validate_indexed(
-            fit_predict, corpus.labels, n_folds=config.n_folds, seed=config.cv_seed
+        return _network_report(
+            config,
+            corpus,
+            cache=_feature_cache(config),
+            graph=_link_graph(config, corpus),
         )
 
     return _cached(("network", config), build)  # type: ignore[return-value]
@@ -373,7 +386,6 @@ def _ranking_pairord(config: ExperimentConfig) -> dict[str, float]:
         y = corpus.labels
         domains = corpus.domains
         docs = _documents(config, corpus, 1000)
-        tokens = [doc.tokens for doc in docs]
         doc_graphs = _document_graphs(config, corpus, 1000)
         splitter = StratifiedKFold(
             n_splits=config.n_folds, shuffle=True, seed=config.cv_seed
@@ -393,22 +405,13 @@ def _ranking_pairord(config: ExperimentConfig) -> dict[str, float]:
             test_domains = [domains[i] for i in test_idx]
             y_test = y[test_idx]
 
-            vectorizer = TfidfVectorizer()
-            X_train = vectorizer.fit_transform([tokens[i] for i in train_idx])
-            X_test = vectorizer.transform([tokens[i] for i in test_idx])
+            train_docs = [docs[i] for i in train_idx]
+            test_docs = [docs[i] for i in test_idx]
             for entry in TFIDF_ROSTER:
-                X_fit, y_fit = X_train, y[train_idx]
-                if entry.sampler is not None:
-                    X_fit, y_fit = entry.sampler.fit_resample(X_fit, y_fit)
-                model = clone(entry.classifier)
-                model.fit(X_fit, y_fit)
-                if isinstance(model, LinearSVC):
-                    # Non-probabilistic: textRank is the hard label.
-                    text_rank = model.predict(X_test).astype(np.float64)
-                else:
-                    text_rank = model.predict_proba(X_test)[:, -1]
+                text = TfidfTextPipeline(entry.classifier, entry.sampler)
+                text.fit(train_docs, y[train_idx])
                 ranking = rank_pharmacies(
-                    test_domains, text_rank, net_rank, y_test
+                    test_domains, text.text_rank(test_docs), net_rank, y_test
                 )
                 accumulator[entry.name].append(ranking.pairord)
 
@@ -417,15 +420,9 @@ def _ranking_pairord(config: ExperimentConfig) -> dict[str, float]:
                 [doc_graphs[i] for i in train_idx], y[train_idx].tolist()
             )
             features = ngg.transform_graphs([doc_graphs[i] for i in test_idx])
-            classes = ngg.classes
-            by_class = {
-                label: features[:, 4 * k : 4 * (k + 1)]
-                for k, label in enumerate(classes)
-            }
-            eq3 = by_class[max(classes)].sum(axis=1) + (
-                1.0 - by_class[min(classes)]
-            ).sum(axis=1)
-            ranking = rank_pharmacies(test_domains, eq3, net_rank, y_test)
+            ranking = rank_pharmacies(
+                test_domains, similarity_rank(features, ngg.classes), net_rank, y_test
+            )
             accumulator["NGG"].append(ranking.pairord)
         return {name: float(np.mean(vals)) for name, vals in accumulator.items()}
 
@@ -456,19 +453,12 @@ def _time_sweep(
                 out[(name, subset, "Old-Old")] = old_old[(name, subset)].as_dict()
                 out[(name, subset, "New-New")] = new_new[(name, subset)].as_dict()
                 # Old-New: train on all of Dataset 1, test on Dataset 2.
-                docs1 = _documents(config, corpus1, subset)
-                docs2 = _documents(config, corpus2, subset)
-                vectorizer = TfidfVectorizer()
-                X_old = vectorizer.fit_transform([d.tokens for d in docs1])
-                X_new = vectorizer.transform([d.tokens for d in docs2])
-                y_old, y_new = corpus1.labels, corpus2.labels
-                X_fit, y_fit = X_old, y_old
-                if entry.sampler is not None:
-                    X_fit, y_fit = entry.sampler.fit_resample(X_fit, y_fit)
-                model = clone(entry.classifier)
-                model.fit(X_fit, y_fit)
-                report = classification_report(
-                    y_new, model.predict(X_new), model.decision_scores(X_new)
+                report = train_test_evaluate(
+                    partial(TfidfTextPipeline, entry.classifier, entry.sampler),
+                    _documents(config, corpus1, subset),
+                    corpus1.labels,
+                    _documents(config, corpus2, subset),
+                    corpus2.labels,
                 )
                 out[(name, subset, "Old-New")] = report.as_dict()
         return out

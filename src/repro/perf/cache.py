@@ -18,9 +18,8 @@ mid-write never leaves a truncated artifact; corrupt or stale entries
 are treated as misses and silently recomputed.
 
 The cache is opt-in: pipelines take an optional
-:class:`FeatureCache` (or read ``REPRO_CACHE_DIR`` via
-:meth:`FeatureCache.from_env`) and behave identically with it on or
-off — cached and fresh runs return equal values by construction.
+:class:`FeatureCache` and behave identically with it on or off —
+cached and fresh runs return equal values by construction.
 """
 
 from __future__ import annotations
@@ -48,12 +47,6 @@ __all__ = [
 #: Version of the feature-extraction code paths guarded by this cache.
 #: Bump on any change that alters extractor output for identical input.
 CODE_VERSION = "1"
-
-#: Environment variable naming the cache directory (unset = disabled).
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Environment variable capping total cache bytes (unset = unbounded).
-CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 
 
 def content_fingerprint(parts: Iterable[str | bytes]) -> str:
@@ -121,8 +114,7 @@ class FeatureCache:
             over it, the least-recently-used entries are evicted (and
             counted in ``stats.evictions``) until it fits.  ``None``
             means unbounded.  Million-site runs should set a budget
-            (or ``$REPRO_CACHE_MAX_BYTES``) so the cache cannot fill
-            the disk.
+            so the cache cannot fill the disk.
 
     Entries are sharded two hex characters deep
     (``<root>/ab/abcdef….pkl``) to keep directory fan-out sane for
@@ -139,28 +131,6 @@ class FeatureCache:
         self._root = Path(root)
         self._max_bytes = max_bytes
         self.stats = CacheStats()
-
-    @classmethod
-    def from_env(cls) -> "FeatureCache | None":
-        """Cache at ``$REPRO_CACHE_DIR``, or ``None`` when unset/empty.
-
-        ``$REPRO_CACHE_MAX_BYTES`` (a positive integer) sets the size
-        budget; malformed values raise so misconfiguration fails loudly
-        instead of silently running unbounded.
-        """
-        root = os.environ.get(CACHE_DIR_ENV, "").strip()
-        if not root:
-            return None
-        raw = os.environ.get(CACHE_MAX_BYTES_ENV, "").strip()
-        max_bytes: int | None = None
-        if raw:
-            try:
-                max_bytes = int(raw)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"${CACHE_MAX_BYTES_ENV} must be an integer, got {raw!r}"
-                ) from exc
-        return cls(root, max_bytes=max_bytes)
 
     @property
     def max_bytes(self) -> int | None:

@@ -41,7 +41,6 @@ from repro.exceptions import NotFittedError, ValidationError
 from repro.ml.svm import LinearSVC
 from repro.network.construction import build_pharmacy_graph
 from repro.network.trustrank import trustrank
-from repro.perf.cache import FeatureCache, content_fingerprint
 from repro.stream.crawl import DeltaCrawlStore
 from repro.stream.drift import DriftDetector, DriftReport
 from repro.stream.features import IncrementalDocumentFrequencies
@@ -108,10 +107,6 @@ class StreamingVerifier:
             by cold fits (``bootstrap`` and full retrains).
         warm_epochs: Pegasos passes per warm tick update.
         detector: drift detector; ``None`` installs the defaults.
-        cache: optional :class:`~repro.perf.cache.FeatureCache`; the
-            per-tick delta feature matrices are memoized under keys
-            carrying the snapshot epoch, so a resumed or replayed tick
-            can never be served another epoch's features.
         checkpoint_dir: crawl checkpoint directory (``None`` disables).
         max_pages: per-site crawl page cap.
     """
@@ -127,7 +122,6 @@ class StreamingVerifier:
         seed: int = 0,
         warm_epochs: int = 3,
         detector: DriftDetector | None = None,
-        cache: FeatureCache | None = None,
         checkpoint_dir: str | Path | None = None,
         max_pages: int | None = None,
     ) -> None:
@@ -142,7 +136,6 @@ class StreamingVerifier:
         self._seed = seed
         self._warm_epochs = warm_epochs
         self._detector = detector if detector is not None else DriftDetector()
-        self._cache = cache
         self._crawl = DeltaCrawlStore(
             corpus, checkpoint_dir=checkpoint_dir, max_pages=max_pages
         )
@@ -156,7 +149,6 @@ class StreamingVerifier:
         self._tokens: dict[str, tuple[str, ...]] = {}
         self._verdicts: dict[str, int] = {}
         self._epoch = 0
-        self._fitted_epoch = 0
 
     # -- introspection ------------------------------------------------------
 
@@ -254,7 +246,6 @@ class StreamingVerifier:
         )
         svm.fit(matrix, y)
         self._svm = svm
-        self._fitted_epoch = self._epoch
         predicted = svm.predict(matrix)
         self._verdicts = {d: int(predicted[i]) for i, d in enumerate(domains)}
         self._detector.set_baseline(np.asarray(matrix.mean(axis=0)).ravel())
@@ -289,7 +280,9 @@ class StreamingVerifier:
             stacked = self._matrix
             if applied.changed:
                 base = stacked.shape[0]
-                delta_matrix = self._transform_delta(applied.changed)
+                delta_matrix = self.vectorizer.transform(
+                    [self._tokens[d] for d in applied.changed]
+                )
                 stacked = sp.vstack([stacked, delta_matrix], format="csr")
                 for i, domain in enumerate(applied.changed):
                     self._row_of[domain] = base + i
@@ -337,40 +330,6 @@ class StreamingVerifier:
             seconds=time.perf_counter() - started,
             rank_sweeps=rank_sweeps,
         )
-
-    def _transform_delta(self, changed: tuple[str, ...]) -> sp.csr_matrix:
-        """TF-IDF rows of the changed documents, memoized per epoch.
-
-        The cache key carries the snapshot epoch and the vocabulary's
-        fit epoch: the same document content transformed under a later
-        retrain's vocabulary is a different matrix, and a replayed
-        tick must never be served a neighbouring epoch's rows.
-        """
-        vectorizer = self.vectorizer
-        token_lists = [self._tokens[d] for d in changed]
-        if self._cache is None:
-            return vectorizer.transform(token_lists)
-
-        def extract() -> sp.csr_matrix:
-            # Valid only for the epoch the delta was cut at: the row
-            # order follows this epoch's changed-domain list.
-            assert self._epoch >= self._fitted_epoch
-            return vectorizer.transform(token_lists)
-
-        key = self._cache.key(
-            "stream-delta-tfidf",
-            content_fingerprint(
-                part
-                for domain, tokens in zip(changed, token_lists)
-                for part in (domain, " ".join(tokens))
-            ),
-            {
-                "epoch": self._epoch,
-                "fitted_epoch": self._fitted_epoch,
-                "min_df": self._min_df,
-            },
-        )
-        return self._cache.get_or_compute(key, extract)
 
     # -- full retrain / oracle ---------------------------------------------
 

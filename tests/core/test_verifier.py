@@ -5,6 +5,7 @@ import pytest
 
 import repro.core.verifier
 from repro.core.verifier import MIN_CONFIDENCE, PharmacyVerifier
+from repro.data.corpus import ILLEGITIMATE, LEGITIMATE
 from repro.exceptions import NotFittedError, ValidationError
 from repro.ml.svm import LinearSVC
 from repro.web.crawler import CrawlStats
@@ -104,6 +105,35 @@ class TestGracefulDegradation:
         assert report.legitimacy_probability == pytest.approx(0.5)
         assert report.text_rank == 0.0
         assert report.confidence >= MIN_CONFIDENCE
+
+    def test_textless_and_expired_sites_share_the_network_only_cut(
+        self, fitted_verifier
+    ):
+        verifier, corpus = fitted_verifier
+        seed_domain = next(
+            corpus.domains[i]
+            for i in range(0, len(corpus), 2)
+            if corpus.labels[i] == LEGITIMATE
+        )
+        untrusted = Website(domain="ghost-pharmacy.com", pages=())
+        trusted = Website(
+            domain="linked-ghost.com",
+            pages=(
+                WebPage(
+                    url="https://www.linked-ghost.com/",
+                    text="",
+                    links=(f"https://www.{seed_domain}/",),
+                ),
+            ),
+        )
+        for site, expected in ((untrusted, ILLEGITIMATE), (trusted, LEGITIMATE)):
+            textless = verifier.verify_site(site)
+            (expired,) = verifier.verify_sites([site], deadline=0.0)
+            assert "no_text" in textless.degradation_reasons
+            assert "deadline_exceeded" in expired.degradation_reasons
+            assert textless.network_rank == expired.network_rank
+            assert (textless.network_rank > 0.0) == (expected == LEGITIMATE)
+            assert textless.predicted_label == expired.predicted_label == expected
 
     def test_batch_with_degraded_members_never_raises(self, fitted_verifier):
         verifier, corpus = fitted_verifier

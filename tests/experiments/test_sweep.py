@@ -2,9 +2,10 @@
 
 The load-bearing property is compute-sharing equivalence: fitting each
 (subset, fold)'s feature matrices once and sharing them across the
-roster (``shared=True``) must produce tables identical to refitting
-per config (``shared=False``), at any worker count, with or without
-the disk cache.
+roster must produce tables identical to the library's per-entry
+cross-validation (one ``TfidfTextPipeline`` per entry, each refitting
+its own vectorizer), at any worker count, with or without the disk
+cache.
 """
 
 import random
@@ -12,12 +13,15 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.evaluation import cross_validate_pipeline
+from repro.core.text_pipeline import TfidfTextPipeline
 from repro.exceptions import ValidationError
 from repro.experiments.sweep import SweepEntry, run_tfidf_sweep
 from repro.ml.naive_bayes import MultinomialNB
 from repro.ml.sampling import SMOTE
 from repro.ml.svm import LinearSVC
 from repro.perf.cache import FeatureCache
+from repro.text.summarization import SummaryDocument
 
 VOCAB = [f"w{i}" for i in range(30)]
 
@@ -40,6 +44,25 @@ ROSTER = (
 )
 
 
+def per_entry_cv(roster, labels, by_subset, n_folds=3, cv_seed=0):
+    """The library reference: one pipeline CV per (entry, subset)."""
+    out = {}
+    for subset, tokens in by_subset.items():
+        docs = [
+            SummaryDocument(f"site{i}.com", tuple(doc), len(doc))
+            for i, doc in enumerate(tokens)
+        ]
+        for entry in roster:
+            out[(entry.name, subset)] = cross_validate_pipeline(
+                lambda: TfidfTextPipeline(entry.classifier, entry.sampler),
+                docs,
+                labels,
+                n_folds,
+                cv_seed,
+            )
+    return out
+
+
 class TestRunTfidfSweep:
     def test_result_grid_shape(self):
         labels, by_subset = make_corpus()
@@ -51,11 +74,10 @@ class TestRunTfidfSweep:
             assert len(report.fold_reports) == 3
             assert 0.0 <= report.measure("auc_roc").mean <= 1.0
 
-    def test_shared_equals_per_config_refit(self):
+    def test_shared_equals_library_per_entry_cv(self):
         labels, by_subset = make_corpus()
-        shared = run_tfidf_sweep(ROSTER, labels, by_subset, shared=True)
-        refit = run_tfidf_sweep(ROSTER, labels, by_subset, shared=False)
-        assert shared == refit
+        shared = run_tfidf_sweep(ROSTER, labels, by_subset)
+        assert shared == per_entry_cv(ROSTER, labels, by_subset)
 
     def test_parallel_equals_serial(self):
         labels, by_subset = make_corpus(seed=1)
@@ -112,22 +134,3 @@ class TestSweepEntry:
         run_tfidf_sweep((entry,), labels, by_subset, n_folds=2)
         assert entry.classifier.get_params() == params_before
 
-
-class TestRunnerFlag:
-    def test_per_config_refit_flag_disables_sharing(self, monkeypatch, capsys):
-        # The CLI flag flips the config knob; results stay identical
-        # (pinned above by test_shared_equals_per_config_refit).
-        from repro.experiments import runner
-
-        captured = {}
-
-        def fake_run(experiment_id, config):
-            captured[experiment_id] = config
-            return ""
-
-        monkeypatch.setattr(runner, "run_experiment", fake_run)
-        runner.main(["--scale", "tiny", "--per-config-refit", "table3"])
-        assert captured["table3"].shared_sweeps is False
-        runner.main(["--scale", "tiny", "table3"])
-        assert captured["table3"].shared_sweeps is True
-        capsys.readouterr()

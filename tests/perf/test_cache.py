@@ -111,14 +111,6 @@ class TestFeatureCache:
         reader = FeatureCache(tmp_path)
         np.testing.assert_array_equal(reader.load(key), fresh)
 
-    def test_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert FeatureCache.from_env() is None
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cache = FeatureCache.from_env()
-        assert cache is not None
-        assert cache.root == tmp_path
-
 
 class TestSizeBudget:
     """LRU eviction under a max_bytes budget."""
@@ -184,15 +176,3 @@ class TestSizeBudget:
         before = path.stat().st_mtime
         cache.load(key)
         assert path.stat().st_mtime > before
-
-    def test_from_env_budget(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "12345")
-        cache = FeatureCache.from_env()
-        assert cache is not None and cache.max_bytes == 12345
-
-    def test_from_env_malformed_budget_raises(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "lots")
-        with pytest.raises(ValidationError):
-            FeatureCache.from_env()

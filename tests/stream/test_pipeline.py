@@ -19,7 +19,6 @@ import pytest
 from repro.data.deltas import StreamCorpus, plan_deltas
 from repro.network.construction import build_pharmacy_graph
 from repro.network.trustrank import trustrank
-from repro.perf.cache import FeatureCache
 from repro.stream.crawl import DeltaCrawlStore
 from repro.stream.drift import DriftDetector
 from repro.stream.pipeline import StreamingVerifier
@@ -120,31 +119,6 @@ class TestRetrain:
             streamed.verifier.vectorizer.vocabulary.terms()
             == streamed.full.vocabulary_terms
         )
-
-
-class TestFeatureCache:
-    def test_epoch_keyed_cache_replays_identically(self, tmp_path):
-        deltas = plan_deltas(STREAM_GEN, STREAM_CFG)[:3]
-        cache = FeatureCache(tmp_path / "cache")
-
-        def run():
-            corpus = StreamCorpus.generate(STREAM_GEN)
-            verifier = StreamingVerifier(
-                corpus, detector=_quiet_detector(), cache=cache
-            )
-            verifier.bootstrap()
-            for delta in deltas:
-                verifier.apply_tick(delta)
-            return verifier.verdicts
-
-        first = run()
-        assert cache.stats.stores > 0
-        hits_before = cache.stats.hits
-        second = run()
-        # The replayed ticks hit the epoch-keyed entries and reproduce
-        # the exact same verdicts.
-        assert cache.stats.hits > hits_before
-        assert second == first
 
 
 class TestFeatureRows:
