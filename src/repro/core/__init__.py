@@ -8,6 +8,7 @@ from repro.core.ensemble_pipeline import (
 from repro.core.evaluation import (
     AggregatedReport,
     MeasureSummary,
+    PipelineScores,
     cross_validate_indexed,
     cross_validate_pipeline,
     train_test_evaluate,
@@ -39,6 +40,7 @@ __all__ = [
     "EnsembleClassificationPipeline",
     "AggregatedReport",
     "MeasureSummary",
+    "PipelineScores",
     "cross_validate_indexed",
     "cross_validate_pipeline",
     "train_test_evaluate",

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.evaluation import PipelineScores, classifier_scores
 from repro.core.network_pipeline import NetworkClassificationPipeline
 from repro.data.corpus import PharmacyCorpus
 from repro.exceptions import NotFittedError, ValidationError
@@ -34,6 +35,9 @@ from repro.text.term_vector import TfidfVectorizer
 
 __all__ = ["EnsembleClassificationPipeline", "CombinedFeaturePipeline"]
 
+#: Slice of the training fold held out for the greedy selection.
+_HILLCLIMB_FRACTION = 0.3
+
 
 class EnsembleClassificationPipeline:
     """Text + network model library combined by Ensemble Selection.
@@ -50,8 +54,6 @@ class EnsembleClassificationPipeline:
     Args:
         corpus: full working set.
         documents: summary documents aligned with the corpus rows.
-        hillclimb_fraction: slice of the training fold held out for the
-            greedy selection.
         seed: RNG seed (hill-climbing split, member classifiers).
         include_ngg_member: include the (expensive) N-Gram-Graph MLP
             member; disable for quick runs.
@@ -64,7 +66,6 @@ class EnsembleClassificationPipeline:
         self,
         corpus: PharmacyCorpus,
         documents: Sequence[SummaryDocument],
-        hillclimb_fraction: float = 0.3,
         seed: int = 0,
         include_ngg_member: bool = True,
         graph: DirectedGraph | None = None,
@@ -75,7 +76,6 @@ class EnsembleClassificationPipeline:
             )
         self._corpus = corpus
         self._documents = list(documents)
-        self._hillclimb_fraction = hillclimb_fraction
         self._seed = seed
         self._include_ngg = include_ngg_member
         self._graph = graph
@@ -94,7 +94,7 @@ class EnsembleClassificationPipeline:
         labels = self._corpus.labels
         y_train = labels[train_idx]
         sub_rel, hill_rel = train_test_split(
-            y_train, test_fraction=self._hillclimb_fraction, seed=self._seed
+            y_train, test_fraction=_HILLCLIMB_FRACTION, seed=self._seed
         )
         sub_idx = train_idx[sub_rel]
         hill_idx = train_idx[hill_rel]
@@ -148,32 +148,33 @@ class EnsembleClassificationPipeline:
                 )
             )
 
-        # Network member (NB on TrustRank scores, seeded on sub-train).
+        # Network member (NB on TrustRank scores, seeded on sub-train):
+        # the network classifier's two-column probabilities over the
+        # column it was fitted on.
         network = NetworkClassificationPipeline(
             self._corpus, GaussianNB(), graph=self._graph
         )
         network.fit(sub_idx)
+        X_net_all = network.feature_matrix.column("outlink_trust").reshape(-1, 1)
         library.append(
             LibraryModel(
                 name="nb-network",
-                predict_proba=lambda idx: network.predict_proba(idx),
+                predict_proba=_indexed_proba(network.classifier, X_net_all),
             )
         )
         return library
 
-    # -- prediction --------------------------------------------------------
+    def score(self, indices: Sequence[int]) -> PipelineScores:
+        """Score corpus rows by one bag-averaged probability.
 
-    def predict(self, indices: Sequence[int]) -> np.ndarray:
+        Labels cut it at 0.5, as :meth:`EnsembleSelection.predict
+        <repro.ml.ensemble.EnsembleSelection.predict>` does; the
+        probability is also the AUC score and the rank term.
+        """
         idx = np.asarray(indices, dtype=np.int64)
-        return self.selection.predict(idx)
-
-    def predict_proba(self, indices: Sequence[int]) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        return self.selection.predict_proba(idx)
-
-    def decision_scores(self, indices: Sequence[int]) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        return self.selection.decision_scores(idx)
+        proba = self.selection.predict_proba(idx)[:, 1]
+        labels = (proba >= 0.5).astype(np.int64)
+        return PipelineScores(labels=labels, scores=proba, proba=proba, rank=proba)
 
 
 def _indexed_proba(model: BaseClassifier, X_all) -> Callable[[np.ndarray], np.ndarray]:
@@ -247,21 +248,9 @@ class CombinedFeaturePipeline:
         self._classifier = classifier
         return self
 
-    def _require_fitted(self) -> BaseClassifier:
+    def score(self, indices: Sequence[int]) -> PipelineScores:
+        """Score corpus rows; the rank term is the probability."""
         if self._X_all is None or self._classifier is None:
             raise NotFittedError("CombinedFeaturePipeline is not fitted")
-        return self._classifier
-
-    def _rows(self, indices: Sequence[int]) -> np.ndarray:
-        assert self._X_all is not None
         idx = np.asarray(indices, dtype=np.int64)
-        return self._X_all[idx]
-
-    def predict(self, indices: Sequence[int]) -> np.ndarray:
-        return self._require_fitted().predict(self._rows(indices))
-
-    def predict_proba(self, indices: Sequence[int]) -> np.ndarray:
-        return self._require_fitted().predict_proba(self._rows(indices))
-
-    def decision_scores(self, indices: Sequence[int]) -> np.ndarray:
-        return self._require_fitted().decision_scores(self._rows(indices))
+        return classifier_scores(self._classifier, self._X_all[idx])

@@ -10,10 +10,11 @@ on another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.ml.base import BaseClassifier
 from repro.ml.metrics import (
     BinaryClassificationReport,
     classification_report,
@@ -24,6 +25,8 @@ from repro.ml.model_selection import StratifiedKFold
 __all__ = [
     "AggregatedReport",
     "MeasureSummary",
+    "PipelineScores",
+    "classifier_scores",
     "cross_validate_pipeline",
     "cross_validate_indexed",
     "train_test_evaluate",
@@ -38,6 +41,41 @@ MEASURES = (
     "illegitimate_recall",
     "auc_roc",
 )
+
+
+@dataclass(frozen=True, slots=True)
+class PipelineScores:
+    """What a pipeline's ``score`` returns: one featurization, four views.
+
+    Attributes:
+        labels: hard labels (1 legitimate, 0 illegitimate).
+        scores: continuous score increasing with legitimacy; AUC reads it.
+        proba: probability of the legitimate class.
+        rank: the Section-5 rank term (textRank, Equation 3 or
+            networkRank).
+    """
+
+    labels: np.ndarray
+    scores: np.ndarray
+    proba: np.ndarray
+    rank: np.ndarray
+
+
+def classifier_scores(
+    classifier: BaseClassifier, X: Any, rank: np.ndarray | None = None
+) -> PipelineScores:
+    """Score feature rows ``X`` with a fitted classifier.
+
+    ``rank`` is the pipeline's Section-5 term; it defaults to the
+    legitimate-class probability.
+    """
+    proba = classifier.predict_proba(X)[:, -1]
+    return PipelineScores(
+        labels=classifier.predict(X),
+        scores=classifier.decision_scores(X),
+        proba=proba,
+        rank=proba if rank is None else rank,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,12 +137,15 @@ def cross_validate_pipeline(
     n_folds: int = 3,
     seed: int = 0,
 ) -> AggregatedReport:
-    """K-fold CV of a text pipeline (fit/predict on document lists).
+    """K-fold CV of a text pipeline (fit/score on document lists).
+
+    Each test fold is featurized once, by one ``score`` call.
 
     Args:
         pipeline_factory: zero-arg callable returning a fresh unfitted
-            pipeline with fit / predict / decision_scores methods
-            taking document sequences.
+            pipeline whose ``fit(documents, y)`` and ``score(documents)``
+            take document sequences; ``score`` returns
+            :class:`PipelineScores`.
         documents: per-pharmacy summary documents.
         y: labels aligned with ``documents``.
         n_folds: fold count (paper: 3).
@@ -116,11 +157,9 @@ def cross_validate_pipeline(
     for train_idx, test_idx in splitter.split(labels):
         pipeline = pipeline_factory()
         pipeline.fit([documents[i] for i in train_idx], labels[train_idx])
-        test_docs = [documents[i] for i in test_idx]
-        predictions = pipeline.predict(test_docs)
-        scores = pipeline.decision_scores(test_docs)
+        scored = pipeline.score([documents[i] for i in test_idx])
         reports.append(
-            classification_report(labels[test_idx], predictions, scores)
+            classification_report(labels[test_idx], scored.labels, scored.scores)
         )
     return AggregatedReport(fold_reports=tuple(reports))
 
@@ -164,8 +203,7 @@ def train_test_evaluate(
     """Train on one corpus, evaluate on another (Section 6.5 Old-New)."""
     pipeline = pipeline_factory()
     pipeline.fit(list(train_documents), np.asarray(y_train, dtype=np.int64))
-    predictions = pipeline.predict(list(test_documents))
-    scores = pipeline.decision_scores(list(test_documents))
+    scored = pipeline.score(list(test_documents))
     return classification_report(
-        np.asarray(y_test, dtype=np.int64), predictions, scores
+        np.asarray(y_test, dtype=np.int64), scored.labels, scored.scores
     )

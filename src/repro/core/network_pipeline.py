@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.evaluation import PipelineScores, classifier_scores
 from repro.data.corpus import LEGITIMATE, PharmacyCorpus
 from repro.exceptions import NotFittedError
 from repro.ml.base import BaseClassifier, clone
@@ -52,13 +53,10 @@ class NetworkClassificationPipeline:
         corpus: the full working set P (train + test pharmacies).
         classifier: unfitted classifier prototype (paper: Naïve Bayes).
         damping: TrustRank damping factor.
-        feature_columns: which extractor columns feed the classifier.
-            Defaults to ``("outlink_trust",)`` — see
-            :class:`~repro.network.features.NetworkFeatureExtractor`
-            for why the seed-biased own-node score is excluded.
         include_anti_trustrank: also seed distrust from the training
-            illegitimate pharmacies and append the distrust columns
-            (future-work extension).
+            illegitimate pharmacies and append the ``outlink_distrust``
+            column to the classifier's ``outlink_trust`` (future-work
+            extension).
         use_auxiliary_sites: add the corpus's non-pharmacy auxiliary
             sites (health portals / spam directories) to the link graph
             (future-work extension (a)); when enabled, pharmacies gain
@@ -80,7 +78,6 @@ class NetworkClassificationPipeline:
         corpus: PharmacyCorpus,
         classifier: BaseClassifier | None = None,
         damping: float = 0.85,
-        feature_columns: Sequence[str] = ("outlink_trust",),
         include_anti_trustrank: bool = False,
         use_auxiliary_sites: bool = False,
         cache: FeatureCache | None = None,
@@ -89,10 +86,6 @@ class NetworkClassificationPipeline:
         self._corpus = corpus
         self._prototype = classifier or GaussianNB()
         self._damping = damping
-        columns = tuple(feature_columns)
-        if use_auxiliary_sites and "inlink_trust" not in columns:
-            columns = columns + ("inlink_trust",)
-        self._feature_columns = columns
         self._include_anti = include_anti_trustrank
         self._use_auxiliary = use_auxiliary_sites
         self._cache = cache
@@ -165,35 +158,24 @@ class NetworkClassificationPipeline:
         return self
 
     def _select_columns(self, matrix: NetworkFeatureMatrix) -> np.ndarray:
-        columns = list(self._feature_columns)
-        if self._include_anti:
-            for name in ("outlink_distrust",):
-                if name not in columns and name in matrix.feature_names:
-                    columns.append(name)
+        # Not the seed-biased own-node score: see NetworkFeatureExtractor.
+        columns = ["outlink_trust"]
+        if self._use_auxiliary:
+            columns.append("inlink_trust")
+        if self._include_anti and "outlink_distrust" in matrix.feature_names:
+            columns.append("outlink_distrust")
         return np.column_stack([matrix.column(name) for name in columns])
 
-    def _rows(self, indices: Sequence[int]) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        return self._select_columns(self.feature_matrix)[idx]
+    def score(self, indices: Sequence[int]) -> PipelineScores:
+        """Score corpus rows ``indices``.
 
-    def predict(self, indices: Sequence[int]) -> np.ndarray:
-        """Predicted labels for corpus rows ``indices``."""
-        return self.classifier.predict(self._rows(indices))
-
-    def predict_proba(self, indices: Sequence[int]) -> np.ndarray:
-        return self.classifier.predict_proba(self._rows(indices))
-
-    def decision_scores(self, indices: Sequence[int]) -> np.ndarray:
-        return self.classifier.decision_scores(self._rows(indices))
-
-    def network_rank(self, indices: Sequence[int]) -> np.ndarray:
-        """The networkRank term of Section 5: the TrustRank value.
-
-        Returns the raw trust feature (not the classifier output),
-        matching "networkRank() simply returns the TrustRank value".
+        The rank term is networkRank (Section 5): the raw TrustRank
+        value, own node plus outlink trust, not the classifier output —
+        "networkRank() simply returns the TrustRank value".
         """
         idx = np.asarray(indices, dtype=np.int64)
-        trust = self.feature_matrix.column("outlink_trust") + self.feature_matrix.column(
-            "trustrank"
+        matrix = self.feature_matrix
+        trust = matrix.column("outlink_trust") + matrix.column("trustrank")
+        return classifier_scores(
+            self.classifier, self._select_columns(matrix)[idx], trust[idx]
         )
-        return trust[idx]

@@ -1,7 +1,7 @@
 """Text-classification pipelines (Section 4.1): TF-IDF and N-Gram Graphs.
 
 A *pipeline* wires one text representation, an optional resampler, and
-one classifier into a fit/predict unit operating on summary documents.
+one classifier into a fit/score unit operating on summary documents.
 Two flavours mirror the paper:
 
 * :class:`TfidfTextPipeline` — Term Vector model with TF-IDF weights;
@@ -12,7 +12,9 @@ Two flavours mirror the paper:
   representation, and the class graphs are built from a random half of
   the training instances.
 
-Both expose ``text_rank`` — the ranking signal of Section 5:
+Each featurizes a batch once in ``score``, whose
+:class:`~repro.core.evaluation.PipelineScores` carries the labels, the
+AUC score, the probability and the textRank term of Section 5:
 probabilistic classifiers contribute their legitimate-class membership
 probability, non-probabilistic ones (SVM) the hard 0/1 label, and the
 N-Gram-Graph pipeline the similarity sum of Equation 3.
@@ -20,10 +22,12 @@ N-Gram-Graph pipeline the similarity sum of Equation 3.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
+from repro.core.evaluation import PipelineScores, classifier_scores
 from repro.exceptions import NotFittedError
 from repro.ml.base import BaseClassifier, clone
 from repro.ml.svm import LinearSVC
@@ -59,47 +63,19 @@ class TfidfTextPipeline:
 
     Args:
         classifier: unfitted classifier prototype (cloned on fit).
+            Wrap it in :class:`~repro.ml.calibration.CalibratedClassifier`
+            for Platt-calibrated probabilities.
         sampler: optional resampler with ``fit_resample(X, y)``
             (:class:`~repro.ml.sampling.RandomUnderSampler` or
             :class:`~repro.ml.sampling.SMOTE`); ``None`` keeps the
             natural distribution.
-        min_df: vectorizer document-frequency floor.
-        probabilistic_rank: when False (the paper's convention for
-            SVM), ``text_rank`` returns hard 0/1 labels instead of
-            membership probabilities.  Defaults to auto: False for
-            LinearSVC, True otherwise.
-        calibrate: fit a Platt scaler on a held-out slice of the
-            training data so ``predict_proba`` (and ``text_rank``,
-            which becomes probabilistic) returns calibrated
-            probabilities — the production alternative to the paper's
-            hard 0/1 SVM ranking.
-        calibration_fraction: training fraction held out for Platt
-            scaling when ``calibrate`` is on.
-        seed: RNG seed for the calibration split.
     """
 
-    def __init__(
-        self,
-        classifier: BaseClassifier,
-        sampler=None,
-        min_df: int = 1,
-        probabilistic_rank: bool | None = None,
-        calibrate: bool = False,
-        calibration_fraction: float = 0.25,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, classifier: BaseClassifier, sampler=None) -> None:
         self._prototype = classifier
         self._sampler = sampler
-        self._min_df = min_df
-        if probabilistic_rank is None:
-            probabilistic_rank = calibrate or not isinstance(classifier, LinearSVC)
-        self._probabilistic_rank = probabilistic_rank
-        self._calibrate = calibrate
-        self._calibration_fraction = calibration_fraction
-        self._seed = seed
         self._vectorizer: TfidfVectorizer | None = None
         self._classifier: BaseClassifier | None = None
-        self._scaler = None
 
     @property
     def classifier(self) -> BaseClassifier:
@@ -111,90 +87,31 @@ class TfidfTextPipeline:
         self, documents: Sequence[SummaryDocument], y: Sequence[int]
     ) -> "TfidfTextPipeline":
         """Vectorize, optionally resample, and fit the classifier."""
-        tokens = [doc.tokens for doc in documents]
-        vectorizer = TfidfVectorizer(min_df=self._min_df)
-        X = vectorizer.fit_transform(tokens)
+        vectorizer = TfidfVectorizer()
+        X = vectorizer.fit_transform([doc.tokens for doc in documents])
         y_arr = np.asarray(y, dtype=np.int64)
-        self._vectorizer = vectorizer
-        self._scaler = None
-        if self._calibrate:
-            from repro.ml.calibration import PlattScaler
-            from repro.ml.model_selection import train_test_split
-
-            fit_idx, holdout_idx = train_test_split(
-                y_arr, test_fraction=self._calibration_fraction, seed=self._seed
-            )
-            X_fit, y_fit = X[fit_idx], y_arr[fit_idx]
-            if self._sampler is not None:
-                X_fit, y_fit = self._sampler.fit_resample(X_fit, y_fit)
-            classifier = clone(self._prototype)
-            classifier.fit(X_fit, y_fit)
-            self._scaler = PlattScaler().fit(
-                classifier.decision_scores(X[holdout_idx]), y_arr[holdout_idx]
-            )
-            self._classifier = classifier
-            return self
         if self._sampler is not None:
             X, y_arr = self._sampler.fit_resample(X, y_arr)
         classifier = clone(self._prototype)
         classifier.fit(X, y_arr)
+        self._vectorizer = vectorizer
         self._classifier = classifier
         return self
 
-    def _transform(self, documents: Sequence[SummaryDocument]):
+    def score(self, documents: Sequence[SummaryDocument]) -> PipelineScores:
+        """Score documents through one TF-IDF transform.
+
+        The rank term is the legitimate-class probability, except for
+        :class:`~repro.ml.svm.LinearSVC`, which contributes its hard 0/1
+        label (Section 5).
+        """
         if self._vectorizer is None:
             raise NotFittedError("TfidfTextPipeline has not been fitted")
-        return self._vectorizer.transform([doc.tokens for doc in documents])
-
-    def predict(self, documents: Sequence[SummaryDocument]) -> np.ndarray:
-        if self._scaler is not None:
-            proba = self.predict_proba(documents)
-            classes = self.classifier._fitted_classes()
-            return classes[(proba[:, 1] >= 0.5).astype(np.int64)]
-        return self.classifier.predict(self._transform(documents))
-
-    def predict_proba(self, documents: Sequence[SummaryDocument]) -> np.ndarray:
-        X = self._transform(documents)
-        if self._scaler is not None:
-            pos = self._scaler.transform(self.classifier.decision_scores(X))
-            return np.column_stack([1.0 - pos, pos])
-        return self.classifier.predict_proba(X)
-
-    def decision_scores(self, documents: Sequence[SummaryDocument]) -> np.ndarray:
-        """Continuous positive-class score for ROC analysis."""
-        return self.classifier.decision_scores(self._transform(documents))
-
-    def text_rank(self, documents: Sequence[SummaryDocument]) -> np.ndarray:
-        """The textRank term of Section 5.
-
-        Probability of the legitimate class for probabilistic
-        classifiers, hard 0/1 for non-probabilistic ones.
-        """
-        if self._probabilistic_rank:
-            return self.predict_proba(documents)[:, -1]
-        return self.predict(documents).astype(np.float64)
-
-    def score(
-        self, documents: Sequence[SummaryDocument]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Positive-class probability, labels and textRank in one pass.
-
-        Equal to ``(predict_proba(documents)[:, -1], predict(documents),
-        text_rank(documents))``, but the documents go through the
-        TF-IDF transform once instead of three times.
-        """
-        X = self._transform(documents)
-        classifier = self.classifier
-        if self._scaler is not None:
-            proba = self._scaler.transform(classifier.decision_scores(X))
-            classes = classifier._fitted_classes()
-            labels = classes[(proba >= 0.5).astype(np.int64)]
-        else:
-            proba = classifier.predict_proba(X)[:, -1]
-            labels = classifier.predict(X)
-        if self._probabilistic_rank:
-            return proba, labels, proba
-        return proba, labels, labels.astype(np.float64)
+        X = self._vectorizer.transform([doc.tokens for doc in documents])
+        scored = classifier_scores(self.classifier, X)
+        if isinstance(self._prototype, LinearSVC):
+            return replace(scored, rank=scored.labels.astype(np.float64))
+        return scored
 
 
 class NGramGraphTextPipeline:
@@ -256,20 +173,13 @@ class NGramGraphTextPipeline:
         self._classifier = classifier
         return self
 
-    def _transform(self, documents: Sequence[SummaryDocument]) -> np.ndarray:
-        return self.class_graph_model.transform([doc.text for doc in documents])
+    def score(self, documents: Sequence[SummaryDocument]) -> PipelineScores:
+        """Score documents from one n-gram graph each.
 
-    def predict(self, documents: Sequence[SummaryDocument]) -> np.ndarray:
-        return self.classifier.predict(self._transform(documents))
-
-    def predict_proba(self, documents: Sequence[SummaryDocument]) -> np.ndarray:
-        return self.classifier.predict_proba(self._transform(documents))
-
-    def decision_scores(self, documents: Sequence[SummaryDocument]) -> np.ndarray:
-        return self.classifier.decision_scores(self._transform(documents))
-
-    def text_rank(self, documents: Sequence[SummaryDocument]) -> np.ndarray:
-        """Equation 3 (:func:`similarity_rank`) of each document."""
-        return similarity_rank(
-            self._transform(documents), self.class_graph_model.classes
+        The rank term is Equation 3 (:func:`similarity_rank`).
+        """
+        model = self.class_graph_model
+        features = model.transform([doc.text for doc in documents])
+        return classifier_scores(
+            self.classifier, features, similarity_rank(features, model.classes)
         )

@@ -93,7 +93,8 @@ class VerificationReport:
         confidence: 1.0 for a full-evidence verdict, lowered per
             degradation reason (never below :data:`MIN_CONFIDENCE`).
         degradation_reasons: why the verdict is degraded — a subset of
-            ``{"partial_crawl", "no_text", "no_network_signal"}``.
+            ``{"partial_crawl", "no_text", "no_network_signal",
+            "deadline_exceeded"}``.
     """
 
     domain: str
@@ -171,14 +172,18 @@ class PharmacyVerifier:
         if self._trust_scores is None:
             raise NotFittedError("PharmacyVerifier has not been fitted")
         documents = [self._summarizer.summarize_site(s) for s in sites]
-        scores = self._pipeline.predict_proba(documents)[:, -1]
         self._decision_threshold = threshold_for_precision(
-            labels, scores, min_precision
+            labels, self._pipeline.score(documents).proba, min_precision
         )
         return self._decision_threshold
 
     def fit(self, corpus: PharmacyCorpus) -> "PharmacyVerifier":
-        """Train on a labelled corpus (the oracle-known set P0)."""
+        """Train on a labelled corpus (the oracle-known set P0).
+
+        Refitting clears a threshold set by :meth:`tune_threshold`: it
+        was chosen for the old model's probabilities.
+        """
+        self._decision_threshold = None
         documents = [self._summarizer.summarize_site(s) for s in corpus.sites]
         self._pipeline.fit(documents, corpus.labels)
         graph = build_pharmacy_graph(corpus.sites)
@@ -413,10 +418,11 @@ class PharmacyVerifier:
             return np.empty(0), np.empty(0, dtype=int), np.empty(0)
         try:
             documents = [self._summarizer.summarize_site(s) for s in sites]
-            probas, labels, text_ranks = self._pipeline.score(documents)
+            scored = self._pipeline.score(documents)
+            labels = scored.labels
             if self._decision_threshold is not None:
-                labels = (probas >= self._decision_threshold).astype(int)
-            return probas, labels, text_ranks
+                labels = (scored.proba >= self._decision_threshold).astype(int)
+            return scored.proba, labels, scored.rank
         except ReproError:
             logger.warning(
                 "text pipeline failed on %d site(s); degrading to "

@@ -86,8 +86,8 @@ def _fit_predict(
     pipelines whose training labels or documents vary per fold.
     """
     pipeline.fit([documents[i] for i in train_idx], y_train)
-    test_documents = [documents[i] for i in test_idx]
-    return pipeline.predict(test_documents), pipeline.decision_scores(test_documents)
+    scored = pipeline.score([documents[i] for i in test_idx])
+    return scored.labels, scored.scores
 
 
 def sampling_ablation(
@@ -197,12 +197,11 @@ def ranking_combiner_ablation(
     text_only, network_only, cumulative = [], [], []
     for train_idx, test_idx in splitter.split(y):
         network = NetworkClassificationPipeline(corpus, GaussianNB())
-        network.fit(train_idx)
-        net_rank = network.network_rank(test_idx)
+        net_rank = network.fit(train_idx).score(test_idx).rank
 
         text = TfidfTextPipeline(MultinomialNB())
         text.fit([docs[i] for i in train_idx], y[train_idx])
-        text_rank = text.text_rank([docs[i] for i in test_idx])
+        text_rank = text.score([docs[i] for i in test_idx]).rank
 
         test_domains = [domains[i] for i in test_idx]
         y_test = y[test_idx]
@@ -404,11 +403,10 @@ def review_effort_experiment(
     rng = np.random.default_rng(config.cv_seed)
     for train_idx, test_idx in splitter.split(y):
         network = NetworkClassificationPipeline(corpus, GaussianNB())
-        network.fit(train_idx)
-        net_rank = network.network_rank(test_idx)
+        net_rank = network.fit(train_idx).score(test_idx).rank
         text = TfidfTextPipeline(MultinomialNB())
         text.fit([docs[i] for i in train_idx], y[train_idx])
-        ranks = text.text_rank([docs[i] for i in test_idx]) + net_rank
+        ranks = text.score([docs[i] for i in test_idx]).rank + net_rank
         y_test = y[test_idx]
         ranked_effort.append(
             effort_to_find_fraction(ranks, y_test, 0.9, target_label=1)

@@ -333,8 +333,8 @@ def _network_report(
         pipeline = NetworkClassificationPipeline(
             corpus, GaussianNB(), **pipeline_params
         )
-        pipeline.fit(train_idx)
-        return pipeline.predict(test_idx), pipeline.decision_scores(test_idx)
+        scored = pipeline.fit(train_idx).score(test_idx)
+        return scored.labels, scored.scores
 
     return cross_validate_indexed(
         fit_predict, corpus.labels, n_folds=config.n_folds, seed=config.cv_seed
@@ -368,8 +368,8 @@ def _ensemble_cv(config: ExperimentConfig) -> AggregatedReport:
                 corpus, docs, seed=config.cv_seed,
                 graph=_link_graph(config, corpus),
             )
-            pipeline.fit(train_idx)
-            return pipeline.predict(test_idx), pipeline.decision_scores(test_idx)
+            scored = pipeline.fit(train_idx).score(test_idx)
+            return scored.labels, scored.scores
 
         return cross_validate_indexed(
             fit_predict, corpus.labels, n_folds=config.n_folds, seed=config.cv_seed
@@ -400,8 +400,7 @@ def _ranking_pairord(config: ExperimentConfig) -> dict[str, float]:
                 cache=_feature_cache(config),
                 graph=_link_graph(config, corpus),
             )
-            network.fit(train_idx)
-            net_rank = network.network_rank(test_idx)
+            net_rank = network.fit(train_idx).score(test_idx).rank
             test_domains = [domains[i] for i in test_idx]
             y_test = y[test_idx]
 
@@ -409,10 +408,8 @@ def _ranking_pairord(config: ExperimentConfig) -> dict[str, float]:
             test_docs = [docs[i] for i in test_idx]
             for entry in TFIDF_ROSTER:
                 text = TfidfTextPipeline(entry.classifier, entry.sampler)
-                text.fit(train_docs, y[train_idx])
-                ranking = rank_pharmacies(
-                    test_domains, text.text_rank(test_docs), net_rank, y_test
-                )
+                text_rank = text.fit(train_docs, y[train_idx]).score(test_docs).rank
+                ranking = rank_pharmacies(test_domains, text_rank, net_rank, y_test)
                 accumulator[entry.name].append(ranking.pairord)
 
             ngg = ClassGraphModel(seed=config.cv_seed + fold_no)

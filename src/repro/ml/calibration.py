@@ -8,8 +8,9 @@ production deployment usually wants calibrated probabilities instead;
 
 to (score, label) pairs by regularized maximum likelihood (Platt 1999,
 with the Lin/Weng/others target smoothing), and
-:class:`CalibratedClassifier` wraps any fitted classifier exposing
-``decision_scores`` so it gains a calibrated ``predict_proba``.
+:class:`CalibratedClassifier` wraps any classifier prototype exposing
+``decision_scores`` so it gains a calibrated ``predict_proba``; its
+``decision_scores`` is that calibrated probability.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from numpy.typing import ArrayLike
 
 from repro.devtools.contracts import check_row_stochastic, check_score_range
 from repro.exceptions import NotFittedError, ValidationError
-from repro.ml.base import BaseClassifier
+from repro.ml.base import BaseClassifier, check_X_y, clone
+from repro.ml.model_selection import train_test_split
 
 __all__ = ["PlattScaler", "CalibratedClassifier"]
 
@@ -106,37 +108,51 @@ class PlattScaler:
         return self.fit(scores, y).transform(scores)
 
 
-class CalibratedClassifier:
-    """Wrap a fitted classifier with Platt-calibrated probabilities.
+class CalibratedClassifier(BaseClassifier):
+    """A classifier whose probabilities are Platt-calibrated.
+
+    :meth:`fit` holds out a stratified quarter of the training rows
+    (``train_test_split(y, 0.25, seed=0)``), fits a clone of the wrapped
+    prototype on the rest, and fits a :class:`PlattScaler` on the
+    prototype's ``decision_scores`` of the held-out slice.  Being a
+    :class:`~repro.ml.base.BaseClassifier` prototype itself, it drops
+    into any pipeline or verifier, e.g.
+    ``TfidfTextPipeline(CalibratedClassifier(LinearSVC()))``.
 
     Args:
-        classifier: a fitted classifier exposing ``decision_scores``.
-        scores: held-out decision scores for calibration.
-        y: held-out labels aligned with ``scores``.
+        classifier: unfitted binary classifier prototype exposing
+            ``decision_scores`` (cloned on fit).
     """
 
-    def __init__(
-        self, classifier: BaseClassifier, scores: ArrayLike, y: ArrayLike
-    ) -> None:
+    def __init__(self, classifier: BaseClassifier) -> None:
+        super().__init__()
         self._classifier = classifier
-        self._scaler = PlattScaler().fit(scores, y)
+        self._fitted: BaseClassifier | None = None
+        self._scaler: PlattScaler | None = None
 
-    @property
-    def classes_(self) -> np.ndarray | None:
-        """Class labels of the wrapped classifier."""
-        return self._classifier.classes_
+    def fit(self, X: Any, y: Any) -> "CalibratedClassifier":
+        """Fit the prototype on 3/4 of the rows, Platt on the other 1/4."""
+        X, y_arr = check_X_y(X, y)
+        fit_idx, holdout_idx = train_test_split(y_arr, test_fraction=0.25, seed=0)
+        fitted = clone(self._classifier).fit(X[fit_idx], y_arr[fit_idx])
+        classes = fitted._fitted_classes()
+        self._scaler = PlattScaler().fit(
+            fitted.decision_scores(X[holdout_idx]),
+            (y_arr[holdout_idx] == classes[-1]).astype(np.int64),
+        )
+        self._fitted = fitted
+        self.classes_ = classes
+        return self
 
     @check_row_stochastic()
     def predict_proba(self, X: Any) -> np.ndarray:
         """Calibrated class probabilities, columns ``[P(0), P(1)]``."""
-        pos = self._scaler.transform(self._classifier.decision_scores(X))
+        if self._fitted is None or self._scaler is None:
+            raise NotFittedError("CalibratedClassifier has not been fitted")
+        pos = self._scaler.transform(self._fitted.decision_scores(X))
         return np.column_stack([1.0 - pos, pos])
 
     def predict(self, X: Any) -> np.ndarray:
         """Labels from thresholding the calibrated probability at 0.5."""
-        classes = self._classifier._fitted_classes()
+        classes = self._fitted_classes()
         return classes[(self.predict_proba(X)[:, 1] >= 0.5).astype(np.int64)]
-
-    def decision_scores(self, X: Any) -> np.ndarray:
-        """Calibrated positive-class probability (for ROC curves)."""
-        return self.predict_proba(X)[:, 1]

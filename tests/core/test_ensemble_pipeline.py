@@ -31,12 +31,12 @@ class TestEnsemblePipeline:
     def test_predicts_well(self, fitted, tiny_corpus, split):
         _, test = split
         y = tiny_corpus.labels
-        assert accuracy(y[test], fitted.predict(test)) > 0.9
+        assert accuracy(y[test], fitted.score(test).labels) > 0.9
 
     def test_auc_high(self, fitted, tiny_corpus, split):
         _, test = split
         y = tiny_corpus.labels
-        assert auc_roc(y[test], fitted.decision_scores(test)) > 0.95
+        assert auc_roc(y[test], fitted.score(test).scores) > 0.95
 
     def test_bag_contains_library_members(self, fitted):
         names = set(fitted.selection.bag_counts)
@@ -46,7 +46,7 @@ class TestEnsemblePipeline:
     def test_unfitted_raises(self, tiny_corpus, tiny_documents):
         pipeline = EnsembleClassificationPipeline(tiny_corpus, tiny_documents)
         with pytest.raises(NotFittedError):
-            pipeline.predict([0])
+            pipeline.score([0])
 
     def test_length_mismatch_rejected(self, tiny_corpus, tiny_documents):
         with pytest.raises(ValueError):
@@ -60,8 +60,8 @@ class TestCombinedFeaturePipeline:
         pipeline = CombinedFeaturePipeline(
             tiny_corpus, tiny_documents, max_text_features=150, seed=0
         ).fit(train)
-        assert accuracy(y[test], pipeline.predict(test)) > 0.85
+        assert accuracy(y[test], pipeline.score(test).labels) > 0.85
 
     def test_unfitted_raises(self, tiny_corpus, tiny_documents):
         with pytest.raises(NotFittedError):
-            CombinedFeaturePipeline(tiny_corpus, tiny_documents).predict([0])
+            CombinedFeaturePipeline(tiny_corpus, tiny_documents).score([0])

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.evaluation import (
     AggregatedReport,
+    PipelineScores,
     cross_validate_indexed,
     cross_validate_pipeline,
     train_test_evaluate,
@@ -24,16 +25,16 @@ def report(acc):
 
 
 class FakePipeline:
-    """Predicts by thresholding the scalar 'documents' it receives."""
+    """Scores are the scalar 'documents' it receives, cut at 0.5."""
 
     def fit(self, documents, y):
         return self
 
-    def predict(self, documents):
-        return (np.asarray(documents) > 0.5).astype(int)
-
-    def decision_scores(self, documents):
-        return np.asarray(documents, dtype=float)
+    def score(self, documents):
+        scores = np.asarray(documents, dtype=float)
+        return PipelineScores(
+            labels=(scores > 0.5).astype(int), scores=scores, proba=scores, rank=scores
+        )
 
 
 class TestAggregatedReport:
@@ -95,3 +96,54 @@ class TestTrainTestEvaluate:
             FakePipeline, train_docs, y_train, test_docs, y_test
         )
         assert result.accuracy == pytest.approx(1.0)
+
+
+class TestFeaturizeOnce:
+    """Every test document is featurized once: one ``score`` per fold."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        from repro.text.ngram_graph import NGramGraph
+        from repro.text.term_vector import TfidfVectorizer
+
+        counts = {"tfidf_rows": 0, "graphs": 0}
+        transform = TfidfVectorizer.transform
+        from_text = NGramGraph.from_text
+
+        def counting_transform(self, documents):
+            matrix = transform(self, documents)
+            counts["tfidf_rows"] += matrix.shape[0]
+            return matrix
+
+        def counting_from_text(text, n=4, window=4):
+            counts["graphs"] += 1
+            return from_text(text, n=n, window=window)
+
+        monkeypatch.setattr(TfidfVectorizer, "transform", counting_transform)
+        monkeypatch.setattr(NGramGraph, "from_text", counting_from_text)
+        return counts
+
+    @staticmethod
+    def factories():
+        from repro.core.text_pipeline import NGramGraphTextPipeline, TfidfTextPipeline
+        from repro.ml.naive_bayes import GaussianNB, MultinomialNB
+
+        return (
+            lambda: TfidfTextPipeline(MultinomialNB()),
+            lambda: NGramGraphTextPipeline(GaussianNB(), seed=0),
+        )
+
+    def test_cross_validation(self, counts, tiny_corpus, tiny_documents):
+        assert len(tiny_documents) == 100
+        for factory in self.factories():
+            cross_validate_pipeline(factory, tiny_documents, tiny_corpus.labels, n_folds=3)
+        # 200 training rows across the folds, then each of the 100 test rows once.
+        assert counts == {"tfidf_rows": 300, "graphs": 300}
+
+    def test_train_test_evaluate(self, counts, tiny_corpus, tiny_documents):
+        y = tiny_corpus.labels
+        for factory in self.factories():
+            train_test_evaluate(
+                factory, tiny_documents[::2], y[::2], tiny_documents[1::2], y[1::2]
+            )
+        assert counts == {"tfidf_rows": 100, "graphs": 100}

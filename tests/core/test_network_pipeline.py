@@ -14,7 +14,7 @@ class TestNetworkPipeline:
         train = np.arange(0, len(y), 2)
         test = np.arange(1, len(y), 2)
         pipeline = NetworkClassificationPipeline(tiny_corpus).fit(train)
-        preds = pipeline.predict(test)
+        preds = pipeline.score(test).labels
         assert preds.shape == test.shape
         assert set(preds) <= {0, 1}
 
@@ -23,21 +23,21 @@ class TestNetworkPipeline:
         train = np.arange(0, len(y), 2)
         test = np.arange(1, len(y), 2)
         pipeline = NetworkClassificationPipeline(tiny_corpus).fit(train)
-        assert accuracy(y[test], pipeline.predict(test)) > 0.85
+        assert accuracy(y[test], pipeline.score(test).labels) > 0.85
 
     def test_decision_scores_order_classes(self, tiny_corpus):
         y = tiny_corpus.labels
         train = np.arange(0, len(y), 2)
         test = np.arange(1, len(y), 2)
         pipeline = NetworkClassificationPipeline(tiny_corpus).fit(train)
-        scores = pipeline.decision_scores(test)
+        scores = pipeline.score(test).scores
         assert scores[y[test] == 1].mean() > scores[y[test] == 0].mean()
 
     def test_network_rank_uses_trust_values(self, tiny_corpus):
         y = tiny_corpus.labels
         train = np.arange(0, len(y), 2)
         pipeline = NetworkClassificationPipeline(tiny_corpus).fit(train)
-        ranks = pipeline.network_rank(np.arange(len(y)))
+        ranks = pipeline.score(np.arange(len(y))).rank
         assert np.all(ranks >= 0)
         # Seed legit pharmacies hold teleport mass -> highest ranks.
         seed_legit = [i for i in train if y[i] == 1]
@@ -45,7 +45,7 @@ class TestNetworkPipeline:
 
     def test_unfitted_raises(self, tiny_corpus):
         with pytest.raises(NotFittedError):
-            NetworkClassificationPipeline(tiny_corpus).predict([0])
+            NetworkClassificationPipeline(tiny_corpus).score([0])
 
     def test_feature_matrix_exposed(self, tiny_corpus):
         y = tiny_corpus.labels
@@ -62,5 +62,5 @@ class TestNetworkPipeline:
             tiny_corpus, include_anti_trustrank=True
         ).fit(train)
         assert "outlink_distrust" in pipeline.feature_matrix.feature_names
-        preds = pipeline.predict(np.arange(1, len(y), 2))
+        preds = pipeline.score(np.arange(1, len(y), 2)).labels
         assert preds.shape[0] == len(y) // 2

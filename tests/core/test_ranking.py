@@ -108,7 +108,7 @@ class TestRankingOnTinyCorpus:
 
         y = tiny_corpus.labels
         pipeline = TfidfTextPipeline(MultinomialNB()).fit(tiny_documents, y)
-        text_ranks = pipeline.text_rank(tiny_documents)
+        text_ranks = pipeline.score(tiny_documents).rank
         result = rank_pharmacies(
             domains=list(tiny_corpus.domains),
             text_ranks=text_ranks,

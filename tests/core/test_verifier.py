@@ -195,6 +195,46 @@ class TestThresholdTuning:
         verifier, _ = fitted_verifier
         assert verifier.decision_threshold is None
 
+    def test_refit_clears_tuned_threshold(self, tiny_corpus):
+        """A threshold tuned for one model never cuts another's scores."""
+        even = tiny_corpus.subset(np.arange(0, len(tiny_corpus), 2))
+        odd_idx = np.arange(1, len(tiny_corpus), 2)
+        odd = tiny_corpus.subset(odd_idx)
+        verifier = PharmacyVerifier(seed=0).fit(even)
+        verifier.tune_threshold(
+            [tiny_corpus.sites[i] for i in odd_idx],
+            tiny_corpus.labels[odd_idx],
+            min_precision=1.0,
+        )
+        assert verifier.decision_threshold is not None
+        verifier.fit(odd)
+        assert verifier.decision_threshold is None
+        fresh = PharmacyVerifier(seed=0).fit(odd)
+        sites = list(tiny_corpus.sites)
+        assert verifier.verify_sites(sites) == fresh.verify_sites(sites)
+
+
+class TestCalibratedVerifier:
+    def test_fits_verifies_and_round_trips(self, tiny_corpus, tmp_path):
+        from repro.io import load_model, save_model
+        from repro.ml.calibration import CalibratedClassifier
+
+        train = tiny_corpus.subset(np.arange(0, len(tiny_corpus), 2))
+        verifier = PharmacyVerifier(
+            classifier=CalibratedClassifier(LinearSVC()), seed=0
+        ).fit(train)
+        sites = list(tiny_corpus.sites)
+        reports = verifier.verify_sites(sites)
+        # Calibrated probabilities are the text rank, not hard 0/1 labels.
+        assert not {r.text_rank for r in reports} <= {0.0, 1.0}
+        assert all(
+            r.text_rank == r.legitimacy_probability for r in reports if not r.degraded
+        )
+        labels = np.array([r.predicted_label for r in reports])
+        assert (labels == tiny_corpus.labels).mean() > 0.9
+        save_model(verifier, tmp_path / "calibrated.pkl")
+        assert load_model(tmp_path / "calibrated.pkl").verify_sites(sites) == reports
+
 
 class TestBlockWalk:
     """Scoring in blocks equals scoring each site alone."""

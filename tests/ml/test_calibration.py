@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import NotFittedError
+from repro.ml.base import clone
 from repro.ml.calibration import CalibratedClassifier, PlattScaler
 from repro.ml.svm import LinearSVC
 
@@ -63,12 +64,8 @@ class TestCalibratedClassifier:
             [rng.normal(-1, 1, (100, 3)), rng.normal(1, 1, (100, 3))]
         )
         y = np.array([0] * 100 + [1] * 100)
-        train, holdout = np.arange(0, 200, 2), np.arange(1, 200, 2)
-        svm = LinearSVC(n_epochs=15).fit(X[train], y[train])
-        calibrated = CalibratedClassifier(
-            svm, svm.decision_scores(X[holdout]), y[holdout]
-        )
-        proba = calibrated.predict_proba(X[holdout])
+        calibrated = CalibratedClassifier(LinearSVC(n_epochs=15)).fit(X, y)
+        proba = calibrated.predict_proba(X)
         assert np.allclose(proba.sum(axis=1), 1.0)
         # Calibration: average probability ~ class rate.
         assert proba[:, 1].mean() == pytest.approx(0.5, abs=0.1)
@@ -77,19 +74,33 @@ class TestCalibratedClassifier:
         rng = np.random.default_rng(0)
         X = np.vstack([rng.normal(-1, 1, (50, 2)), rng.normal(1, 1, (50, 2))])
         y = np.array([5] * 50 + [9] * 50)  # non-0/1 labels
-        svm = LinearSVC(n_epochs=15).fit(X, y)
-        calibrated = CalibratedClassifier(svm, svm.decision_scores(X), (y == 9).astype(int))
+        calibrated = CalibratedClassifier(LinearSVC(n_epochs=15)).fit(X, y)
         assert set(calibrated.predict(X)) <= {5, 9}
 
     def test_auc_preserved_by_calibration(self):
         """Platt scaling is monotone, so ranking quality is unchanged."""
         from repro.ml.metrics import auc_roc
+        from repro.ml.model_selection import train_test_split
 
         rng = np.random.default_rng(3)
         X = np.vstack([rng.normal(-1, 1, (80, 2)), rng.normal(1, 1, (80, 2))])
         y = np.array([0] * 80 + [1] * 80)
-        svm = LinearSVC(n_epochs=15).fit(X, y)
-        calibrated = CalibratedClassifier(svm, svm.decision_scores(X), y)
+        # The SVM the calibrated classifier fits on its own 3:1 split.
+        fit_idx, _ = train_test_split(y, test_fraction=0.25, seed=0)
+        svm = LinearSVC(n_epochs=15).fit(X[fit_idx], y[fit_idx])
+        calibrated = CalibratedClassifier(LinearSVC(n_epochs=15)).fit(X, y)
         raw_auc = auc_roc(y, svm.decision_scores(X))
         cal_auc = auc_roc(y, calibrated.decision_scores(X))
         assert cal_auc == pytest.approx(raw_auc, abs=1e-9)
+
+    def test_clone_is_an_unfitted_prototype(self):
+        rng = np.random.default_rng(0)
+        X = np.vstack([rng.normal(-1, 1, (40, 2)), rng.normal(1, 1, (40, 2))])
+        y = np.array([0] * 40 + [1] * 40)
+        prototype = CalibratedClassifier(LinearSVC(n_epochs=15))
+        fitted = clone(prototype).fit(X, y)
+        assert fitted.predict_proba(X).shape == (80, 2)
+        with pytest.raises(NotFittedError):
+            prototype.predict_proba(X)
+        with pytest.raises(NotFittedError):
+            clone(fitted).predict(X)
