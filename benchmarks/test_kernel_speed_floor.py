@@ -2,8 +2,10 @@
 
 Each case runs a vectorized kernel and its pure-Python reference
 (:mod:`repro.perf.reference`) on small fixed inputs, takes the best of
-``REPEAT`` timings of each, asserts the two outputs are equivalent, and
-requires reference time / fast time >= ``MIN_SPEEDUP``.  The sweep
+``REPEAT`` timings of each (every repeat times the fast run, then the
+reference run, so host load lands on both sides alike), asserts the two
+outputs are equivalent, and requires reference time / fast time >=
+``MIN_SPEEDUP``.  The sweep
 case's reference is the library's per-entry cross-validation
 (``cross_validate_pipeline`` over one ``TfidfTextPipeline`` per roster
 entry and term subset).  Tier-1 runs
@@ -24,7 +26,7 @@ import pytest
 import scipy.sparse as sp
 
 import repro.perf.reference as ref
-from repro.core.config import preset
+from repro.core.config import ExperimentConfig, preset
 from repro.core.evaluation import cross_validate_pipeline
 from repro.core.text_pipeline import TfidfTextPipeline
 from repro.data.loaders import make_dataset
@@ -45,14 +47,23 @@ REPEAT = 3
 MIN_SPEEDUP = 1.0
 
 
-def _best_of(fn):
-    """(best wall seconds, last result) over ``REPEAT`` runs."""
-    best, result = float("inf"), None
+def _speedup(case):
+    """``(reference s / fast s, fast s, reference s)``, best of ``REPEAT`` each.
+
+    The fast and reference runs alternate within each repeat; their
+    last outputs must pass the case's check.
+    """
+    fast, reference, check = case()
+    fast_s = reference_s = float("inf")
     for _ in range(REPEAT):
         start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        fast_out = fast()
+        middle = time.perf_counter()
+        reference_out = reference()
+        reference_s = min(reference_s, time.perf_counter() - middle)
+        fast_s = min(fast_s, middle - start)
+    check(fast_out, reference_out)
+    return reference_s / fast_s, fast_s, reference_s
 
 
 def _same(fast, reference):
@@ -199,7 +210,8 @@ def densify(n_rows=2_000, n_features=600):
     return lambda: ensure_dense(counts), lambda: ref.reference_ensure_dense(counts), check
 
 
-def sweep_end_to_end(subsets=(100, 250)):
+def sweep_end_to_end(subsets=ExperimentConfig().term_subsets):
+    """The tables' TF-IDF grid: every roster entry at every term subset."""
     corpus = _corpus()
     tokens = [" ".join(p.text for p in site.pages).split() for site in corpus.sites]
     by_subset = {n: [t[:n] for t in tokens] for n in subsets}
@@ -232,9 +244,5 @@ CASES = (
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.__name__)
 def test_fast_kernel_not_slower_than_reference(case):
-    fast, reference, check = case()
-    fast_s, fast_out = _best_of(fast)
-    reference_s, reference_out = _best_of(reference)
-    check(fast_out, reference_out)
-    speedup = reference_s / fast_s
+    speedup, fast_s, reference_s = _speedup(case)
     assert speedup >= MIN_SPEEDUP, f"{speedup:.2f}x: fast {fast_s:.4f}s, loop {reference_s:.4f}s"

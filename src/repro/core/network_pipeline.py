@@ -22,28 +22,14 @@ from repro.data.corpus import LEGITIMATE, PharmacyCorpus
 from repro.exceptions import NotFittedError
 from repro.ml.base import BaseClassifier, clone
 from repro.ml.naive_bayes import GaussianNB
-from repro.network.features import NetworkFeatureExtractor, NetworkFeatureMatrix
+from repro.network.features import NetworkFeatureMatrix, NetworkStage
 from repro.network.graph import DirectedGraph
-from repro.perf.cache import FeatureCache, content_fingerprint
 
 __all__ = ["NetworkClassificationPipeline"]
 
-
-def _link_fingerprint(sites: Sequence, auxiliary: Sequence) -> str:
-    """Fingerprint of the link structure the extractor consumes.
-
-    Network features depend only on domains and outbound links (page
-    text never enters the graph), so the fingerprint covers exactly
-    that — text edits reuse cached TrustRank features, link edits do
-    not.
-    """
-    parts: list[str] = []
-    for site in list(sites) + list(auxiliary):
-        parts.append(site.domain)
-        for page in site.pages:
-            parts.append(page.url)
-            parts.extend(page.links)
-    return content_fingerprint(parts)
+#: Columns the classifier reads, in this order, when the stage has them.
+#: Not the seed-biased own-node score: see NetworkStage.
+_CLASSIFIER_COLUMNS = ("outlink_trust", "inlink_trust", "outlink_distrust")
 
 
 class NetworkClassificationPipeline:
@@ -62,10 +48,6 @@ class NetworkClassificationPipeline:
             (future-work extension (a)); when enabled, pharmacies gain
             in-links from portals, so the ``inlink_trust`` column is
             appended to the classifier features.
-        cache: optional on-disk feature cache; TrustRank feature
-            matrices are memoized per (link structure, fold seeds,
-            extractor params), so repeated folds/runs over the same
-            graph skip the propagation entirely.
         graph: optional prebuilt link graph for exactly this corpus
             (plus its auxiliary sites when ``use_auxiliary_sites``).
             The graph depends only on the working set, never on the
@@ -80,7 +62,6 @@ class NetworkClassificationPipeline:
         damping: float = 0.85,
         include_anti_trustrank: bool = False,
         use_auxiliary_sites: bool = False,
-        cache: FeatureCache | None = None,
         graph: DirectedGraph | None = None,
     ) -> None:
         self._corpus = corpus
@@ -88,10 +69,10 @@ class NetworkClassificationPipeline:
         self._damping = damping
         self._include_anti = include_anti_trustrank
         self._use_auxiliary = use_auxiliary_sites
-        self._cache = cache
         self._shared_graph = graph
         self._classifier: BaseClassifier | None = None
         self._features: NetworkFeatureMatrix | None = None
+        self._rank: np.ndarray | None = None
 
     @property
     def corpus(self) -> PharmacyCorpus:
@@ -121,61 +102,42 @@ class NetworkClassificationPipeline:
         domains = self._corpus.domains
         trusted = [domains[i] for i in train_idx if labels[i] == LEGITIMATE]
         distrusted = [domains[i] for i in train_idx if labels[i] != LEGITIMATE]
-        extractor = NetworkFeatureExtractor(
-            damping=self._damping,
-            include_anti_trustrank=self._include_anti,
+        stage = NetworkStage(self._damping).fit(
+            self._corpus.sites,
+            trusted,
+            distrusted=distrusted if self._include_anti else (),
+            auxiliary_sites=(
+                self._corpus.auxiliary_sites if self._use_auxiliary else ()
+            ),
+            graph=self._shared_graph,
         )
-        auxiliary = self._corpus.auxiliary_sites if self._use_auxiliary else ()
-
-        def extract() -> NetworkFeatureMatrix:
-            return extractor.extract(
-                self._corpus.sites,
-                trusted_domains=trusted,
-                distrusted_domains=distrusted if self._include_anti else (),
-                auxiliary_sites=auxiliary,
-                graph=self._shared_graph,
-            )
-
-        if self._cache is None:
-            self._features = extract()
-        else:
-            key = self._cache.key(
-                "network-features",
-                _link_fingerprint(self._corpus.sites, auxiliary),
-                {
-                    "trusted": sorted(trusted),
-                    "distrusted": sorted(distrusted) if self._include_anti else [],
-                    "damping": self._damping,
-                    "anti": self._include_anti,
-                    "auxiliary": self._use_auxiliary,
-                },
-            )
-            self._features = self._cache.get_or_compute(key, extract)
-        X = self._select_columns(self._features)
+        endpoints = [site.outbound_endpoints() for site in self._corpus.sites]
+        self._features = stage.features(domains, endpoints)
+        self._rank = stage.network_rank(domains, endpoints)
+        X = self._classifier_columns()
         classifier = clone(self._prototype)
         classifier.fit(X[train_idx], labels[train_idx])
         self._classifier = classifier
         return self
 
-    def _select_columns(self, matrix: NetworkFeatureMatrix) -> np.ndarray:
-        # Not the seed-biased own-node score: see NetworkFeatureExtractor.
-        columns = ["outlink_trust"]
-        if self._use_auxiliary:
-            columns.append("inlink_trust")
-        if self._include_anti and "outlink_distrust" in matrix.feature_names:
-            columns.append("outlink_distrust")
-        return np.column_stack([matrix.column(name) for name in columns])
+    def _classifier_columns(self) -> np.ndarray:
+        matrix = self.feature_matrix
+        return np.column_stack(
+            [
+                matrix.column(name)
+                for name in _CLASSIFIER_COLUMNS
+                if name in matrix.feature_names
+            ]
+        )
 
     def score(self, indices: Sequence[int]) -> PipelineScores:
         """Score corpus rows ``indices``.
 
-        The rank term is networkRank (Section 5): the raw TrustRank
-        value, own node plus outlink trust, not the classifier output —
-        "networkRank() simply returns the TrustRank value".
+        The rank term is the stage's networkRank (Section 5): the raw
+        TrustRank value, own node plus outlink trust, not the
+        classifier output — "networkRank() simply returns the TrustRank
+        value".
         """
         idx = np.asarray(indices, dtype=np.int64)
-        matrix = self.feature_matrix
-        trust = matrix.column("outlink_trust") + matrix.column("trustrank")
-        return classifier_scores(
-            self.classifier, self._select_columns(matrix)[idx], trust[idx]
-        )
+        X = self._classifier_columns()
+        return classifier_scores(self.classifier, X[idx], self._rank[idx])

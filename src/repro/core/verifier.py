@@ -7,8 +7,11 @@ membership probability, the trust scores, and the cumulative rank —
 everything a human reviewer triaging pharmacies would consume.
 
 Internally it composes the pieces exactly as the paper does: summary
-documents → TF-IDF text classifier, the training-set TrustRank
-propagation for network scores, and the Section-5 cumulative ranking.
+documents → TF-IDF text classifier, the network stage
+(:class:`~repro.network.features.NetworkStage`: TrustRank seeded from
+the training set's legitimate pharmacies, read through each site's
+outbound endpoints) for networkRank, and the Section-5 cumulative
+ranking.
 
 Verification degrades gracefully instead of failing: a site whose
 crawl was partial (see :attr:`~repro.web.crawler.CrawlStats.is_partial`)
@@ -33,8 +36,7 @@ from repro.data.corpus import ILLEGITIMATE, LEGITIMATE, PharmacyCorpus
 from repro.exceptions import NotFittedError, ReproError, ValidationError
 from repro.ml.base import BaseClassifier
 from repro.ml.naive_bayes import MultinomialNB
-from repro.network.construction import build_pharmacy_graph
-from repro.network.trustrank import trustrank
+from repro.network.features import NetworkStage
 from repro.text.summarization import Summarizer
 from repro.web.crawler import Crawler, CrawlStats
 from repro.web.host import WebHost
@@ -119,7 +121,6 @@ class PharmacyVerifier:
         classifier: text classifier prototype (default NBM — the
             paper's most robust AUC performer).
         max_terms: summary subsample size (None = all terms).
-        damping: TrustRank damping factor.
         seed: RNG seed for summarization subsampling.
     """
 
@@ -127,18 +128,16 @@ class PharmacyVerifier:
         self,
         classifier: BaseClassifier | None = None,
         max_terms: int | None = 1000,
-        damping: float = 0.85,
         seed: int = 0,
     ) -> None:
         self._summarizer = Summarizer(max_terms=max_terms, seed=seed)
         self._pipeline = TfidfTextPipeline(classifier or MultinomialNB())
-        self._damping = damping
-        self._trust_scores: dict[str, float] | None = None
+        self._network: NetworkStage | None = None
         self._decision_threshold: float | None = None
 
     @property
     def is_fitted(self) -> bool:
-        return self._trust_scores is not None
+        return self._network is not None
 
     @property
     def decision_threshold(self) -> float | None:
@@ -169,7 +168,7 @@ class PharmacyVerifier:
         """
         from repro.ml.metrics import threshold_for_precision
 
-        if self._trust_scores is None:
+        if self._network is None:
             raise NotFittedError("PharmacyVerifier has not been fitted")
         documents = [self._summarizer.summarize_site(s) for s in sites]
         self._decision_threshold = threshold_for_precision(
@@ -186,19 +185,16 @@ class PharmacyVerifier:
         self._decision_threshold = None
         documents = [self._summarizer.summarize_site(s) for s in corpus.sites]
         self._pipeline.fit(documents, corpus.labels)
-        graph = build_pharmacy_graph(corpus.sites)
         trusted = [
             domain
             for domain, label in zip(corpus.domains, corpus.labels)
             if label == LEGITIMATE
         ]
-        self._trust_scores = trustrank(graph, trusted, damping=self._damping)
+        self._network = NetworkStage().fit(corpus.sites, trusted)
         logger.info(
-            "verifier fitted on %d pharmacies (%d legitimate seeds, "
-            "%d graph nodes)",
+            "verifier fitted on %d pharmacies (%d legitimate seeds)",
             len(corpus),
             len(trusted),
-            graph.n_nodes,
         )
         return self
 
@@ -264,7 +260,7 @@ class PharmacyVerifier:
                 production servers inject a real clock).
             deadline_chunk: sites scored between deadline checks.
         """
-        if self._trust_scores is None:
+        if self._network is None:
             raise NotFittedError("PharmacyVerifier has not been fitted")
         if crawl_stats is not None and len(crawl_stats) != len(sites):
             raise ValidationError(
@@ -307,6 +303,9 @@ class PharmacyVerifier:
     ) -> list[VerificationReport]:
         """Score one block with no deadline bookkeeping."""
         endpoints = [site.outbound_endpoints() for site in sites]
+        network_ranks = self._network.network_rank(
+            [site.domain for site in sites], endpoints
+        )
         reasons: list[list[str]] = []
         scorable: list[int] = []
         for i, site in enumerate(sites):
@@ -318,9 +317,8 @@ class PharmacyVerifier:
                 scorable.append(i)
             else:
                 site_reasons.append("no_text")
-            if not endpoints[i] and (
-                self._trust_scores.get(site.domain, 0.0) <= 0.0
-            ):
+            # Without endpoints, networkRank is the site's own trust.
+            if not endpoints[i] and network_ranks[i] <= 0.0:
                 site_reasons.append("no_network_signal")
             reasons.append(site_reasons)
 
@@ -335,7 +333,6 @@ class PharmacyVerifier:
             scorable = []
         by_index = {idx: pos for pos, idx in enumerate(scorable)}
 
-        network_ranks = self._network_ranks(sites, endpoints)
         reports = []
         for i, site in enumerate(sites):
             network_rank = float(network_ranks[i])
@@ -378,8 +375,9 @@ class PharmacyVerifier:
         ``deadline_exceeded`` reason on top of any ``partial_crawl``
         flag their stats earned.
         """
-        network_ranks = self._network_ranks(
-            sites, [site.outbound_endpoints() for site in sites]
+        network_ranks = self._network.network_rank(
+            [site.domain for site in sites],
+            [site.outbound_endpoints() for site in sites],
         )
         reports = []
         for i, site in enumerate(sites):
@@ -464,46 +462,6 @@ class PharmacyVerifier:
                    oracle_labels: Sequence[int] | None = None) -> RankingResult:
         """Rank a batch of sites by decreasing legitimacy (Problem 2)."""
         return rank_reports(self.verify_sites(sites), oracle_labels)
-
-    # -- internals --------------------------------------------------------------
-
-    def _network_ranks(
-        self,
-        sites: Sequence[SiteEvidence],
-        per_site: Sequence[tuple[str, ...]],
-    ) -> np.ndarray:
-        """TrustRank-derived network scores of (possibly unseen) sites.
-
-        Own node score (if the site was in the training graph) plus the
-        mean trust of its outbound endpoints (``per_site``, aligned with
-        ``sites``), which generalizes to sites outside the training
-        graph.
-
-        Endpoint trust lookups of every site are concatenated into one
-        flat array and per-site sums come from a single
-        ``np.add.reduceat`` over the segment starts; sites without
-        outbound endpoints keep an outlink term of exactly 0.0.
-        """
-        assert self._trust_scores is not None
-        trust = self._trust_scores.get
-        own = np.array([trust(site.domain, 0.0) for site in sites], dtype=np.float64)
-        lengths = np.array([len(endpoints) for endpoints in per_site], dtype=np.int64)
-        total = int(lengths.sum())
-        if total == 0:
-            return own
-        flat = np.fromiter(
-            (trust(e, 0.0) for endpoints in per_site for e in endpoints),
-            dtype=np.float64,
-            count=total,
-        )
-        # reduceat mishandles zero-length segments (it reads the next
-        # one), so reduce only over the non-empty sites' offsets.
-        nonzero = lengths > 0
-        offsets = np.concatenate(([0], np.cumsum(lengths[nonzero])[:-1]))
-        outlink = np.zeros(len(per_site), dtype=np.float64)
-        outlink[nonzero] = np.add.reduceat(flat, offsets) / lengths[nonzero]
-        return own + outlink
-
 
 def rank_reports(
     reports: Sequence[VerificationReport],

@@ -35,6 +35,7 @@ from repro.experiments.tables import (
     _dataset_pair,
     _documents,
     _link_graph,
+    _network_cv,
     _network_report,
 )
 from repro.ml.base import BaseClassifier
@@ -43,6 +44,7 @@ from repro.ml.naive_bayes import GaussianNB, MultinomialNB
 from repro.ml.sampling import RandomUnderSampler, SMOTE
 from repro.ml.svm import LinearSVC
 from repro.ml.tree import C45Tree
+from repro.network.features import neighbour_mean
 from repro.text.summarization import SummaryDocument
 
 __all__ = [
@@ -292,40 +294,33 @@ def trust_algorithm_ablation(config: ExperimentConfig) -> TableResult:
     """TrustRank vs EigenTrust as the network scoring algorithm.
 
     EigenTrust (Kamvar et al. [18]) is the related-work alternative the
-    paper cites; both propagate from the legitimate training seed, and
-    per-pharmacy scores use the same outbound-neighbourhood reading.
+    paper cites; both propagate from the legitimate training seed.  The
+    TrustRank row is the Table 12 network classifier; the EigenTrust row
+    feeds its scores to the network stage's kernel, the same
+    outbound-neighbourhood reading.
     """
     from repro.network.eigentrust import eigentrust
-    from repro.network.trustrank import trustrank as run_trustrank
 
     corpus, _ = _dataset_pair(config)
     y = corpus.labels
     domains = corpus.domains
-    sites = corpus.sites
     graph = _link_graph(config, corpus)
+    endpoints = [site.outbound_endpoints() for site in corpus.sites]
 
-    def outlink_mean(site, scores) -> float:
-        endpoints = site.outbound_endpoints()
-        if not endpoints:
-            return 0.0
-        return float(np.mean([scores.get(e, 0.0) for e in endpoints]))
-
-    def evaluate(score_fn) -> float:
-        def fit_predict(train_idx, test_idx):
-            seed = [domains[i] for i in train_idx if y[i] == 1]
-            scores = score_fn(graph, seed)
-            X = np.array([[outlink_mean(s, scores)] for s in sites])
-            clf = GaussianNB().fit(X[train_idx], y[train_idx])
-            return clf.predict(X[test_idx]), clf.decision_scores(X[test_idx])
-
-        report = cross_validate_indexed(
-            fit_predict, y, config.n_folds, config.cv_seed
-        )
-        return report.auc_roc.mean
+    def eigentrust_fold(train_idx, test_idx):
+        seed = [domains[i] for i in train_idx if y[i] == 1]
+        X = neighbour_mean(endpoints, eigentrust(graph, seed)).reshape(-1, 1)
+        clf = GaussianNB().fit(X[train_idx], y[train_idx])
+        return clf.predict(X[test_idx]), clf.decision_scores(X[test_idx])
 
     rows = (
-        ("TrustRank (paper)", evaluate(lambda g, s: run_trustrank(g, s))),
-        ("EigenTrust [18]", evaluate(lambda g, s: eigentrust(g, s))),
+        ("TrustRank (paper)", _network_cv(config).auc_roc.mean),
+        (
+            "EigenTrust [18]",
+            cross_validate_indexed(
+                eigentrust_fold, y, config.n_folds, config.cv_seed
+            ).auc_roc.mean,
+        ),
     )
     return TableResult(
         table_id="ablation_trust_algorithm",

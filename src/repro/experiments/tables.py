@@ -346,12 +346,7 @@ def _network_cv(config: ExperimentConfig) -> AggregatedReport:
 
     def build() -> AggregatedReport:
         corpus, _ = _dataset_pair(config)
-        return _network_report(
-            config,
-            corpus,
-            cache=_feature_cache(config),
-            graph=_link_graph(config, corpus),
-        )
+        return _network_report(config, corpus, graph=_link_graph(config, corpus))
 
     return _cached(("network", config), build)  # type: ignore[return-value]
 
@@ -395,10 +390,7 @@ def _ranking_pairord(config: ExperimentConfig) -> dict[str, float]:
         }
         for fold_no, (train_idx, test_idx) in enumerate(splitter.split(y)):
             network = NetworkClassificationPipeline(
-                corpus,
-                GaussianNB(),
-                cache=_feature_cache(config),
-                graph=_link_graph(config, corpus),
+                corpus, GaussianNB(), graph=_link_graph(config, corpus)
             )
             net_rank = network.fit(train_idx).score(test_idx).rank
             test_domains = [domains[i] for i in test_idx]

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 _MAGIC = "repro-model"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 class PersistenceError(ValidationError):

@@ -1,4 +1,4 @@
-"""Network substrate: web graph, PageRank/TrustRank, link features."""
+"""Network substrate: web graph, PageRank/TrustRank, the network stage."""
 
 from repro.network.construction import (
     build_graph_from_link_table,
@@ -6,8 +6,9 @@ from repro.network.construction import (
 )
 from repro.network.eigentrust import eigentrust
 from repro.network.features import (
-    NetworkFeatureExtractor,
     NetworkFeatureMatrix,
+    NetworkStage,
+    neighbour_mean,
     top_linked_domains,
 )
 from repro.network.blockrank import (
@@ -35,8 +36,9 @@ __all__ = [
     "build_graph_from_link_table",
     "build_pharmacy_graph",
     "eigentrust",
-    "NetworkFeatureExtractor",
     "NetworkFeatureMatrix",
+    "NetworkStage",
+    "neighbour_mean",
     "top_linked_domains",
     "DirectedGraph",
     "pagerank",

@@ -15,22 +15,19 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.network.graph import DirectedGraph
-from repro.web.site import Website
+from repro.web.site import SiteEvidence
 
 __all__ = ["build_pharmacy_graph", "build_graph_from_link_table"]
 
 
 def build_pharmacy_graph(
-    sites: Sequence[Website],
-    weighted: bool = False,
-    auxiliary_sites: Sequence[Website] = (),
+    sites: Sequence[SiteEvidence],
+    auxiliary_sites: Sequence[SiteEvidence] = (),
 ) -> DirectedGraph:
     """Algorithm 1: build the graph G(V, E) from crawled pharmacies.
 
     Args:
         sites: the pharmacy working set P (labeled and unlabeled).
-        weighted: when True, edges carry the link multiplicity instead
-            of weight 1 (an extension; the paper's graph is unweighted).
         auxiliary_sites: non-pharmacy sites whose outbound links are
             also added — the paper's future-work extension (a):
             "include in our network analysis non pharmacy websites that
@@ -45,12 +42,8 @@ def build_pharmacy_graph(
     graph = DirectedGraph()
     for site in list(sites) + list(auxiliary_sites):
         graph.add_node(site.domain)
-        if weighted:
-            for endpoint_domain, count in site.outbound_endpoint_counts().items():
-                graph.add_edge(site.domain, endpoint_domain, float(count))
-        else:
-            for endpoint_domain in site.outbound_endpoints():
-                graph.add_edge(site.domain, endpoint_domain, 1.0)
+        for endpoint_domain in site.outbound_endpoints():
+            graph.add_edge(site.domain, endpoint_domain, 1.0)
     return graph
 
 
@@ -60,7 +53,7 @@ def build_graph_from_link_table(
     """Build a graph from explicit (source_domain, target_domain) pairs.
 
     Convenience constructor for tests and for callers who already hold
-    a harvested link table instead of :class:`Website` objects.
+    a harvested link table instead of crawled sites.
     """
     graph = DirectedGraph()
     for src, dst in links:

@@ -1,12 +1,17 @@
-"""Per-pharmacy network features and link-popularity analysis.
+"""The network stage and link-popularity analysis.
 
 Provides:
 
-* :class:`NetworkFeatureExtractor` — computes, for each pharmacy node,
-  a TrustRank-derived legitimacy score seeded from the known-legitimate
-  training pharmacies (the paper's network feature), optionally
-  extended with Anti-TrustRank distrust and degree features (the
-  paper's future-work "richer input");
+* :func:`neighbour_mean` — the one kernel of the network evidence: the
+  mean score of each site's neighbour list (outbound endpoints or
+  in-link sources), with 0.0 for an empty list;
+* :class:`NetworkStage` — the fitted TrustRank stage: propagation
+  seeded from the known-legitimate training pharmacies (the paper's
+  network feature), read through each site's outbound endpoints, with
+  Anti-TrustRank distrust and in-link trust as the future-work
+  "richer input".  :class:`~repro.core.verifier.PharmacyVerifier` and
+  :class:`~repro.core.network_pipeline.NetworkClassificationPipeline`
+  both read networkRank from it;
 * :func:`top_linked_domains` — the Table 11 analysis: the most
   frequently linked-to external domains per class.
 """
@@ -22,14 +27,67 @@ import numpy as np
 from repro.network.construction import build_pharmacy_graph
 from repro.network.graph import DirectedGraph
 from repro.network.trustrank import anti_trustrank, trustrank
-from repro.web.site import Website
+from repro.web.site import SiteEvidence, Website
 from repro.exceptions import ValidationError
 
 __all__ = [
-    "NetworkFeatureExtractor",
     "NetworkFeatureMatrix",
+    "NetworkStage",
+    "neighbour_mean",
     "top_linked_domains",
 ]
+
+
+def neighbour_mean(
+    neighbours: Sequence[Sequence[str]], scores: Mapping[str, float]
+) -> np.ndarray:
+    """Mean score of each neighbour list; exactly 0.0 for an empty list.
+
+    A domain missing from ``scores`` scores 0.0.  The lookups of every
+    list are concatenated into one flat array and the per-list sums
+    come from one ``reduceat`` over the lists' offsets, which adds each
+    list's scores in order.
+    """
+    lengths = np.fromiter(
+        (len(domains) for domains in neighbours),
+        dtype=np.int64,
+        count=len(neighbours),
+    )
+    means = np.zeros(len(neighbours), dtype=np.float64)
+    total = int(lengths.sum())
+    if total == 0:
+        return means
+    score = scores.get
+    flat = np.fromiter(
+        (score(domain, 0.0) for domains in neighbours for domain in domains),
+        dtype=np.float64,
+        count=total,
+    )
+    # reduceat mishandles zero-length segments (it reads the next
+    # one), so reduce only over the non-empty lists' offsets.
+    nonzero = lengths > 0
+    offsets = np.concatenate(([0], np.cumsum(lengths[nonzero])[:-1]))
+    means[nonzero] = np.add.reduceat(flat, offsets) / lengths[nonzero]
+    return means
+
+
+def _nonzero(scores: Mapping[str, float]) -> dict[str, float]:
+    """``scores`` without its zeros: every reading scores a missing domain 0.0.
+
+    Most nodes sit outside the seed's reach and score exactly 0.0, so
+    this keeps a saved verifier small.
+    """
+    return {domain: score for domain, score in scores.items() if score}
+
+
+def _lookup(domains: Sequence[str], scores: Mapping[str, float]) -> np.ndarray:
+    """Each domain's entry in ``scores`` (0.0 when it has none)."""
+    score = scores.get
+    return np.fromiter(
+        (score(domain, 0.0) for domain in domains),
+        dtype=np.float64,
+        count=len(domains),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,168 +109,147 @@ class NetworkFeatureMatrix:
         return self.features[:, self.feature_names.index(name)]
 
 
-class NetworkFeatureExtractor:
-    """TrustRank-based network features for pharmacy classification.
+class NetworkStage:
+    """TrustRank seeded from the legitimate training fold, read per site.
 
-    ``extract`` builds the web graph from the full working set (labeled
-    + unlabeled sites — TrustRank is semi-supervised by design) and runs
+    :meth:`fit` builds the web graph from the full working set (labeled
+    + unlabeled sites — TrustRank is semi-supervised by design), runs
     the propagation seeded from the *training* legitimate pharmacies
     only, matching the paper's protocol where the two training folds
-    form the seed P0.
+    form the seed P0, and keeps only the resulting score maps, without
+    their zeros: no graph and no per-site matrix.  Sites are then read
+    through their :class:`~repro.web.site.SiteEvidence` — the domain and
+    the outbound endpoints — so a fitted stage scores sites outside its
+    graph.
 
-    Two TrustRank-derived columns are always produced:
+    Two TrustRank readings are always available:
 
     * ``outlink_trust`` — the mean TrustRank score of the external
-      endpoints the pharmacy links to.  This is the column the default
-      network classifier trains on.  It is the signal that lets
-      TrustRank scores separate *unseen* pharmacies at all: legitimate
-      seeds pump trust into fda.gov/nabp.net/..., and an unseen
-      pharmacy linking to those domains inherits a high value while
-      affiliate-network targets stay cold.  Crucially its distribution
-      is the same for seed and non-seed pharmacies, so a classifier
-      trained on the fold that forms the seed transfers to the test
-      fold.
+      endpoints the pharmacy links to.  This is the column the network
+      classifier trains on.  It is the signal that lets TrustRank
+      scores separate *unseen* pharmacies at all: legitimate seeds pump
+      trust into fda.gov/nabp.net/..., and an unseen pharmacy linking
+      to those domains inherits a high value while affiliate-network
+      targets stay cold.  Crucially its distribution is the same for
+      seed and non-seed pharmacies, so a classifier trained on the fold
+      that forms the seed transfers to the test fold.
     * ``trustrank`` — the pharmacy node's own TrustRank score.  In the
       paper's graph (Algorithm 1 emits only pharmacy -> endpoint
       edges), trust reaches a non-seed pharmacy only through in-links
       from other pharmacies (affiliate networks), so this is near zero
       for every unlabeled site while being large for the seed nodes
-      themselves.  That train/test mismatch is why the default
-      classifier excludes it; it is still exposed for analysis and
-      ablation.  Without the neighbourhood-level column the paper's
+      themselves.  That train/test mismatch is why the classifier
+      excludes it.  Without the neighbourhood-level column the paper's
       Table 12/13 numbers (accuracy 0.96, legitimate recall 0.73) are
       unreachable in this graph topology, so we treat ``outlink_trust``
       as the intended reading of "train a classifier using the output
       values" (Section 4.2).
 
+    networkRank (Section 5) is their sum, :meth:`network_rank`.
+
     Args:
         damping: TrustRank damping factor.
-        include_anti_trustrank: add the analogous distrust columns
-            propagated backwards from the illegitimate seed
-            (future-work extension; off for the paper's Tables 12–13).
-        include_degree_features: add log-scaled out/in degree features
-            (extension; off by default).
     """
 
-    #: Column the default network classifier trains on.
-    DEFAULT_CLASSIFICATION_FEATURE = "outlink_trust"
-
-    def __init__(
-        self,
-        damping: float = 0.85,
-        include_anti_trustrank: bool = False,
-        include_degree_features: bool = False,
-    ) -> None:
+    def __init__(self, damping: float = 0.85) -> None:
         self._damping = damping
-        self._include_anti = include_anti_trustrank
-        self._include_degree = include_degree_features
-        self._graph: DirectedGraph | None = None
+        self._trust: dict[str, float] = {}
+        self._distrust: dict[str, float] | None = None
+        self._inlink: dict[str, float] | None = None
 
-    @property
-    def graph(self) -> DirectedGraph | None:
-        """The constructed web graph (after :meth:`extract`)."""
-        return self._graph
-
-    def feature_names(self) -> tuple[str, ...]:
-        names = ["outlink_trust", "trustrank", "inlink_trust"]
-        if self._include_anti:
-            names.extend(["outlink_distrust", "anti_trustrank"])
-        if self._include_degree:
-            names.extend(["log_out_degree", "log_in_degree"])
-        return tuple(names)
-
-    def extract(
+    def fit(
         self,
-        sites: Sequence[Website],
-        trusted_domains: Sequence[str],
-        distrusted_domains: Sequence[str] = (),
-        auxiliary_sites: Sequence[Website] = (),
+        sites: Sequence[SiteEvidence],
+        trusted: Sequence[str],
+        distrusted: Sequence[str] = (),
+        auxiliary_sites: Sequence[SiteEvidence] = (),
         graph: DirectedGraph | None = None,
-    ) -> NetworkFeatureMatrix:
-        """Build the graph and compute per-pharmacy features.
+    ) -> "NetworkStage":
+        """Propagate trust (and distrust) over the working set's graph.
 
         Args:
             sites: the full working set P (train + test pharmacies).
-            trusted_domains: known-legitimate seed (P0+, training fold).
-            distrusted_domains: known-illegitimate seed (only used when
-                Anti-TrustRank is enabled).
+            trusted: known-legitimate seed (P0+, training fold).
+            distrusted: known-illegitimate seed; when given,
+                Anti-TrustRank distrust is propagated backwards from it
+                (future-work extension; empty for the paper's Tables
+                12–13).
             auxiliary_sites: non-pharmacy sites to add to the graph
                 (future-work extension (a); empty = the paper's graph).
+                When given, the in-link trust of every site in
+                ``sites`` is kept as well: portal and directory links
+                are what give pharmacies in-neighbours.
             graph: a prebuilt web graph for exactly ``sites`` +
                 ``auxiliary_sites``.  The graph depends only on the
                 working set — not on the seeds — so cross-validation
                 folds over a fixed working set can build it once and
                 share it; when omitted it is built here.
-
-        Returns:
-            Feature matrix with one row per entry in ``sites``.
         """
         if graph is None:
             graph = build_pharmacy_graph(sites, auxiliary_sites=auxiliary_sites)
-        self._graph = graph
-        trust = trustrank(graph, trusted_domains, damping=self._damping)
-        own = np.array([trust.get(site.domain, 0.0) for site in sites])
-        outlink = np.array([_outlink_mean(site, trust) for site in sites])
-        inlink = np.array(
-            [_inlink_mean(graph, site.domain, trust) for site in sites]
+        self._trust = _nonzero(trustrank(graph, trusted, damping=self._damping))
+        self._distrust = (
+            _nonzero(anti_trustrank(graph, distrusted, damping=self._damping))
+            if distrusted
+            else None
         )
-        columns: list[np.ndarray] = [outlink, own, inlink]
-        if self._include_anti:
-            if distrusted_domains:
-                anti = anti_trustrank(
-                    graph, distrusted_domains, damping=self._damping
-                )
-            else:
-                anti = {}
-            anti_own = np.array(
-                [anti.get(site.domain, 0.0) for site in sites]
+        self._inlink = None
+        if auxiliary_sites:
+            domains = [site.domain for site in sites]
+            # Unlike the raw node score, the mean trust of a site's
+            # in-neighbours is identically distributed for seed and
+            # non-seed pharmacies, so classifiers trained on it transfer.
+            sources = [
+                tuple(graph.predecessors(domain)) if domain in graph else ()
+                for domain in domains
+            ]
+            self._inlink = dict(
+                zip(domains, neighbour_mean(sources, self._trust).tolist())
             )
-            anti_out = np.array([_outlink_mean(site, anti) for site in sites])
-            columns.extend([anti_out, anti_own])
-        if self._include_degree:
-            columns.append(
-                np.array(
-                    [np.log1p(graph.out_degree(site.domain)) for site in sites]
-                )
-            )
-            columns.append(
-                np.array(
-                    [np.log1p(graph.in_degree(site.domain)) for site in sites]
-                )
-            )
-        features = np.column_stack(columns)
+        return self
+
+    def network_rank(
+        self, domains: Sequence[str], endpoints: Sequence[Sequence[str]]
+    ) -> np.ndarray:
+        """networkRank of sites: own TrustRank plus outlink trust.
+
+        Args:
+            domains: the sites' domains.
+            endpoints: each site's outbound endpoints, aligned with
+                ``domains``; a site outside the graph has no own score,
+                so its endpoints carry its rank.
+        """
+        return _lookup(domains, self._trust) + neighbour_mean(endpoints, self._trust)
+
+    def features(
+        self, domains: Sequence[str], endpoints: Sequence[Sequence[str]]
+    ) -> NetworkFeatureMatrix:
+        """Per-site columns, in this order.
+
+        ``outlink_trust`` and ``trustrank`` always; ``inlink_trust``
+        when the stage was fitted with auxiliary sites; then
+        ``outlink_distrust`` and ``anti_trustrank`` when it was fitted
+        with distrusted seeds.
+
+        Args:
+            domains: the sites' domains.
+            endpoints: each site's outbound endpoints, aligned with
+                ``domains``.
+        """
+        columns = {
+            "outlink_trust": neighbour_mean(endpoints, self._trust),
+            "trustrank": _lookup(domains, self._trust),
+        }
+        if self._inlink is not None:
+            columns["inlink_trust"] = _lookup(domains, self._inlink)
+        if self._distrust is not None:
+            columns["outlink_distrust"] = neighbour_mean(endpoints, self._distrust)
+            columns["anti_trustrank"] = _lookup(domains, self._distrust)
         return NetworkFeatureMatrix(
-            domains=tuple(site.domain for site in sites),
-            features=features,
-            feature_names=self.feature_names(),
+            domains=tuple(domains),
+            features=np.column_stack(list(columns.values())),
+            feature_names=tuple(columns),
         )
-
-
-def _outlink_mean(site: Website, scores: Mapping[str, float]) -> float:
-    """Mean score of the external endpoints ``site`` links to (0 if none)."""
-    endpoints = site.outbound_endpoints()
-    if not endpoints:
-        return 0.0
-    return float(np.mean([scores.get(e, 0.0) for e in endpoints]))
-
-
-def _inlink_mean(
-    graph: DirectedGraph, domain: str, scores: Mapping[str, float]
-) -> float:
-    """Mean score of the domains linking *to* ``domain`` (0 if none).
-
-    Only informative when the graph carries in-edges to pharmacies —
-    affiliate spokes pointing at hubs in the paper's graph, or portal /
-    directory links when the auxiliary-site extension is enabled.
-    Unlike the raw node score, this is identically distributed for seed
-    and non-seed pharmacies, so classifiers trained on it transfer.
-    """
-    if domain not in graph:
-        return 0.0
-    predecessors = graph.predecessors(domain)
-    if not predecessors:
-        return 0.0
-    return float(np.mean([scores.get(p, 0.0) for p in predecessors]))
 
 
 def top_linked_domains(

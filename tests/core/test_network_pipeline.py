@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.network_pipeline import NetworkClassificationPipeline
+from repro.core.verifier import PharmacyVerifier
 from repro.exceptions import NotFittedError
 from repro.ml.metrics import accuracy
 
@@ -42,6 +43,16 @@ class TestNetworkPipeline:
         # Seed legit pharmacies hold teleport mass -> highest ranks.
         seed_legit = [i for i in train if y[i] == 1]
         assert ranks[seed_legit].mean() > ranks.mean()
+
+    def test_network_rank_equals_verifier(self, tiny_corpus):
+        """One networkRank: the verifier and the pipeline read one stage."""
+        everything = np.arange(len(tiny_corpus))
+        reports = PharmacyVerifier(seed=0).fit(tiny_corpus).verify_sites(
+            tiny_corpus.sites
+        )
+        pipeline = NetworkClassificationPipeline(tiny_corpus).fit(everything)
+        ranks = pipeline.score(everything).rank
+        assert [r.network_rank for r in reports] == ranks.tolist()
 
     def test_unfitted_raises(self, tiny_corpus):
         with pytest.raises(NotFittedError):

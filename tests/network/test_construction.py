@@ -41,18 +41,6 @@ class TestBuildPharmacyGraph:
         )
         assert graph.successors("p1.com")["fda.gov"] == 1.0
 
-    def test_weighted_mode_counts_multiplicity(self):
-        graph = build_pharmacy_graph(
-            [
-                site(
-                    "p1.com",
-                    ["https://a.fda.gov/x", "https://b.fda.gov/y"],
-                )
-            ],
-            weighted=True,
-        )
-        assert graph.successors("p1.com")["fda.gov"] == 2.0
-
     def test_pharmacy_to_pharmacy_edges(self):
         """Affiliate links create pharmacy->pharmacy edges."""
         graph = build_pharmacy_graph(

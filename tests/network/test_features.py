@@ -1,9 +1,11 @@
-"""Tests for network feature extraction and Table 11 analysis."""
+"""Tests for the network stage, its kernel and the Table 11 analysis."""
+
+import math
 
 import numpy as np
 import pytest
 
-from repro.network.features import NetworkFeatureExtractor, top_linked_domains
+from repro.network.features import NetworkStage, neighbour_mean, top_linked_domains
 from repro.web.page import WebPage
 from repro.web.site import Website
 
@@ -13,6 +15,14 @@ def site(domain, external_urls):
         url=f"https://www.{domain}/", text="x", links=tuple(external_urls)
     )
     return Website(domain=domain, pages=(page,))
+
+
+def stage_features(sites, trusted, **fit_params):
+    """Feature columns of a stage fitted on ``sites``."""
+    stage = NetworkStage().fit(sites, trusted, **fit_params)
+    return stage.features(
+        [s.domain for s in sites], [s.outbound_endpoints() for s in sites]
+    )
 
 
 def small_working_set():
@@ -25,56 +35,70 @@ def small_working_set():
     ]
 
 
+class TestNeighbourMean:
+    SCORES = {f"d{i}.com": 1.0 / (i + 3) for i in range(12)}
+
+    @staticmethod
+    def oracle(domains, scores):
+        if not domains:
+            return 0.0
+        return math.fsum(scores.get(d, 0.0) for d in domains) / len(domains)
+
+    @pytest.mark.parametrize(
+        "lists",
+        [
+            [(), ("d0.com", "d1.com"), ("d2.com",)],
+            [("d0.com",), (), ("d1.com", "d2.com")],
+            [("d0.com", "d1.com"), ("d2.com",), ()],
+            [(), (), ()],
+            [tuple(f"d{i}.com" for i in range(12)), (), ("d3.com",)],
+            [("d0.com", "missing.org"), ("missing.org",)],
+            [],
+        ],
+        ids=["first-empty", "middle-empty", "last-empty", "all-empty",
+             "long-list", "missing-domain", "no-lists"],
+    )
+    def test_matches_fsum_oracle(self, lists):
+        means = neighbour_mean(lists, self.SCORES)
+        assert means.dtype == np.float64
+        assert means.shape == (len(lists),)
+        for value, domains in zip(means, lists):
+            expected = self.oracle(domains, self.SCORES)
+            if not domains:
+                assert value == 0.0
+            else:
+                assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
 class TestNetworkFeatureExtractor:
+    """Feature columns of a fitted :class:`NetworkStage`."""
+
     def test_feature_order_and_shape(self):
-        extractor = NetworkFeatureExtractor()
-        matrix = extractor.extract(small_working_set(), ["legit1.com"])
-        assert matrix.feature_names == (
-            "outlink_trust",
-            "trustrank",
-            "inlink_trust",
-        )
-        assert matrix.features.shape == (4, 3)
+        matrix = stage_features(small_working_set(), ["legit1.com"])
+        # In-link and distrust columns need auxiliary sites and a
+        # distrusted seed respectively.
+        assert matrix.feature_names == ("outlink_trust", "trustrank")
+        assert matrix.features.shape == (4, 2)
 
     def test_outlink_trust_separates_classes(self):
-        extractor = NetworkFeatureExtractor()
-        matrix = extractor.extract(
-            small_working_set(), ["legit1.com", "legit2.com"]
-        )
+        matrix = stage_features(small_working_set(), ["legit1.com", "legit2.com"])
         outlink = matrix.column("outlink_trust")
         # legit sites link to fda.gov (trusted); bad sites to wordpress.
         assert outlink[0] > outlink[2]
         assert outlink[1] > outlink[3]
 
     def test_seed_nodes_have_own_trustrank(self):
-        extractor = NetworkFeatureExtractor()
-        matrix = extractor.extract(small_working_set(), ["legit1.com"])
+        matrix = stage_features(small_working_set(), ["legit1.com"])
         own = matrix.column("trustrank")
         assert own[0] > own[2]
 
     def test_anti_trustrank_columns(self):
-        extractor = NetworkFeatureExtractor(include_anti_trustrank=True)
-        matrix = extractor.extract(
-            small_working_set(),
-            trusted_domains=["legit1.com"],
-            distrusted_domains=["bad1.net"],
+        matrix = stage_features(
+            small_working_set(), ["legit1.com"], distrusted=["bad1.net"]
         )
         assert "outlink_distrust" in matrix.feature_names
         assert "anti_trustrank" in matrix.feature_names
-        assert matrix.features.shape == (4, 5)
-
-    def test_degree_features(self):
-        extractor = NetworkFeatureExtractor(include_degree_features=True)
-        matrix = extractor.extract(small_working_set(), ["legit1.com"])
-        out_deg = matrix.column("log_out_degree")
-        assert out_deg[0] == pytest.approx(np.log1p(2))
-
-    def test_graph_exposed_after_extract(self):
-        extractor = NetworkFeatureExtractor()
-        assert extractor.graph is None
-        extractor.extract(small_working_set(), ["legit1.com"])
-        assert extractor.graph is not None
-        assert "fda.gov" in extractor.graph
+        assert matrix.features.shape == (4, 4)
 
 
 class TestTopLinkedDomains:
@@ -117,9 +141,11 @@ class TestTopLinkedDomains:
 
 class TestInlinkTrust:
     def test_zero_without_in_edges(self):
-        extractor = NetworkFeatureExtractor()
-        matrix = extractor.extract(small_working_set(), ["legit1.com"])
-        # Pharmacy-only graph: nothing points at pharmacies here.
+        portal = site("portal.org", ["https://www.fda.gov/"])
+        matrix = stage_features(
+            small_working_set(), ["legit1.com"], auxiliary_sites=[portal]
+        )
+        # Nothing points at pharmacies here.
         assert np.allclose(matrix.column("inlink_trust"), 0.0)
 
     def test_auxiliary_in_links_raise_inlink_trust(self):
@@ -132,8 +158,7 @@ class TestInlinkTrust:
                 "https://www.fda.gov/",
             ],
         )
-        extractor = NetworkFeatureExtractor()
-        matrix = extractor.extract(
+        matrix = stage_features(
             sites, ["legit1.com", "legit2.com"], auxiliary_sites=[portal]
         )
         inlink = matrix.column("inlink_trust")
@@ -153,8 +178,7 @@ class TestInlinkTrust:
             "portal.org",
             ["https://www.seed-legit.com/", "https://www.unseen-legit.com/"],
         )
-        extractor = NetworkFeatureExtractor()
-        matrix = extractor.extract(
+        matrix = stage_features(
             [seed, unseen, bad], ["seed-legit.com"], auxiliary_sites=[portal]
         )
         own = matrix.column("trustrank")

@@ -88,6 +88,20 @@ class TestModelPersistence:
         with pytest.raises(PersistenceError):
             load_model(path)
 
+    def test_version_skew_raises(self, tmp_path):
+        import pickle
+
+        from repro.io import _FORMAT_VERSION, _MAGIC
+
+        path = tmp_path / "old.pkl"
+        path.write_bytes(
+            pickle.dumps({"magic": _MAGIC, "format_version": 1, "model": None})
+        )
+        with pytest.raises(
+            PersistenceError, match=f"version 1 != supported {_FORMAT_VERSION}"
+        ):
+            load_model(path)
+
     def test_wrong_payload(self, tmp_path):
         import pickle
 
