@@ -42,6 +42,7 @@ from repro.network.graph import DirectedGraph
 from repro.network.pagerank import personalized_pagerank
 from repro.text.ngram_graph import ClassGraphModel, NGramGraph
 from repro.text.summarization import SummaryDocument
+from repro.text.term_vector import TfidfVectorizer
 
 REPEAT = 3
 MIN_SPEEDUP = 1.0
@@ -156,6 +157,21 @@ def svm_fit(n_rows=150, n_features=100):
     )
 
 
+def svm_fit_sparse():
+    """The CSR kernel on the TF-IDF rows of the ``tiny`` corpus."""
+    corpus = _corpus()
+    tokens = [" ".join(p.text for p in site.pages).split() for site in corpus.sites]
+    X = TfidfVectorizer().fit_transform(tokens)
+    signs = np.where(np.asarray(corpus.labels) == 1, 1.0, -1.0)
+    args = (X, signs, np.ones(X.shape[0]))
+    kwargs = dict(lam=1e-4, n_epochs=10, seed=0, batch_size=32)
+    return (
+        lambda: pegasos_weights(*args, **kwargs),
+        lambda: ref.reference_pegasos_fit(*args, **kwargs),
+        lambda f, r: np.testing.assert_allclose(f, r, atol=1e-9),
+    )
+
+
 def tree_fit(n_rows=200, n_features=40):
     X = np.random.default_rng(13).normal(size=(n_rows, n_features))
     y = ((X[:, 0] + 0.5 * X[:, 1] - 0.25 * X[:, 2]) > 0.0).astype(np.int64)
@@ -238,7 +254,7 @@ def sweep_end_to_end(subsets=ExperimentConfig().term_subsets):
 
 CASES = (
     ngg_build, ngg_batch_similarity, trustrank, trustrank_corpus_graph, svm_fit,
-    tree_fit, ensemble_select, smote, densify, sweep_end_to_end,
+    svm_fit_sparse, tree_fit, ensemble_select, smote, densify, sweep_end_to_end,
 )
 
 

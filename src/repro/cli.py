@@ -37,6 +37,7 @@ from typing import Callable, Sequence
 from repro.core.verifier import PharmacyVerifier, rank_reports
 from repro.data.loaders import make_dataset
 from repro.data.synthesis import GeneratorConfig
+from repro.exceptions import ReproError
 from repro.io import export_corpus, import_corpus, load_model, save_model
 from repro.web.site import SiteEvidence
 
@@ -374,8 +375,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a library error prints one line and returns 1."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,10 +8,13 @@ journal version), which handles sparse high-dimensional text matrices
 efficiently: each step computes all batch margins with one
 matrix-vector product and applies one aggregated update, so the hot
 loop is a handful of numpy/scipy kernels instead of a per-sample
-Python loop.  ``batch_size=1`` reproduces the classic per-sample
-Pegasos schedule exactly; the per-sample Python-loop implementation is
-kept as :func:`repro.perf.reference.reference_pegasos_fit`, the
-equivalence oracle pinned by ``tests/perf``.
+Python loop.  On CSR input each epoch gathers its permuted rows once
+and every batch is a no-copy slice of them, with the same sums as
+indexing ``X[batch]`` per batch (pinned bit-equal in ``tests/perf``).
+``batch_size=1`` reproduces the classic per-sample Pegasos schedule
+exactly; the per-sample Python-loop implementation is kept as
+:func:`repro.perf.reference.reference_pegasos_fit`, the equivalence
+oracle pinned by ``tests/perf``.
 
 SVMs are non-probabilistic; the paper maps their output to {0, 1} for
 ranking.  For AUC computation we expose the raw margin through
@@ -57,9 +60,12 @@ def pegasos_weights(
     Per batch ``B_t`` (global step counter ``t``, ``eta = 1/(lam*t)``):
     margins of the whole batch are computed against the batch-start
     weights with one matvec, then ``w <- (1 - eta*lam) * w`` and the
-    averaged sub-gradient of the margin violators is added in one
-    vector op (dense) or one CSR ``X.T @ coefs`` product (sparse, no
-    densification).  With ``batch_size=1`` this is exactly the classic
+    averaged sub-gradient of the margin violators is added with one
+    ``Xb.T @ coefs`` product.  Dense input indexes ``X[batch]``; CSR
+    input is never densified: each epoch gathers the permuted rows once
+    and each batch is a contiguous slice of their raw arrays, summed in
+    scipy's order, so the weights are bit-identical to indexing
+    ``X[batch]``.  With ``batch_size=1`` this is exactly the classic
     per-sample Pegasos update sequence.
 
     Args:
@@ -97,8 +103,11 @@ def pegasos_weights(
             )
     if t0 < 0:
         raise ValidationError(f"t0 must be >= 0, got {t0}")
-    is_sparse = sp.issparse(X)
     coef_full = sample_weight * signs
+    if sp.issparse(X):
+        return _pegasos_csr(
+            X.tocsr(), signs, coef_full, w, lam, n_epochs, rng, batch_size, t0
+        )
     t = t0
     for _ in range(n_epochs):
         order = rng.permutation(n_samples)
@@ -112,14 +121,62 @@ def pegasos_weights(
             violators = margins < 1.0
             if not np.any(violators):
                 continue
-            step = eta / batch.shape[0]
-            coefs = step * coef_full[batch[violators]]
-            Xv = Xb[violators]
-            if is_sparse:
-                w[:-1] += Xv.T @ coefs
-            else:
-                w[:-1] += Xv.T @ coefs
+            coefs = (eta / batch.shape[0]) * coef_full[batch[violators]]
+            w[:-1] += Xb[violators].T @ coefs
             w[-1] += coefs.sum()
+    return w
+
+
+def _pegasos_csr(
+    X: sp.csr_matrix,
+    signs: np.ndarray,
+    coef_full: np.ndarray,
+    w: np.ndarray,
+    lam: float,
+    n_epochs: int,
+    rng: np.random.Generator,
+    batch_size: int,
+    t0: int,
+) -> np.ndarray:
+    """The CSR branch of :func:`pegasos_weights`, on raw CSR arrays.
+
+    Each epoch gathers the permuted rows once (``X[order]``), so every
+    batch is a contiguous slice of their ``indptr``/``indices``/``data``,
+    wrapped without a copy as a ``csr_array``.  Margins and update are
+    scipy's ``csr_matvec`` and transposed product, summing in the order
+    that ``X[batch]`` and ``X[batch][violators]`` did; non-violators
+    enter the update with a zero coefficient, which leaves every sum
+    unchanged.  (``np.add.reduceat`` would sum pairwise, and a margin
+    at exactly 1.0 could then flip.)
+    """
+    n_samples, n_features = X.shape
+    weights = w[:-1]
+    t = t0
+    for _ in range(n_epochs):
+        order = rng.permutation(n_samples)
+        permuted = X[order]
+        offsets, cols, vals = permuted.indptr, permuted.indices, permuted.data
+        epoch_signs = signs[order]
+        epoch_coefs = coef_full[order]
+        for start in range(0, n_samples, batch_size):
+            stop = min(start + batch_size, n_samples)
+            lo, hi = offsets[start], offsets[stop]
+            Xb = sp.csr_array(
+                (vals[lo:hi], cols[lo:hi], offsets[start : stop + 1] - lo),
+                shape=(stop - start, n_features),
+                copy=False,
+            )
+            t += 1
+            eta = 1.0 / (lam * t)
+            margins = epoch_signs[start:stop] * (Xb @ weights + w[-1])
+            w *= 1.0 - eta * lam
+            violators = margins < 1.0
+            if not np.any(violators):
+                continue
+            coefs = (eta / (stop - start)) * epoch_coefs[start:stop]
+            coefs[~violators] = 0.0
+            weights += Xb.T @ coefs
+            w[-1] += coefs[violators].sum()
     return w
 
 

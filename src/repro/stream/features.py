@@ -8,12 +8,16 @@ reassociation error (``1e-9``) for the running-mean class graphs.
 ``tests/stream/test_incremental_features.py`` pins both equivalences
 against random delta sequences.
 
-* :class:`IncrementalDocumentFrequencies` keeps the per-term document
-  counts plus each member's token *set*, so removing a site subtracts
+* :class:`IncrementalDocumentFrequencies` interns every live term to
+  an integer id (freed when its document count reaches 0) and keeps
+  each member's term ids and term counts, so removing a site subtracts
   exactly what it once added.  ``fit_vectorizer`` hands the counts to
   :meth:`repro.text.term_vector.TfidfVectorizer.fit_document_frequencies`
   — the same finalization the batch ``fit`` delegates to — so the
   vocabulary and IDF vector are bit-identical to a cold refit.
+  ``rows`` rebuilds members' TF-IDF rows from the cached counts,
+  bit-equal to ``transform`` of their tokens, so neither a tick nor a
+  retrain keeps or re-counts tokens.
 
 * :class:`IncrementalClassGraphs` keeps, per class, sorted packed edge
   keys with running weight *sums* and per-edge contributor counts; the
@@ -33,19 +37,23 @@ stay only because ``perfbench/layers.py`` still traces their methods.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping
+from itertools import repeat
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.exceptions import MissingKeyError, ValidationError
 from repro.text.ngram_graph import ClassGraphModel, NGramGraph
-from repro.text.term_vector import TfidfVectorizer
+from repro.text.term_vector import TfidfVectorizer, Vocabulary
 
 __all__ = [
     "IncrementalDocumentFrequencies",
     "IncrementalClassGraphs",
     "mean_class_graphs",
 ]
+
+_NO_IDS = np.zeros(0, dtype=np.intp)
 
 
 def mean_class_graphs(
@@ -85,13 +93,30 @@ def mean_class_graphs(
 
 
 class IncrementalDocumentFrequencies:
-    """Exact document-frequency counts under site add/remove/replace."""
+    """Exact document frequencies and per-member term counts.
 
-    __slots__ = ("_df", "_members")
+    Every term with a nonzero document frequency is interned to a small
+    integer id; an id is freed, and later reused, when its frequency
+    drops to 0, so the interner holds exactly the live vocabulary.  A
+    member keeps its distinct term ids and their counts, both sorted by
+    term string, which is all :meth:`rows` needs to rebuild its TF-IDF
+    row without its tokens.
+    """
+
+    __slots__ = (
+        "_ids", "_terms", "_free", "_df", "_members", "_vocabulary", "_columns"
+    )
 
     def __init__(self) -> None:
-        self._df: Counter[str] = Counter()
-        self._members: dict[str, frozenset[str]] = {}
+        self._ids: dict[str, int] = {}  # live term -> id
+        self._terms: list[str | None] = []  # id -> term, None once freed
+        self._free: list[int] = []
+        self._df = np.zeros(0, dtype=np.int64)  # id -> document frequency
+        # domain -> (term ids, term counts), both in sorted term order
+        self._members: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # id -> column in the vocabulary last passed to rows(), or -1
+        self._vocabulary: Vocabulary | None = None
+        self._columns = np.zeros(0, dtype=np.intp)
 
     @property
     def n_docs(self) -> int:
@@ -102,16 +127,27 @@ class IncrementalDocumentFrequencies:
         return domain in self._members
 
     def add(self, domain: str, tokens: Iterable[str]) -> None:
-        """Count ``domain``'s distinct tokens into the frequencies.
+        """Count ``domain``'s tokens into the frequencies.
 
         Raises:
             ValidationError: ``domain`` is already a member.
         """
         if domain in self._members:
             raise ValidationError(f"domain already counted: {domain}")
-        terms = frozenset(tokens)
-        self._members[domain] = terms
-        self._df.update(terms)
+        counts = Counter(tokens)
+        terms = sorted(counts)
+        ids = list(map(self._ids.get, terms))
+        if None in ids:
+            ids = [
+                self._intern(term) if term_id is None else term_id
+                for term, term_id in zip(terms, ids)
+            ]
+        term_ids = np.array(ids, dtype=np.intp)
+        self._df[term_ids] += 1
+        self._members[domain] = (
+            term_ids,
+            np.fromiter(map(counts.__getitem__, terms), np.int64, len(terms)),
+        )
 
     def remove(self, domain: str) -> None:
         """Subtract ``domain``'s contribution.
@@ -119,27 +155,45 @@ class IncrementalDocumentFrequencies:
         Raises:
             MissingKeyError: ``domain`` is not a member.
         """
-        terms = self._members.pop(domain, None)
-        if terms is None:
+        entry = self._members.pop(domain, None)
+        if entry is None:
             raise MissingKeyError(domain)
-        df = self._df
-        for term in terms:
-            remaining = df[term] - 1
-            if remaining:
-                df[term] = remaining
-            else:
-                # Drop zero entries so the Counter stays bit-equal to a
-                # fresh count of the current membership.
-                del df[term]
+        term_ids = entry[0]
+        self._df[term_ids] -= 1
+        for term_id in term_ids[self._df[term_ids] == 0].tolist():
+            del self._ids[self._terms[term_id]]
+            self._terms[term_id] = None
+            self._free.append(term_id)
 
     def replace(self, domain: str, tokens: Iterable[str]) -> None:
         """Swap ``domain``'s tokens for its current revision's."""
         self.remove(domain)
         self.add(domain, tokens)
 
+    def _intern(self, term: str) -> int:
+        """A fresh id for a term whose document frequency is 0."""
+        if self._free:
+            term_id = self._free.pop()
+            self._terms[term_id] = term
+        else:
+            term_id = len(self._terms)
+            self._terms.append(term)
+            if term_id == self._df.size:
+                grow = max(64, term_id)
+                self._df = np.concatenate([self._df, np.zeros(grow, np.int64)])
+                self._columns = np.concatenate(
+                    [self._columns, np.full(grow, -1, np.intp)]
+                )
+        self._ids[term] = term_id
+        if self._vocabulary is not None:
+            column = self._vocabulary.index_of(term)
+            self._columns[term_id] = -1 if column is None else column
+        return term_id
+
     def document_frequencies(self) -> Counter[str]:
         """A copy of the current term -> document-count table."""
-        return Counter(self._df)
+        ids = np.fromiter(self._ids.values(), np.intp, len(self._ids))
+        return Counter(dict(zip(self._ids, self._df[ids].tolist())))
 
     def fit_vectorizer(
         self, *, min_df: int = 1, max_features: int | None = None
@@ -156,7 +210,52 @@ class IncrementalDocumentFrequencies:
             raise ValidationError("cannot fit a vectorizer with no documents")
         vectorizer = TfidfVectorizer(min_df=min_df, max_features=max_features)
         return vectorizer.fit_document_frequencies(
-            Counter(self._df), len(self._members)
+            self.document_frequencies(), len(self._members)
+        )
+
+    def rows(
+        self, domains: Sequence[str], vectorizer: TfidfVectorizer
+    ) -> sp.csr_matrix:
+        """``vectorizer.transform`` of the members' tokens, from their counts.
+
+        One remap array takes term ids to the fitted vocabulary's
+        columns; it is rebuilt only when the vocabulary changes and kept
+        current as terms are interned.  A fitted vocabulary is in sorted
+        term order, as are each member's ids, so every row's columns
+        come out increasing, as CSR needs, and
+        :meth:`TfidfVectorizer.tfidf_rows` weighs them exactly as
+        ``transform`` would.
+
+        Raises:
+            MissingKeyError: a domain is not a member.
+        """
+        vocabulary = vectorizer.vocabulary
+        if vocabulary is not self._vocabulary:
+            known = np.fromiter(
+                map(self._ids.get, vocabulary.terms(), repeat(-1)),
+                np.intp,
+                len(vocabulary),
+            )
+            in_state = known >= 0
+            self._columns = np.full(self._df.size, -1, dtype=np.intp)
+            self._columns[known[in_state]] = np.flatnonzero(in_state)
+            self._vocabulary = vocabulary
+        try:
+            members = [self._members[domain] for domain in domains]
+        except KeyError as exc:
+            raise MissingKeyError(exc.args[0]) from None
+        lengths = np.fromiter(
+            (entry[0].size for entry in members), np.int64, len(members)
+        )
+        ids = np.concatenate([_NO_IDS, *(entry[0] for entry in members)])
+        counts = np.concatenate([_NO_IDS, *(entry[1] for entry in members)])
+        cols = self._columns[ids]
+        present = cols >= 0
+        row_of = np.repeat(np.arange(len(members)), lengths)
+        return vectorizer.tfidf_rows(
+            cols[present],
+            counts[present],
+            np.bincount(row_of[present], minlength=len(members)),
         )
 
 

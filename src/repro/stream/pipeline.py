@@ -11,12 +11,18 @@ proportional to the *change*, not the corpus:
 stage                  per-tick cost
 =====================  ==============================================
 crawl                  changed domains only (checkpointed resume)
-summaries / TF sets    changed domains only
+summaries / counts     changed domains only, one ``Counter`` each
 document frequencies   exact add/subtract (bit-equal to a refit)
-TF-IDF features        transform changed docs; one stack + row gather
+TF-IDF features        changed rows from cached counts; one stack +
+                       row gather
 SVM                    ``warm_epochs`` warm-started Pegasos passes
 TrustRank              residual push from edited edges (1e-9)
 =====================  ==============================================
+
+No tick or retrain re-tokenizes a site: every TF-IDF row, appended or
+rebuilt, comes from the term counts that
+:class:`~repro.stream.features.IncrementalDocumentFrequencies` caches
+per site, and equals ``vectorizer.transform`` of its tokens.
 
 The frozen-vocabulary warm model accumulates error as the stream
 drifts; a :class:`~repro.stream.drift.DriftDetector` watches feature
@@ -146,7 +152,6 @@ class StreamingVerifier:
         self._svm: LinearSVC | None = None
         self._matrix: sp.csr_matrix | None = None  # live TF-IDF rows
         self._row_of: dict[str, int] = {}
-        self._tokens: dict[str, tuple[str, ...]] = {}
         self._verdicts: dict[str, int] = {}
         self._epoch = 0
 
@@ -209,7 +214,6 @@ class StreamingVerifier:
         """(Re)build one site's text state from its crawled pages."""
         site = self._crawl.site(domain)
         doc = self._summarizer.summarize_site(site)
-        self._tokens[domain] = doc.tokens
         if domain in self._df:
             self._df.replace(domain, doc.tokens)
         else:
@@ -217,7 +221,6 @@ class StreamingVerifier:
 
     def _drop_site(self, domain: str) -> None:
         self._df.remove(domain)
-        self._tokens.pop(domain, None)
         self._verdicts.pop(domain, None)
         self._rank.remove_source(domain)
 
@@ -233,7 +236,7 @@ class StreamingVerifier:
         """Refit vocabulary + feature rows + SVM from the exact state."""
         domains = self._corpus.domains()
         vectorizer = self._df.fit_vectorizer(min_df=self._min_df)
-        matrix = vectorizer.transform([self._tokens[d] for d in domains])
+        matrix = self._df.rows(domains, vectorizer)
         self._vectorizer = vectorizer
         self._matrix = matrix
         self._row_of = {d: i for i, d in enumerate(domains)}
@@ -280,9 +283,7 @@ class StreamingVerifier:
             stacked = self._matrix
             if applied.changed:
                 base = stacked.shape[0]
-                delta_matrix = self.vectorizer.transform(
-                    [self._tokens[d] for d in applied.changed]
-                )
+                delta_matrix = self._df.rows(applied.changed, self.vectorizer)
                 stacked = sp.vstack([stacked, delta_matrix], format="csr")
                 for i, domain in enumerate(applied.changed):
                     self._row_of[domain] = base + i

@@ -153,13 +153,12 @@ class TfidfVectorizer:
         for out-of-vocabulary terms), and one mask drops the ``-1``
         entries with their row ids.  Term counts come from a single
         ``np.unique`` over ``row * |V| + col`` keys (whose sorted order
-        *is* CSR row-major order), and the TF-IDF weights are computed
+        *is* CSR row-major order), and :meth:`tfidf_rows` weighs them
         with one vectorized expression.  Output is bit-identical to the
         former per-document dict loop (pinned by a regression test
         against :func:`repro.perf.reference.reference_tfidf_transform`).
         """
         vocab = self.vocabulary
-        idf = self.idf
         n_docs = len(documents)
         n_vocab = len(vocab)
         lookup = vocab._index.get
@@ -173,23 +172,37 @@ class TfidfVectorizer:
         )
         known = ids >= 0
         flat_cols = ids[known]
-        if flat_cols.size == 0:
-            matrix = sp.csr_matrix((n_docs, n_vocab), dtype=np.float64)
-            return _l2_normalize_rows(matrix) if self._normalize else matrix
         flat_rows = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)[known]
         keys = flat_rows * n_vocab + flat_cols
         uniq, counts = np.unique(keys, return_counts=True)
         out_rows = uniq // n_vocab
-        out_cols = (uniq - out_rows * n_vocab).astype(np.int32)
+        out_cols = uniq - out_rows * n_vocab
+        return self.tfidf_rows(
+            out_cols, counts, np.bincount(out_rows, minlength=n_docs)
+        )
+
+    def tfidf_rows(
+        self, cols: np.ndarray, counts: np.ndarray, row_nnz: np.ndarray
+    ) -> sp.csr_matrix:
+        """The TF-IDF matrix of pre-counted terms: ``transform``'s tail.
+
+        ``cols`` and ``counts`` hold every row's in-vocabulary column
+        ids and raw term counts back to back, each row in increasing
+        column order; ``row_nnz`` is the entry count of each row.  The
+        weights are ``tf * idf`` (``1 + ln(tf)`` when ``sublinear_tf``),
+        L2-normalized per row when ``normalize``.  ``transform`` ends
+        here, and the streaming verifier builds rows from its cached
+        term counts through the same call, so both weigh identically.
+        """
         tf = counts.astype(np.float64)
         if self._sublinear_tf:
             tf = 1.0 + np.log(tf)
-        data = tf * idf[out_cols]
-        indptr = np.zeros(n_docs + 1, dtype=np.int64)
-        np.cumsum(np.bincount(out_rows, minlength=n_docs), out=indptr[1:])
+        indices = cols.astype(np.int32)
+        indptr = np.zeros(row_nnz.size + 1, dtype=np.int64)
+        np.cumsum(row_nnz, out=indptr[1:])
         matrix = sp.csr_matrix(
-            (data, out_cols, indptr),
-            shape=(n_docs, n_vocab),
+            (tf * self.idf[indices], indices, indptr),
+            shape=(row_nnz.size, len(self.vocabulary)),
             dtype=np.float64,
         )
         if self._normalize:

@@ -6,6 +6,8 @@ all replaced per-sample/per-candidate Python loops (kept in
 :mod:`repro.perf.reference` as the equivalence oracle).  These tests
 pin the equivalence on randomized, seeded inputs: bit-equal where the
 arithmetic is identical, within 1e-9 where summation order differs.
+The raw-CSR Pegasos kernel is also pinned bit-equal to the
+scipy-indexing loop it replaced (:func:`scipy_indexing_pegasos`).
 """
 
 import random
@@ -18,7 +20,9 @@ from repro.ml.ensemble import EnsembleSelection, LibraryModel
 from repro.ml.metrics import auc_roc, auc_roc_many
 from repro.ml.sampling import SMOTE
 from repro.ml.base import ensure_dense
-from repro.ml.svm import pegasos_weights
+from repro.data.deltas import StreamConfig, StreamCorpus, plan_deltas
+from repro.data.synthesis import GeneratorConfig
+from repro.ml.svm import LinearSVC, pegasos_weights
 from repro.ml.tree import C45Tree
 from repro.perf.reference import (
     ReferenceC45Tree,
@@ -28,6 +32,7 @@ from repro.perf.reference import (
     reference_pegasos_fit,
     reference_tfidf_transform,
 )
+from repro.stream import DriftDetector, StreamingVerifier
 from repro.text.term_vector import TfidfVectorizer
 
 VOCAB = [f"term{i}" for i in range(40)]
@@ -100,6 +105,198 @@ class TestPegasosEquivalence:
         dense = pegasos_weights(X, signs, sw, **kwargs)
         sparse = pegasos_weights(sp.csr_matrix(X), signs, sw, **kwargs)
         np.testing.assert_allclose(sparse, dense, atol=1e-9)
+
+
+def scipy_indexing_pegasos(
+    X, signs, sample_weight, lam, n_epochs, seed, batch_size,
+    init_weights=None, t0=0,
+):
+    """The CSR Pegasos loop before the raw-CSR kernel (the oracle).
+
+    Each batch indexes ``X[batch]`` and ``X[batch][violators]`` with
+    scipy, so its sums are scipy's ``csr_matvec`` and ``csc_matvec``.
+    """
+    n_samples, n_features = X.shape
+    rng = np.random.default_rng(seed)
+    if init_weights is None:
+        w = np.zeros(n_features + 1, dtype=np.float64)
+    else:
+        w = np.array(init_weights, dtype=np.float64)
+    coef_full = sample_weight * signs
+    t = t0
+    for _ in range(n_epochs):
+        order = rng.permutation(n_samples)
+        for start in range(0, n_samples, batch_size):
+            batch = order[start : start + batch_size]
+            t += 1
+            eta = 1.0 / (lam * t)
+            Xb = X[batch]
+            margins = signs[batch] * (Xb @ w[:-1] + w[-1])
+            w *= 1.0 - eta * lam
+            violators = margins < 1.0
+            if not np.any(violators):
+                continue
+            coefs = (eta / batch.shape[0]) * coef_full[batch[violators]]
+            w[:-1] += Xb[violators].T @ coefs
+            w[-1] += coefs.sum()
+    return w
+
+
+def tfidf_shaped_problem(seed, n_samples=53, n_features=90, min_nnz=0, max_nnz=20):
+    """Sparse nonnegative rows of varying length, rows 0, n/2 and n-1 empty."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(min_nnz, max_nnz + 1, size=n_samples)
+    lengths[[0, n_samples // 2, n_samples - 1]] = 0
+    cols = np.concatenate(
+        [np.sort(rng.choice(n_features, size=k, replace=False)) for k in lengths]
+    )
+    X = sp.csr_matrix(
+        (rng.random(cols.size), cols, np.concatenate([[0], np.cumsum(lengths)])),
+        shape=(n_samples, n_features),
+    )
+    signs = np.where(rng.random(n_samples) < 0.3, 1.0, -1.0)
+    sample_weight = np.where(signs > 0, 1.7, 0.6)
+    return X, signs, sample_weight
+
+
+def assert_pegasos_bit_equal(X, signs, sw, **kwargs):
+    """Cold and warm (``init_weights``, ``t0 > 0``) fits equal the oracle."""
+    cold = pegasos_weights(X, signs, sw, **kwargs)
+    np.testing.assert_array_equal(
+        cold, scipy_indexing_pegasos(X, signs, sw, **kwargs)
+    )
+    warm_kwargs = dict(kwargs, n_epochs=3, seed=kwargs["seed"] + 1)
+    warm_kwargs.update(init_weights=cold, t0=17)
+    np.testing.assert_array_equal(
+        pegasos_weights(X, signs, sw, **warm_kwargs),
+        scipy_indexing_pegasos(X, signs, sw, **warm_kwargs),
+    )
+    return cold
+
+
+def _stream_weekly_matrix():
+    """The ``stream_weekly`` benchmark's seed-1 live rows after tick 50."""
+    n_sites = 400
+    config = GeneratorConfig(
+        n_legitimate=n_sites // 4,
+        n_illegitimate=n_sites - n_sites // 4,
+        n_affiliate_hubs=n_sites // 20,
+        min_pages=3,
+        max_pages=6,
+        min_terms_per_page=60,
+        max_terms_per_page=120,
+        seed=1,
+    )
+    stream = StreamConfig(
+        n_ticks=50,
+        birth_fraction=0.015,
+        death_fraction=0.01,
+        drift_fraction=0.01,
+        rewire_fraction=0.01,
+    )
+    corpus = StreamCorpus.generate(config)
+    verifier = StreamingVerifier(
+        corpus, detector=DriftDetector(max_ticks_between_retrains=4)
+    )
+    verifier.bootstrap()
+    for delta in plan_deltas(config, stream):
+        verifier.apply_tick(delta)
+    return verifier._matrix, verifier._labels_array(corpus.domains())
+
+
+class TestPegasosCsrBitEquality:
+    """The raw-CSR kernel against the scipy-indexing loop, bit for bit."""
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 32])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_empty_rows_and_partial_last_batch(self, seed, batch_size):
+        X, signs, sw = tfidf_shaped_problem(seed)
+        assert X.shape[0] % batch_size or batch_size == 1
+        assert np.count_nonzero(np.diff(X.indptr) == 0) >= 3
+        assert_pegasos_bit_equal(
+            X, signs, sw, lam=1e-3, n_epochs=4, seed=seed, batch_size=batch_size
+        )
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 32])
+    def test_rows_with_many_nonzeros(self, batch_size):
+        # Eight or more entries per row: where a pairwise summation
+        # (``np.add.reduceat``) would start to differ from scipy's.
+        X, signs, sw = tfidf_shaped_problem(
+            5, n_samples=70, n_features=200, min_nnz=8, max_nnz=60
+        )
+        assert np.count_nonzero(np.diff(X.indptr) >= 8) == X.shape[0] - 3
+        assert_pegasos_bit_equal(
+            X, signs, sw, lam=1e-4, n_epochs=5, seed=3, batch_size=batch_size
+        )
+
+    def test_batches_with_no_and_with_all_violators(self):
+        n = 40
+        X = sp.csr_matrix(
+            (np.ones(n), np.where(np.arange(n) % 2, 0, 1), np.arange(n + 1)),
+            shape=(n, 3),
+        )
+        signs = np.where(np.arange(n) % 2, 1.0, -1.0)
+        sw = np.ones(n)
+        kwargs = dict(lam=1e-3, n_epochs=2, seed=4, batch_size=8)
+        # From zero weights every margin is 0: the first batch all violate.
+        assert_pegasos_bit_equal(X, signs, sw, **kwargs)
+        # Margins of 10 everywhere: the first batch has no violator.
+        separating = np.array([10.0, -10.0, 0.0, 0.0])
+        assert np.all(signs * (X @ separating[:-1] + separating[-1]) >= 1.0)
+        np.testing.assert_array_equal(
+            pegasos_weights(X, signs, sw, init_weights=separating, t0=5000, **kwargs),
+            scipy_indexing_pegasos(
+                X, signs, sw, init_weights=separating, t0=5000, **kwargs
+            ),
+        )
+
+    def test_margin_at_one_follows_scipy_summation_order(self):
+        # 1 - 8 * 3e-17 summed one term at a time stays 1.0 (no
+        # violation); summed pairwise it drops below 1.0 (a violation).
+        weights = np.array([1.0] + [-3e-17] * 8 + [0.0, 0.0])
+        X = sp.csr_matrix(
+            np.vstack([np.r_[np.ones(9), 0.0], np.r_[np.zeros(9), 1.0]])
+        )
+        products = X[0].data * weights[X[0].indices]
+        assert X[0] @ weights[:-1] == 1.0
+        assert np.add.reduceat(products, [0])[0] < 1.0
+        signs, sw = np.ones(2), np.ones(2)
+        kwargs = dict(lam=1e-3, n_epochs=1, seed=0, batch_size=2)
+        np.testing.assert_array_equal(
+            pegasos_weights(X, signs, sw, init_weights=weights, t0=10, **kwargs),
+            scipy_indexing_pegasos(
+                X, signs, sw, init_weights=weights, t0=10, **kwargs
+            ),
+        )
+
+    def test_unsorted_column_indices(self):
+        X, signs, sw = tfidf_shaped_problem(8)
+        reversed_rows = X.copy()
+        for i in range(X.shape[0]):
+            lo, hi = X.indptr[i], X.indptr[i + 1]
+            reversed_rows.indices[lo:hi] = X.indices[lo:hi][::-1]
+            reversed_rows.data[lo:hi] = X.data[lo:hi][::-1]
+        reversed_rows.has_sorted_indices = False
+        kwargs = dict(lam=1e-3, n_epochs=3, seed=2, batch_size=7)
+        assert_pegasos_bit_equal(reversed_rows, signs, sw, **kwargs)
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_index_dtypes(self, index_dtype):
+        X, signs, sw = tfidf_shaped_problem(9)
+        X.indptr = X.indptr.astype(index_dtype)
+        X.indices = X.indices.astype(index_dtype)
+        assert X.indptr.dtype == index_dtype
+        assert_pegasos_bit_equal(
+            X, signs, sw, lam=1e-3, n_epochs=3, seed=6, batch_size=7
+        )
+
+    def test_stream_weekly_live_matrix(self):
+        X, y = _stream_weekly_matrix()
+        svm = LinearSVC()
+        X, signs, sw = svm._prepare(X, y)
+        assert_pegasos_bit_equal(
+            X, signs, sw, lam=1e-4, n_epochs=30, seed=0, batch_size=32
+        )
 
 
 class TestC45Equivalence:

@@ -94,6 +94,43 @@ class TestIncrementalDocumentFrequencies:
         assert incremental.vocabulary.terms() == batch.vocabulary.terms()
         assert np.array_equal(incremental.idf, batch.idf)
 
+    @pytest.mark.parametrize(
+        "sublinear_tf,normalize", [(False, True), (True, False)]
+    )
+    def test_rows_equal_transform_of_the_tokens(self, sublinear_tf, normalize):
+        rng = np.random.default_rng(4)
+        state = IncrementalDocumentFrequencies()
+        live = _drive(rng, 40, state, _random_tokens, self._apply)
+        vectorizer = TfidfVectorizer(
+            min_df=2, sublinear_tf=sublinear_tf, normalize=normalize
+        ).fit_document_frequencies(state.document_frequencies(), state.n_docs)
+        # After the fit: a member taken down and added back, terms no
+        # fit has seen, an all-out-of-vocabulary and an empty document.
+        back = sorted(live)[0]
+        state.remove(back)
+        state.add(back, live[back])
+        live["novel.net"] = ["brandnew", "brandnew", "viagra", "unseen"]
+        live["oov.net"] = ["neverseen", "neverseen"]
+        live["empty.net"] = []
+        for domain in ("novel.net", "oov.net", "empty.net"):
+            state.add(domain, live[domain])
+        for fitted in (vectorizer, state.fit_vectorizer()):
+            domains = sorted(live, reverse=True)
+            rows = state.rows(domains, fitted)
+            expected = fitted.transform([live[d] for d in domains])
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(
+                    getattr(rows, part), getattr(expected, part)
+                )
+        assert state.rows(["oov.net"], vectorizer).nnz == 0
+        assert set(state._ids) == set().union(*map(set, live.values()))
+
+    def test_rows_of_unknown_domain_raises(self):
+        state = IncrementalDocumentFrequencies()
+        state.add("a.net", ["x"])
+        with pytest.raises(MissingKeyError):
+            state.rows(["ghost.net"], state.fit_vectorizer())
+
     def test_duplicate_add_raises(self):
         state = IncrementalDocumentFrequencies()
         state.add("a.net", ["x"])

@@ -6,11 +6,15 @@ recompute of the final snapshot: document frequencies and the refit
 vocabulary bit-equal, TrustRank within 1e-9 of a tight power-iteration
 run, and — after ``full_retrain`` — the SVM weights bit-equal with zero
 verdict staleness.  Separate streams pin the maintained feature matrix
-row by row and check that no tick builds an N-gram graph.
+row by row, pin the rows built from cached term counts to a fresh
+transform after every tick, and check that no tick builds an N-gram
+graph.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -147,6 +151,96 @@ class TestFeatureRows:
                 assert (row != expected).nnz == 0, (delta.epoch, domain)
         assert any(retrained) and not all(retrained)
         assert _has_births_deaths_and_drifts(stream_deltas)
+
+
+_NOVEL_TEXT = "zorbulex quindarine flemtacious vorpalite zorbulex"
+
+
+def _assert_live_rows_equal_transform(verifier, corpus, summarizer):
+    """The live matrix is the vectorizer's transform of the live summaries,
+    and the interner holds exactly the terms with a nonzero frequency."""
+    domains = corpus.domains()
+    tokens = [
+        summarizer.summarize_site(verifier._crawl.site(domain)).tokens
+        for domain in domains
+    ]
+    expected = verifier.vectorizer.transform(tokens)
+    live = verifier._matrix
+    assert [verifier._row_of[domain] for domain in domains] == list(
+        range(len(domains))
+    )
+    for part in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(live, part), getattr(expected, part))
+    fresh: Counter[str] = Counter()
+    for doc in tokens:
+        fresh.update(set(doc))
+    state = verifier.document_frequencies
+    assert state.document_frequencies() == fresh
+    assert len(state._ids) == len(fresh)
+    return set(fresh) - set(verifier.vectorizer.vocabulary.terms())
+
+
+class TestCachedTermRows:
+    """Rows rebuilt from cached term counts, at every tick of a stream."""
+
+    def test_live_matrix_equals_a_fresh_transform(self, monkeypatch):
+        retrain_every = 5
+        corpus = StreamCorpus.generate(STREAM_GEN)
+        deltas = list(
+            plan_deltas(STREAM_GEN, dataclasses.replace(STREAM_CFG, n_ticks=24))
+        )
+        # A domain the plan takes down is born again on the next tick,
+        # before any retrain.
+        k, reborn = next(
+            (k, delta.removed[0])
+            for k, delta in enumerate(deltas[:-1])
+            if delta.removed and delta.epoch % retrain_every
+        )
+        deltas[k + 1] = dataclasses.replace(
+            deltas[k + 1], added=deltas[k + 1].added + (reborn,)
+        )
+        # One birth between retrains carries only words no vocabulary
+        # has seen: its row is empty until the next retrain.
+        novel_epoch, novel = next(
+            (delta.epoch, delta.added[0])
+            for delta in deltas
+            if delta.added and delta.epoch % retrain_every
+        )
+        build = corpus._build
+
+        def build_novel(domain, label, revision, drifted):
+            site, record = build(domain, label, revision, drifted)
+            if domain == novel:
+                pages = tuple(
+                    dataclasses.replace(page, text=_NOVEL_TEXT)
+                    for page in site.pages
+                )
+                site = dataclasses.replace(site, pages=pages)
+            return site, record
+
+        monkeypatch.setattr(corpus, "_build", build_novel)
+        verifier = StreamingVerifier(corpus, detector=_quiet_detector())
+        verifier.bootstrap()
+        summarizer = Summarizer()
+        _assert_live_rows_equal_transform(verifier, corpus, summarizer)
+        unseen_terms = 0
+        novel_nnz = []
+        for delta in deltas:
+            verifier.apply_tick(delta)
+            unseen_terms += len(
+                _assert_live_rows_equal_transform(verifier, corpus, summarizer)
+            )
+            if delta.epoch % retrain_every == 0:
+                verifier.full_retrain()
+                _assert_live_rows_equal_transform(verifier, corpus, summarizer)
+            if novel in corpus:
+                novel_nnz.append(verifier._matrix[verifier._row_of[novel]].nnz)
+        assert unseen_terms > 0
+        assert reborn in corpus
+        # Empty from its birth to the next retrain, then its 4 terms.
+        first_retrain = retrain_every - novel_epoch % retrain_every
+        assert novel_nnz[:first_retrain] == [0] * first_retrain
+        assert novel_nnz[first_retrain] == 4
 
 
 class TestNoNGramGraphs:

@@ -1,5 +1,9 @@
 """Tests for the command-line interface (end-to-end session)."""
 
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -119,21 +123,23 @@ class TestCommands:
         assert "serving 50 pharmacies" in out
         assert "drained cleanly" in out
 
-    def test_serve_rejects_bad_tier_config(self, cli_artifacts, tmp_path):
+    def test_serve_rejects_bad_tier_config(
+        self, cli_artifacts, tmp_path, capsys
+    ):
         corpus_path, model_path = cli_artifacts
         bad = tmp_path / "tiers.json"
         bad.write_text('{"nope": 1}')
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            main(
-                [
-                    "serve", model_path, corpus_path,
-                    "--port", "0",
-                    "--tier-config", str(bad),
-                    "--check",
-                ]
-            )
+        status = main(
+            [
+                "serve", model_path, corpus_path,
+                "--port", "0",
+                "--tier-config", str(bad),
+                "--check",
+            ]
+        )
+        assert status == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro: error: ")
 
     def test_experiments_delegates(self, capsys):
         assert main(["experiments", "figure3", "--scale", "tiny"]) == 0
@@ -229,3 +235,57 @@ class TestShardedCommands:
         )
         out = capsys.readouterr().out
         assert "serving 50 pharmacies" in out
+
+
+class TestErrors:
+    """A library error ends a command with one stderr line, no traceback."""
+
+    @pytest.fixture()
+    def bad_models(self, tmp_path):
+        corrupt = tmp_path / "corrupt.pkl"
+        corrupt.write_bytes(b"not a pickle")
+        version1 = tmp_path / "version1.pkl"
+        version1.write_bytes(
+            pickle.dumps(
+                {"magic": "repro-model", "format_version": 1, "model": None}
+            )
+        )
+        return {
+            "missing": tmp_path / "missing.pkl",
+            "corrupt": corrupt,
+            "version1": version1,
+        }
+
+    @pytest.mark.parametrize("command", ["verify", "rank"])
+    @pytest.mark.parametrize(
+        "kind,message",
+        [
+            ("missing", "no such model file"),
+            ("corrupt", "corrupt model file"),
+            ("version1", "model format version 1 != supported 2"),
+        ],
+    )
+    def test_bad_model_is_one_line(
+        self, cli_artifacts, bad_models, capsys, command, kind, message
+    ):
+        corpus_path, _ = cli_artifacts
+        assert main([command, str(bad_models[kind]), corpus_path]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: error: ")
+        assert message in line
+        assert captured.out == ""
+
+    def test_missing_model_prints_no_traceback(self, bad_models):
+        missing = str(bad_models["missing"])
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "verify", missing, "corpus"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines() == [
+            f"repro: error: no such model file: {missing}"
+        ]
