@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.devtools.contracts import check_score_range
+from repro.contracts import check_score_range
 from repro.exceptions import ValidationError
 from repro.ml.metrics import pairwise_orderedness
 

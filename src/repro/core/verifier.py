@@ -289,7 +289,7 @@ class PharmacyVerifier:
             # caller opts into real time (the serving layer does).
             if (
                 deadline is not None
-                and timer.monotonic() >= deadline  # repro-flow: disable=D002
+                and timer.monotonic() >= deadline
             ):
                 reports.extend(self._expired_reports(block, block_stats))
             else:

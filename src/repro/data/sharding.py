@@ -58,7 +58,6 @@ from repro.data.synthesis import (
     illegit_domain_names,
     legit_domain_names,
 )
-from repro.devtools.sanitizers import sanitizes
 from repro.exceptions import MissingKeyError, ValidationError
 from repro.io import (
     PersistenceError,
@@ -68,6 +67,7 @@ from repro.io import (
     site_record_to_row,
 )
 from repro.perf.parallel import pmap
+from repro.sanitizers import sanitizes
 from repro.web.site import Website
 
 logger = logging.getLogger(__name__)

@@ -1,17 +1,17 @@
-"""Project-specific developer tooling.
+"""Project-specific static analysis for the repro codebase.
 
-Two companion halves guard the numeric kernels of the reproduction:
+:mod:`repro.devtools.analyze` is the one command,
+``python -m repro.devtools.analyze src/repro``.  It runs the per-module
+lint rules (exception hygiene, seeded randomness, import layering,
+mutable defaults, API documentation, broad handlers) and the flow, conc
+and hot interprocedural analyzers, gated by one baseline file,
+``.repro-baseline.json``.
 
-* :mod:`repro.devtools.analyze` — the one static-analysis command,
-  ``python -m repro.devtools.analyze src/repro``.  It runs the
-  per-module lint rules (exception hygiene, seeded randomness, import
-  layering, float-comparison safety, API documentation) and the flow,
-  conc and hot interprocedural analyzers, gated by one baseline file,
-  ``.repro-baseline.json``.
-* :mod:`repro.devtools.contracts` — runtime numeric-contract
-  decorators (probability vectors, row-stochastic matrices, bounded
-  scores) that are active under pytest or ``REPRO_CONTRACTS=1`` and
-  compile to no-ops otherwise.
+The library imports nothing from this package: the runtime numeric
+contracts live in :mod:`repro.contracts` and the ``@sanitizes``
+declaration the flow analyzer reads lives in :mod:`repro.sanitizers`.
+Rule R003 forbids every library layer from importing
+``repro.devtools``.
 
 See ``docs/devtools.md`` for the rule catalogue and workflows.
 """

@@ -4,19 +4,19 @@ Usage::
 
     python -m repro.devtools.analyze [package-dirs ...]
         [--baseline PATH] [--no-baseline] [--write-baseline]
-        [--justification TEXT] [--fix]
-        [--format text|json|sarif|github] [--list-rules]
+        [--justification TEXT] [--format text|json|sarif] [--list-rules]
 
 Runs four analyzers over the same package directories (default
 ``src/repro``):
 
-* ``repro-lint`` — per-module rules R001-R009 (:mod:`repro.devtools.lint`);
-* ``repro-flow`` — interprocedural taint and determinism, T001-T005 and
-  D001-D003 (:mod:`repro.devtools.flow`);
-* ``repro-conc`` — parallel safety and cache coherence, C001-C006
-  (:mod:`repro.devtools.conc`);
-* ``repro-hot`` — hot-path performance ranked by a static cost model,
-  P001-P008 (:mod:`repro.devtools.hot`).
+* ``repro-lint`` — per-module rules R001-R004, R007 and R008
+  (:mod:`repro.devtools.lint`);
+* ``repro-flow`` — interprocedural taint and determinism, T001, T004,
+  D001 and D003 (:mod:`repro.devtools.flow`);
+* ``repro-conc`` — parallel safety and cache coherence, C001 and
+  C003-C006 (:mod:`repro.devtools.conc`);
+* ``repro-hot`` — reference-kernel imports and hot-path densification
+  ranked by a static cost model, P002 and P007 (:mod:`repro.devtools.hot`).
 
 The three interprocedural analyzers share one parsed project and call
 graph, so a run costs one front-end pass, not three.  Rule IDs are
@@ -25,12 +25,11 @@ in the current directory) gates all four.  A file that cannot be read
 or parsed is reported once, as lint's ``E000`` finding.
 
 Exit status: 0 when no new findings (baselined findings do not fail the
-run), 1 when new findings exist **or** ``--fix`` rewrote any file (so
-CI catches uncommitted fixes), 2 on usage errors.
+run), 1 when new findings exist, 2 on usage errors.
 
-``--fix`` applies lint's R001/R009 and hot's P003 autofixes in place,
-then analyzes the fixed tree.  ``--format sarif`` prints one SARIF
-2.1.0 document with one run per tool.
+``--format sarif`` prints one SARIF 2.1.0 document with one run per
+tool.  ``--write-baseline`` keeps the justification of every entry the
+baseline already holds; ``--justification`` annotates the new ones.
 """
 
 from __future__ import annotations
@@ -41,11 +40,10 @@ import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from repro.devtools.autofix import apply_p003_file_fixes
 from repro.devtools.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.devtools.conc.analyzer import conc_findings
 from repro.devtools.conc.registry import CONC_RULES
-from repro.devtools.emit import render_github, render_sarif_document, sarif_run
+from repro.devtools.emit import render_sarif_document, sarif_run
 from repro.devtools.findings import Finding
 from repro.devtools.flow.analysis import analyze_project, flow_findings
 from repro.devtools.flow.registry import FLOW_RULES
@@ -66,38 +64,20 @@ _RULE_CATALOGS: dict[str, Mapping[str, str]] = {
 }
 
 
-def run_all(
-    paths: Sequence[str], fix: bool = False
-) -> tuple[dict[str, list[Finding]], list[str]]:
+def run_all(paths: Sequence[str]) -> dict[str, list[Finding]]:
     """Run lint, flow, conc and hot over the package directories ``paths``.
 
-    Args:
-        paths: package directories to analyze.
-        fix: first apply the R001/R009/P003 autofixes in place, so the
-            findings describe the fixed tree.
-
     Returns:
-        ``(findings, fixed_files)``: each tool's findings in its report
-        order, keyed by tool name in lint/flow/conc/hot order, and the
-        files ``fix`` rewrote.
+        Each tool's findings in its report order, keyed by tool name in
+        lint/flow/conc/hot order.
     """
-    fixed_files: list[str] = []
-    lint = lint_paths(paths, fix=fix, fixed_files=fixed_files)
     analysis = analyze_project(paths)
-    hot = hot_findings(analysis)
-    p003_files = apply_p003_file_fixes(hot) if fix else []
-    if p003_files:
-        fixed_files.extend(p for p in p003_files if p not in fixed_files)
-        lint = lint_paths(paths)
-        analysis = analyze_project(paths)
-        hot = hot_findings(analysis)
-    findings = {
-        "repro-lint": lint,
+    return {
+        "repro-lint": lint_paths(paths),
         "repro-flow": flow_findings(analysis),
         "repro-conc": conc_findings(analysis),
-        "repro-hot": hot,
+        "repro-hot": hot_findings(analysis),
     }
-    return findings, fixed_files
 
 
 def _render_text(
@@ -140,7 +120,6 @@ def _render_json(
                     "message": f.message,
                     "symbol": f.symbol,
                     "fingerprint": f.fingerprint(),
-                    "fixable": f.fixable,
                 }
                 for tool, tool_new in new.items()
                 for f in tool_new
@@ -184,16 +163,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--justification",
         default="",
-        help="note recorded on every entry written by --write-baseline",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply the R001, R009 and P003 autofixes in place, then re-analyze",
+        help=(
+            "note recorded on each entry --write-baseline adds; existing "
+            "entries keep theirs"
+        ),
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif", "github"),
+        choices=("text", "json", "sarif"),
         default="text",
         help="report format",
     )
@@ -221,24 +198,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     try:
-        findings, fixed_files = run_all(args.paths, fix=args.fix)
+        findings = run_all(args.paths)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    if fixed_files:
-        sys.stderr.write(
-            f"note: --fix rewrote {len(fixed_files)} file(s); review and "
-            "commit the changes\n"
-        )
 
     everything = [f for tool_findings in findings.values() for f in tool_findings]
     baseline_path = Path(args.baseline)
     if args.write_baseline:
-        Baseline.from_findings(everything, justification=args.justification).save(
-            baseline_path
-        )
+        try:
+            previous = Baseline.load(baseline_path)
+        except (OSError, ValidationError):
+            previous = Baseline()  # unreadable: rewrite it from scratch
+        Baseline.from_findings(
+            everything, justification=args.justification, previous=previous
+        ).save(baseline_path)
         sys.stdout.write(f"wrote {len(everything)} finding(s) to {baseline_path}\n")
-        return 1 if fixed_files else 0
+        return 0
 
     try:
         baseline = Baseline() if args.no_baseline else Baseline.load(baseline_path)
@@ -257,15 +233,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             for tool, catalog in _RULE_CATALOGS.items()
         ]
         sys.stdout.write(render_sarif_document(runs) + "\n")
-    elif args.format == "github":
-        all_new = [f for tool_new in new.values() for f in tool_new]
-        sys.stdout.write(render_github(all_new) + "\n")
     elif args.format == "json":
         sys.stdout.write(_render_json(new, grandfathered, stale) + "\n")
     else:
         sys.stdout.write(_render_text(new, grandfathered, stale) + "\n")
 
-    return 1 if fixed_files or any(new.values()) else 0
+    return 1 if any(new.values()) else 0
 
 
 if __name__ == "__main__":

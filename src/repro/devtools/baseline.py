@@ -64,9 +64,21 @@ class Baseline:
 
     @classmethod
     def from_findings(
-        cls, findings: Sequence[Finding], justification: str = ""
+        cls,
+        findings: Sequence[Finding],
+        justification: str = "",
+        previous: "Baseline | None" = None,
     ) -> "Baseline":
-        """Build a baseline grandfathering every given finding."""
+        """Build a baseline grandfathering every given finding.
+
+        A finding ``previous`` already holds keeps the justification
+        recorded there; ``justification`` annotates the others.
+        """
+        recorded = {
+            str(e["fingerprint"]): str(e["justification"])
+            for e in (previous.entries if previous is not None else ())
+            if e.get("justification")
+        }
         entries = []
         for finding in sorted(
             findings, key=lambda f: (f.path, f.line, f.rule)
@@ -78,8 +90,9 @@ class Baseline:
                 "symbol": finding.symbol,
                 "message": finding.message,
             }
-            if justification:
-                entry["justification"] = justification
+            note = recorded.get(finding.fingerprint(), justification)
+            if note:
+                entry["justification"] = note
             entries.append(entry)
         return cls(entries)
 

@@ -1,14 +1,14 @@
-"""Rule engine for ``repro-conc`` (C001–C006).
+"""Rule engine for ``repro-conc`` (C001 and C003–C006).
 
 Findings come in two shapes:
 
 * **site-local** — C005 (cache-key incompleteness) and C006 (fork-
   unsafe callables) fire at the discovered site itself;
-* **reachability-gated** — C001/C002 (shared-state writes), C003
+* **reachability-gated** — C001 (shared-state mutation), C003
   (nondeterminism), and C004 (non-atomic writes) fire on any function
   reachable from a worker root (or, for C004, a memoized-compute root)
   through the flow call graph, annotated with the shortest call chain —
-  the same interprocedural gating ``repro-flow`` uses for D001–D003.
+  the same interprocedural gating ``repro-flow`` uses for D001 and D003.
 
 C003 re-uses the flow interpreter's determinism events verbatim: an
 unseeded-RNG event that is benign on a serial entrypoint becomes a
@@ -143,7 +143,7 @@ class _ConcAnalyzer:
             _entry, chain = worker_reach[qualname]
             note = _chain_note("worker", chain)
             effects = self.effects.get(qualname, FunctionEffects())
-            for effect in effects.mutations + effects.rebinds:
+            for effect in effects.mutations:
                 self._emit(
                     effect.rule,
                     module,
@@ -411,5 +411,6 @@ def _free_loads(unit: FunctionUnit) -> dict[str, int]:
 
 
 def conc_findings(analysis: ProjectAnalysis) -> list[Finding]:
-    """All C001–C006 findings for an analyzed project, report-ordered."""
+    """All C001 and C003–C006 findings for an analyzed project,
+    report-ordered."""
     return _ConcAnalyzer(analysis).run()

@@ -2,15 +2,13 @@
 
 For every :class:`~repro.devtools.flow.project.FunctionUnit` (and each
 module's import-time code) this module records the *effects* rules
-C001/C002/C004 care about:
+C001 and C004 care about:
 
 * in-place mutations of module-level mutable containers — directly
   (``_CACHE[k] = v``, ``_CACHE.update(...)``), through an imported
   module attribute (``state.REGISTRY.append(...)``), or through a
   parameter whose default aliases a module global
   (``def f(x, acc=_ACC): acc.append(x)``);
-* rebinding writes: ``global``-declared assignments and class-attribute
-  stores (``Config.mode = ...``);
 * raw (non-atomic) file writes: ``open(path, "w")`` and
   ``Path.write_text`` / ``write_bytes`` calls that bypass
   ``repro.io``'s atomic helpers.
@@ -60,7 +58,6 @@ class FunctionEffects:
     """Effects of one function (or one module's import-time code)."""
 
     mutations: list[Effect] = field(default_factory=list)  # C001
-    rebinds: list[Effect] = field(default_factory=list)  # C002
     raw_writes: list[Effect] = field(default_factory=list)  # C004
 
 
@@ -168,12 +165,10 @@ class _EffectCollector:
 
     def __init__(
         self,
-        project: Project,
         module: ModuleUnit,
         unit: FunctionUnit | None,
         mutable_globals: dict[str, int],
     ) -> None:
-        self.project = project
         self.module = module
         self.unit = unit
         self.mutable_globals = mutable_globals
@@ -239,18 +234,6 @@ class _EffectCollector:
         if isinstance(node, ast.Name) and node.id in self.param_aliases:
             return self.param_aliases[node.id]
         return self._global_target(node)
-
-    def _class_target(self, node: ast.expr) -> str | None:
-        """Resolve a name to a project class qualname (for C002)."""
-        if not isinstance(node, ast.Name):
-            return None
-        candidate = f"{self.module.name}.{node.id}"
-        if candidate in self.project.classes:
-            return candidate
-        imported = self.module.imports.get(node.id)
-        if imported in self.project.classes:
-            return imported
-        return None
 
     # -- extraction -------------------------------------------------------
 
@@ -341,29 +324,6 @@ class _EffectCollector:
         for target in targets:
             if isinstance(target, ast.Subscript):
                 self._record_mutation(target.value, node, "subscript store")
-            elif isinstance(target, ast.Name) and target.id in self.global_decls:
-                self.effects.rebinds.append(
-                    Effect(
-                        rule="C002",
-                        message=f"rebinds global '{target.id}'",
-                        line=node.lineno,
-                        column=node.col_offset,
-                    )
-                )
-            elif isinstance(target, ast.Attribute):
-                class_qual = self._class_target(target.value)
-                if class_qual is not None:
-                    self.effects.rebinds.append(
-                        Effect(
-                            rule="C002",
-                            message=(
-                                f"writes class attribute "
-                                f"'{class_qual}.{target.attr}'"
-                            ),
-                            line=node.lineno,
-                            column=node.col_offset,
-                        )
-                    )
             elif isinstance(target, (ast.Tuple, ast.List)):
                 for element in target.elts:
                     if isinstance(element, ast.Subscript):
@@ -371,19 +331,18 @@ class _EffectCollector:
 
 
 def extract_effects(
-    project: Project, mutable_globals: dict[str, int] | None = None
+    project: Project, mutable_globals: dict[str, int]
 ) -> dict[str, FunctionEffects]:
     """Effects per call-graph node (function qualnames plus one
-    ``module.<module>`` node per module for import-time code)."""
-    if mutable_globals is None:
-        mutable_globals = collect_mutable_globals(project)
+    ``module.<module>`` node per module for import-time code), against
+    the :func:`collect_mutable_globals` table ``mutable_globals``."""
     effects: dict[str, FunctionEffects] = {}
     for module in project.modules.values():
         effects[f"{module.name}.<module>"] = _EffectCollector(
-            project, module, None, mutable_globals
+            module, None, mutable_globals
         ).run()
         for unit in module.functions.values():
             effects[unit.qualname] = _EffectCollector(
-                project, module, unit, mutable_globals
+                module, unit, mutable_globals
             ).run()
     return effects

@@ -10,7 +10,7 @@ documents but nothing verifies statically:
 * :class:`repro.perf.FeatureCache` hits are correct **only if** every
   input the memoized computation reads is folded into the key.
 
-Rules C001–C006 each police one way those contracts break.  Findings
+Rules C001 and C003–C006 each police one way those contracts break.  Findings
 are suppressed with ``# repro-conc: disable=C003`` comments (same
 syntax as repro-lint/repro-flow, different marker).
 """
@@ -38,12 +38,8 @@ CONC_RULES: dict[str, str] = {
         "worker-reachable code mutates shared module-level mutable state "
         "(in-place writes diverge or vanish across process boundaries)"
     ),
-    "C002": (
-        "worker-reachable code rebinds a global or writes a class "
-        "attribute (the write is lost in the parent under fork)"
-    ),
     "C003": (
-        "nondeterminism (unseeded RNG, wall clock, unordered iteration) "
+        "nondeterminism (unseeded RNG, unordered iteration) "
         "reachable from a parallel worker — fork-divergent results"
     ),
     "C004": (

@@ -1,15 +1,10 @@
-"""Machine-format report emitters for ``repro-analyze``.
+"""SARIF report emitter for ``repro-analyze``.
 
 All four analyzers (lint, flow, conc, hot) produce
-:class:`~repro.devtools.findings.Finding` objects; this module renders
-them in the machine formats CI consumes:
-
-* :func:`sarif_run` / :func:`render_sarif_document` — one SARIF run per
-  tool and the enclosing 2.1.0 document; ``repro-analyze`` merges the
-  four analyzers into a single upload this way;
-* :func:`render_github` — GitHub Actions workflow commands
-  (``::error file=...``), the zero-setup alternative when the
-  code-scanning feature is unavailable.
+:class:`~repro.devtools.findings.Finding` objects; :func:`sarif_run`
+renders one tool's findings as a SARIF run and
+:func:`render_sarif_document` wraps the runs in one 2.1.0 document, so
+``repro-analyze`` merges the four analyzers into a single CI upload.
 
 Findings passed in should already be baseline-filtered: emitters report
 what *fails* the build, not the grandfathered backlog.
@@ -25,7 +20,6 @@ from repro.devtools.findings import Finding
 __all__ = [
     "sarif_run",
     "render_sarif_document",
-    "render_github",
     "SARIF_SCHEMA_URI",
     "SARIF_VERSION",
 ]
@@ -117,38 +111,3 @@ def render_sarif_document(runs: Sequence[Mapping]) -> str:
     }
     return json.dumps(document, indent=2)
 
-
-def _escape_property(text: str) -> str:
-    """Escape a workflow-command *property* value (file=, title=)."""
-    return (
-        text.replace("%", "%25")
-        .replace("\r", "%0D")
-        .replace("\n", "%0A")
-        .replace(":", "%3A")
-        .replace(",", "%2C")
-    )
-
-
-def _escape_data(text: str) -> str:
-    """Escape workflow-command message data."""
-    return text.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
-
-
-def render_github(findings: Sequence[Finding]) -> str:
-    """Render ``findings`` as GitHub Actions ``::error`` commands.
-
-    One command per finding; GitHub turns these into inline annotations
-    on the pull-request diff without any SARIF upload step.
-    """
-    lines = []
-    for finding in findings:
-        lines.append(
-            "::error file={file},line={line},col={col},title={title}::{message}".format(
-                file=_escape_property(finding.path),
-                line=finding.line,
-                col=finding.column + 1,
-                title=_escape_property(finding.rule),
-                message=_escape_data(f"{finding.rule} {finding.message}"),
-            )
-        )
-    return "\n".join(lines)

@@ -21,7 +21,7 @@ class Finding:
     """One rule violation.
 
     Attributes:
-        rule: rule identifier (``R001`` .. ``R007``).
+        rule: rule identifier (``R001``, ``T001``, ``C001``, ``P002``, ...).
         path: file path as given to the linter (posix separators).
         line: 1-based line number of the violation.
         column: 0-based column offset.
@@ -29,7 +29,6 @@ class Finding:
         symbol: dotted name of the enclosing class/function scope, or
             ``<module>`` for module-level code.
         source_line: the stripped source text of the offending line.
-        fixable: whether ``--fix`` can rewrite this finding.
         occurrence: 0-based index among findings sharing the same
             (rule, path, symbol, source_line) — keeps fingerprints
             unique when one symbol repeats an offending construct.
@@ -42,7 +41,6 @@ class Finding:
     message: str
     symbol: str = "<module>"
     source_line: str = ""
-    fixable: bool = False
     occurrence: int = field(default=0, compare=False)
 
     def fingerprint(self) -> str:
@@ -78,7 +76,6 @@ def assign_occurrences(findings: list[Finding]) -> list[Finding]:
                 message=finding.message,
                 symbol=finding.symbol,
                 source_line=finding.source_line,
-                fixable=finding.fixable,
                 occurrence=counter[key],
             )
         )

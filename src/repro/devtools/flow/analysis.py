@@ -42,7 +42,7 @@ def analyze_project(paths: Sequence[str]) -> ProjectAnalysis:
 
 
 def flow_findings(analysis: ProjectAnalysis) -> list[Finding]:
-    """All T001-T005 taint and D001-D003 determinism findings for an
+    """All T001/T004 taint and D001/D003 determinism findings for an
     analyzed project, occurrence-stamped, in (path, line) report order."""
     findings = list(analysis.result.taint_findings)
     findings.extend(

@@ -1,12 +1,12 @@
-"""Entrypoint-gated determinism findings (rules D001–D003).
+"""Entrypoint-gated determinism findings (rules D001 and D003).
 
-The interpreter records *events* (unseeded RNG calls, wall-clock values
-feeding data, unordered-set iteration) per function; this module turns
-them into findings only when the function is reachable from an
-experiment entrypoint — public functions of ``cli.py`` / ``runner.py``
-/ ``*_pipeline.py`` modules, or qualnames passed as
-``extra_entrypoints`` (the tests root an otherwise unreached helper this
-way, to show reachability alone hides its hazard).  That is the
+The interpreter records *events* (unseeded RNG calls, unordered-set
+iteration) per function; this module turns them into findings only
+when the function is reachable from an experiment entrypoint — public
+functions of ``cli.py`` / ``runner.py`` / ``*_pipeline.py`` modules, or
+qualnames passed as ``extra_entrypoints`` (the tests root an otherwise
+unreached helper this way, to show reachability alone hides its
+hazard).  That is the
 interprocedural generalization of repro-lint's single-file R002:
 a helper three calls deep that touches ``numpy.random.rand`` is flagged
 with the call chain that reaches it.

@@ -12,14 +12,14 @@ One pass serves three consumers:
   callees.  Summaries are iterated to a fixpoint, then a final pass
   reports source-to-sink flows as findings.
 * **Determinism** — per-function nondeterminism events (unseeded RNG,
-  wall-clock values feeding data, unordered-set iteration) later gated
-  on entrypoint reachability by :mod:`repro.devtools.flow.determinism`.
+  unordered-set iteration) later gated on entrypoint reachability by
+  :mod:`repro.devtools.flow.determinism`.
 
 The abstract domain is deliberately small: a value is a possible-taint
 (with the set of sink categories already cleared by sanitizers and a
 few origin strings for messages), a set of parameter dependencies, an
-optional set of callable targets (for higher-order dispatch), and two
-booleans (``is_set``, ``is_clock``).  The interpreter is
+optional set of callable targets (for higher-order dispatch), and one
+boolean (``is_set``).  The interpreter is
 flow-insensitive within a function (assignments only *join*), visits
 each body twice to stabilize loop-carried facts, and evaluates lambda
 bodies inline in the enclosing environment — approximating the
@@ -31,25 +31,20 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.devtools.findings import Finding
-from repro.devtools.flow import redos
 from repro.devtools.flow.project import FunctionUnit, ModuleUnit, Project
 from repro.devtools.flow.registry import (
     CLEAN_BUILTINS,
-    CLOCK_CALLS,
     FETCH_ATTR_NAMES,
     FETCH_SINK_DOTTED,
     FILE_READ_ATTRS,
-    LOGGER_BASE_NAMES,
-    LOGGER_METHODS,
     PATH_SINK_ANY_ARG,
     PATH_SINK_BUILTINS,
     PATH_SINK_DOTTED,
     PROPAGATING_BUILTINS,
-    REGEX_SINK_DOTTED,
-    REPORT_MODULE_SUFFIXES,
+    REGEX_CALLS,
     SEEDED_RNG_ALLOWED,
     SOURCE_ATTR_NAMES,
     TAINT_RULE_BY_CATEGORY,
@@ -105,14 +100,12 @@ def clear_taint(t: Taint | None, kinds: frozenset[str]) -> Taint | None:
 @dataclass(slots=True)
 class AV:
     """Abstract value: taint, parameter dependencies (param index ->
-    categories cleared since entry), callable targets, set-ness, and
-    wall-clock provenance."""
+    categories cleared since entry), callable targets, and set-ness."""
 
     taint: Taint | None = None
     pdeps: dict[int, frozenset[str]] = field(default_factory=dict)
     callables: frozenset[str] = frozenset()
     is_set: bool = False
-    is_clock: bool = False
 
 
 def _merge_pdeps(
@@ -135,7 +128,6 @@ def join_av(*values: AV) -> AV:
         _merge_pdeps(result.pdeps, value.pdeps)
         result.callables = result.callables | value.callables
         result.is_set = result.is_set or value.is_set
-        result.is_clock = result.is_clock or value.is_clock
     return result
 
 
@@ -173,7 +165,6 @@ class Summary:
 
     ret_taint: Taint | None = None
     ret_pdeps: dict[int, frozenset[str]] = field(default_factory=dict)
-    ret_clock: bool = False
     sink_pdeps: dict[int, tuple[SinkHit, ...]] = field(default_factory=dict)
 
     def key(self) -> tuple:
@@ -186,7 +177,6 @@ class Summary:
         return (
             taint_key,
             tuple(sorted((p, tuple(sorted(c))) for p, c in self.ret_pdeps.items())),
-            self.ret_clock,
             tuple(
                 sorted(
                     (p, tuple(sorted((h.category, h.path, h.line, tuple(sorted(h.cleared))) for h in hits)))
@@ -244,8 +234,6 @@ class _Interp:
         self.det_events: list[DetEvent] = []
         self.ret = AV()
         self.summary = Summary()
-        self._reporting = 0
-        self._is_report_module = module.path.endswith(REPORT_MODULE_SUFFIXES)
 
     # -- entry ------------------------------------------------------------
 
@@ -264,7 +252,6 @@ class _Interp:
             self.visit_block(body)
         self.summary.ret_taint = self.ret.taint
         self.summary.ret_pdeps = dict(self.ret.pdeps)
-        self.summary.ret_clock = self.ret.is_clock
         return self.summary
 
     # -- helpers ----------------------------------------------------------
@@ -319,8 +306,7 @@ class _Interp:
             self.env[target.id] = join_av(existing, value) if existing else value
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._bind(element, AV(taint=value.taint, pdeps=dict(value.pdeps),
-                                       is_clock=value.is_clock))
+                self._bind(element, AV(taint=value.taint, pdeps=dict(value.pdeps)))
         elif isinstance(target, ast.Starred):
             self._bind(target.value, value)
         elif isinstance(target, ast.Subscript):
@@ -340,8 +326,7 @@ class _Interp:
                     self.env[base.id] = join_av(existing, value)
 
     def _element_of(self, container: AV) -> AV:
-        return AV(taint=container.taint, pdeps=dict(container.pdeps),
-                  is_clock=container.is_clock)
+        return AV(taint=container.taint, pdeps=dict(container.pdeps))
 
     # -- sink machinery ----------------------------------------------------
 
@@ -387,7 +372,7 @@ class _Interp:
         node: ast.AST,
     ) -> AV:
         summary = self.summaries.get(unit.qualname, Summary())
-        result = AV(taint=summary.ret_taint, is_clock=summary.ret_clock)
+        result = AV(taint=summary.ret_taint)
         for index, additions in summary.ret_pdeps.items():
             arg = args_by_index.get(index)
             if arg is None:
@@ -395,7 +380,6 @@ class _Interp:
             if arg.taint is not None:
                 result.taint = join_taint(result.taint, clear_taint(arg.taint, additions))
             _merge_pdeps(result.pdeps, arg.pdeps, additions)
-            result.is_clock = result.is_clock or arg.is_clock
         # Parameter-to-sink flows recorded inside the callee fire here
         # when the caller provides tainted data.
         for index, hits in summary.sink_pdeps.items():
@@ -627,7 +611,6 @@ class _Interp:
                 pdeps=dict(value.pdeps),
                 callables=value.callables,
                 is_set=value.is_set,
-                is_clock=value.is_clock,
             )
         if node.id in self.module.functions:
             return AV(callables=frozenset({self.module.functions[node.id].qualname}))
@@ -641,17 +624,15 @@ class _Interp:
         if dotted is not None and dotted in self.project.functions:
             return AV(callables=frozenset({dotted}))
         value = self.eval(node.value)
-        return AV(taint=value.taint, pdeps=dict(value.pdeps), is_clock=value.is_clock)
+        return AV(taint=value.taint, pdeps=dict(value.pdeps))
 
     def _eval_BinOp(self, node: ast.BinOp) -> AV:
         left, right = self.eval(node.left), self.eval(node.right)
-        result = AV(is_clock=left.is_clock or right.is_clock)
+        result = AV()
         if isinstance(node.op, (ast.Add, ast.Mod)):
             result.taint = join_taint(left.taint, right.taint)
             _merge_pdeps(result.pdeps, left.pdeps)
             _merge_pdeps(result.pdeps, right.pdeps)
-            if self._is_report_module and isinstance(node.op, ast.Mod):
-                self._check_sink("report", join_av(left, right), node, "%-interpolation")
         if isinstance(node.op, ast.BitOr):
             result.is_set = left.is_set and right.is_set
         return result
@@ -660,21 +641,18 @@ class _Interp:
         return join_av(*(self.eval(v) for v in node.values))
 
     def _eval_UnaryOp(self, node: ast.UnaryOp) -> AV:
-        operand = self.eval(node.operand)
-        return AV(is_clock=operand.is_clock)
+        self.eval(node.operand)
+        return AV()
 
     def _eval_Compare(self, node: ast.Compare) -> AV:
-        operands = [self.eval(node.left)] + [self.eval(c) for c in node.comparators]
-        if self._reporting == 0 and any(v.is_clock for v in operands):
-            self._det_event(
-                "D002", node, "wall-clock value used in a comparison"
-            )
+        for operand in (node.left, *node.comparators):
+            self.eval(operand)
         return AV()
 
     def _eval_Subscript(self, node: ast.Subscript) -> AV:
         value = self.eval(node.value)
         self.eval(node.slice)
-        result = AV(taint=value.taint, pdeps=dict(value.pdeps), is_clock=value.is_clock)
+        result = AV(taint=value.taint, pdeps=dict(value.pdeps))
         dotted = self._dotted_of(node.value)
         if dotted is not None:
             table = self.project.dispatch_tables.get(dotted)
@@ -685,13 +663,7 @@ class _Interp:
     def _eval_JoinedStr(self, node: ast.JoinedStr) -> AV:
         parts = [self.eval(v) for v in node.values]
         joined = join_av(*parts) if parts else AV()
-        if self._is_report_module:
-            self._check_sink("report", joined, node, "f-string interpolation")
-        if self._reporting == 0 and joined.is_clock:
-            self._det_event(
-                "D002", node, "wall-clock value interpolated into a result string"
-            )
-        return AV(taint=joined.taint, pdeps=dict(joined.pdeps), is_clock=joined.is_clock)
+        return AV(taint=joined.taint, pdeps=dict(joined.pdeps))
 
     def _eval_FormattedValue(self, node: ast.FormattedValue) -> AV:
         return self.eval(node.value)
@@ -773,16 +745,8 @@ class _Interp:
 
     def _eval_Call(self, node: ast.Call) -> AV:
         callee = self._resolve_callee(node.func)
-
-        reporting = self._is_reporting_call(callee)
-        if reporting:
-            self._reporting += 1
-        try:
-            positional = [self.eval(a) for a in node.args]
-            keywords = {k.arg: self.eval(k.value) for k in node.keywords}
-        finally:
-            if reporting:
-                self._reporting -= 1
+        positional = [self.eval(a) for a in node.args]
+        keywords = {k.arg: self.eval(k.value) for k in node.keywords}
         all_args = positional + list(keywords.values())
 
         # Source/sink semantics for the web trust boundary apply to any
@@ -812,13 +776,6 @@ class _Interp:
             return self._call_builtin(node, callee, positional, keywords, all_args)
         return self._call_unknown(node, callee, positional, all_args)
 
-    def _is_reporting_call(self, callee: _Callee) -> bool:
-        if callee.builtin == "print":
-            return True
-        if callee.attr in LOGGER_METHODS:
-            return True
-        return False
-
     def _call_units(
         self,
         node: ast.Call,
@@ -839,12 +796,6 @@ class _Interp:
             for name, value in keywords.items():
                 if name is not None and name in unit.params:
                     args_by_index[unit.params.index(name)] = value
-            if any(v.is_clock for v in args_by_index.values()) and self._reporting == 0:
-                self._det_event(
-                    "D002",
-                    node,
-                    f"wall-clock value flows into {unit.symbol}()",
-                )
             results.append(self._apply_summary(unit, args_by_index, node))
         return join_av(*results) if results else AV()
 
@@ -856,14 +807,12 @@ class _Interp:
                 self.edges.add(init.qualname)
         # Constructors propagate every argument into the instance.
         joined = join_av(*all_args) if all_args else AV()
-        return AV(taint=joined.taint, pdeps=dict(joined.pdeps), is_clock=joined.is_clock)
+        return AV(taint=joined.taint, pdeps=dict(joined.pdeps))
 
     def _call_external(
         self, node: ast.Call, callee: _Callee, positional: list[AV], all_args: list[AV]
     ) -> AV:
         dotted = callee.dotted
-        if dotted in CLOCK_CALLS:
-            return AV(is_clock=True)
         if dotted == "random" or dotted.startswith("random."):
             self._det_event(
                 "D001",
@@ -894,23 +843,7 @@ class _Interp:
                     "RandomState; construct default_rng(seed)",
                 )
             return AV()
-        if dotted in REGEX_SINK_DOTTED:
-            if positional:
-                self._check_sink(
-                    "regex", positional[0], node, f"{dotted}() as a pattern"
-                )
-                literal = node.args[0] if node.args else None
-                if (
-                    isinstance(literal, ast.Constant)
-                    and isinstance(literal.value, str)
-                    and redos.is_catastrophic(literal.value)
-                ):
-                    self._finding(
-                        "T003",
-                        node,
-                        f"regex literal {literal.value!r}: "
-                        + redos.explain(literal.value),
-                    )
+        if dotted in REGEX_CALLS:
             return AV()
         if dotted in PATH_SINK_DOTTED:
             if positional:
@@ -925,7 +858,7 @@ class _Interp:
                 self._check_sink("ssrf", positional[0], node, f"{dotted}()")
             return AV(taint=self._origin(node, f"{dotted}()"))
         joined = join_av(*all_args) if all_args else AV()
-        return AV(taint=joined.taint, pdeps=dict(joined.pdeps), is_clock=joined.is_clock)
+        return AV(taint=joined.taint, pdeps=dict(joined.pdeps))
 
     def _call_builtin(
         self,
@@ -940,11 +873,6 @@ class _Interp:
             target = positional[0] if positional else keywords.get("file")
             if target is not None:
                 self._check_sink("path", target, node, "open()")
-            return AV()
-        if name == "print":
-            if self._is_report_module:
-                for value in all_args:
-                    self._check_sink("report", value, node, "print() output")
             return AV()
         if name == "getattr" and len(node.args) >= 2:
             dotted = self._dotted_of(node.args[0])
@@ -963,25 +891,18 @@ class _Interp:
                 f"{name}() over an unordered set fixes an arbitrary order; "
                 "wrap the set in sorted(...)",
             )
-        if name in ("sorted", "min", "max") and any(v.is_clock for v in all_args):
-            if self._reporting == 0:
-                self._det_event(
-                    "D002", node, f"wall-clock value feeds {name}() ordering"
-                )
         if name in CLEAN_BUILTINS:
             return AV()
         if name in PROPAGATING_BUILTINS:
             joined = join_av(*all_args) if all_args else AV()
-            result = AV(
-                taint=joined.taint, pdeps=dict(joined.pdeps), is_clock=joined.is_clock
-            )
+            result = AV(taint=joined.taint, pdeps=dict(joined.pdeps))
             if name in ("set", "frozenset"):
                 result.is_set = True
             if name == "sorted":
                 result.is_set = False
             return result
         joined = join_av(*all_args) if all_args else AV()
-        return AV(taint=joined.taint, pdeps=dict(joined.pdeps), is_clock=joined.is_clock)
+        return AV(taint=joined.taint, pdeps=dict(joined.pdeps))
 
     def _call_unknown(
         self, node: ast.Call, callee: _Callee, positional: list[AV], all_args: list[AV]
@@ -990,15 +911,6 @@ class _Interp:
         attr = callee.attr
         if attr in FILE_READ_ATTRS:
             return AV(taint=self._origin(node, f".{attr}()"))
-        if attr in LOGGER_METHODS and self._base_name(node) in LOGGER_BASE_NAMES:
-            for value in all_args:
-                self._check_sink("report", value, node, "a log record")
-            return AV()
-        if attr == "format":
-            joined = join_av(receiver, *all_args)
-            if self._is_report_module:
-                self._check_sink("report", joined, node, ".format() interpolation")
-            return AV(taint=joined.taint, pdeps=dict(joined.pdeps))
         if attr in _MUTATING_METHODS:
             base = self._receiver_name(node)
             if base is not None and all_args:
@@ -1009,13 +921,7 @@ class _Interp:
                 self.env[base] = joined
             return AV()
         joined = join_av(receiver, *all_args)
-        return AV(taint=joined.taint, pdeps=dict(joined.pdeps), is_clock=joined.is_clock)
-
-    def _base_name(self, node: ast.Call) -> str:
-        func = node.func
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            return func.value.id
-        return ""
+        return AV(taint=joined.taint, pdeps=dict(joined.pdeps))
 
     def _receiver_name(self, node: ast.Call) -> str | None:
         func = node.func
@@ -1143,7 +1049,7 @@ def run_analysis(project: Project) -> AnalysisResult:
     """Run the fixpoint over every function, then a collection pass.
 
     Returns the stable summaries, the call graph edges, all taint
-    findings (T001–T005), and per-function determinism events.
+    findings (T001, T004), and per-function determinism events.
     """
     targets = _analysis_targets(project)
     summaries: dict[str, Summary] = {}
@@ -1181,8 +1087,3 @@ def run_analysis(project: Project) -> AnalysisResult:
                 result.taint_findings.append(finding)
     result.taint_findings.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
     return result
-
-
-def iter_project_findings(findings: Iterable[Finding]) -> list[Finding]:
-    """Findings sorted in report order (path, line, column, rule)."""
-    return sorted(findings, key=lambda f: (f.path, f.line, f.column, f.rule))

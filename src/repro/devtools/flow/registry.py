@@ -9,24 +9,19 @@ test fixture packages:
   protocol) and any file-content read (``.read()``, ``.read_text()``,
   ``.readlines()``).
 * **Sinks** — dangerous positions, each with a *category* a sanitizer
-  can clear: filesystem path construction and ``open()`` (``path``),
-  regex-pattern positions (``regex``), outbound fetch URLs (``ssrf``),
-  and report/log string interpolation (``report``).
+  can clear: filesystem path construction and ``open()`` (``path``)
+  and outbound fetch URLs (``ssrf``).
 * **Sanitizers** — functions carrying the
-  :func:`repro.devtools.sanitizers.sanitizes` decorator, read
-  statically from the AST by the project loader.
+  :func:`repro.sanitizers.sanitizes` decorator, read statically from
+  the AST by the project loader.
 
 Rule catalogue (``python -m repro.devtools.analyze --list-rules``):
 
 ======  ===============================================================
 T001    untrusted data reaches a filesystem path / ``open()`` sink
-T002    untrusted data used as a regular-expression pattern
-T003    regex literal vulnerable to catastrophic backtracking (ReDoS)
 T004    untrusted URL reaches an outbound fetch (SSRF) without
         registrable-domain pinning
-T005    untrusted data interpolated into a report/log string
 D001    unseeded RNG reachable from an experiment entrypoint
-D002    wall-clock read feeding values reachable from an entrypoint
 D003    iteration over an unordered set feeding results, reachable
         from an entrypoint
 ======  ===============================================================
@@ -42,13 +37,9 @@ __all__ = [
     "PATH_SINK_BUILTINS",
     "PATH_SINK_DOTTED",
     "PATH_SINK_ANY_ARG",
-    "REGEX_SINK_DOTTED",
+    "REGEX_CALLS",
     "FETCH_ATTR_NAMES",
     "FETCH_SINK_DOTTED",
-    "REPORT_MODULE_SUFFIXES",
-    "LOGGER_BASE_NAMES",
-    "LOGGER_METHODS",
-    "CLOCK_CALLS",
     "SEEDED_RNG_ALLOWED",
     "CLEAN_BUILTINS",
     "PROPAGATING_BUILTINS",
@@ -57,22 +48,13 @@ __all__ = [
 #: Rule id -> one-line description (CLI catalogue + SARIF metadata).
 FLOW_RULES: dict[str, str] = {
     "T001": "untrusted data reaches a filesystem path/open() sink",
-    "T002": "untrusted data used as a regular-expression pattern",
-    "T003": "regex literal vulnerable to catastrophic backtracking (ReDoS)",
     "T004": "untrusted URL reaches an outbound fetch (SSRF)",
-    "T005": "untrusted data interpolated into a report/log string",
     "D001": "unseeded RNG reachable from an experiment entrypoint",
-    "D002": "wall-clock read feeding values reachable from an entrypoint",
     "D003": "unordered-set iteration feeding results reachable from an entrypoint",
 }
 
 #: sink category -> taint rule id.
-TAINT_RULE_BY_CATEGORY = {
-    "path": "T001",
-    "regex": "T002",
-    "ssrf": "T004",
-    "report": "T005",
-}
+TAINT_RULE_BY_CATEGORY = {"path": "T001", "ssrf": "T004"}
 
 # -- sources ---------------------------------------------------------------
 
@@ -107,8 +89,9 @@ PATH_SINK_ANY_ARG = frozenset(
     {"os.replace", "os.rename", "os.path.join", "shutil.copy", "shutil.move"}
 )
 
-#: ``re`` module functions whose first argument is a pattern.
-REGEX_SINK_DOTTED = frozenset(
+#: ``re`` module functions.  Their results (match objects, extracted
+#: groups) are not tracked: a call returns a clean value.
+REGEX_CALLS = frozenset(
     {
         "re.compile",
         "re.search",
@@ -136,37 +119,7 @@ FETCH_SINK_DOTTED = frozenset(
     }
 )
 
-#: Module path suffixes where f-string/%/.format/print interpolation is
-#: a report sink (T005).  Logging calls are sinks package-wide.
-REPORT_MODULE_SUFFIXES = ("report.py",)
-
-#: Receiver names treated as loggers for the T005 logging sink.
-LOGGER_BASE_NAMES = frozenset({"logger", "logging", "log"})
-
-#: Logger methods that format untrusted data into log records.
-LOGGER_METHODS = frozenset(
-    {"debug", "info", "warning", "warn", "error", "critical", "exception", "log"}
-)
-
 # -- determinism -----------------------------------------------------------
-
-#: Resolved dotted calls that read the wall clock.
-CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.localtime",
-        "time.gmtime",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
 
 #: ``numpy.random`` members that construct explicitly seeded generators
 #: (mirrors repro-lint R002's allowlist).

@@ -1,11 +1,12 @@
 """Rule catalogue and shared configuration for ``repro-hot``.
 
-The hot-path analyzer guards the contract PRs 4-5 bought with the
-vectorized engine: the feature/ranking/ML pipeline must stay batch,
-sparse, and allocation-linear on the paths a million-site run actually
-exercises.  Rules P001-P008 each police one way that contract erodes.
+The hot-path analyzer guards two properties of the shipping code: the
+feature/ranking/ML pipeline stays sparse on the paths a large run
+exercises (P007), and the slow loop kernels kept in
+:mod:`repro.perf.reference` as equivalence oracles stay out of it
+(P002).
 
-Findings are suppressed with ``# repro-hot: disable=P003`` comments
+Findings are suppressed with ``# repro-hot: disable=P007`` comments
 (same syntax as repro-lint/repro-flow/repro-conc, different marker).
 """
 
@@ -14,12 +15,9 @@ from __future__ import annotations
 __all__ = [
     "HOT_RULES",
     "SUPPRESSION_MARKER",
-    "BATCH_SIBLINGS",
     "HOT_ENTRY_SUFFIXES",
     "REFERENCE_MODULE",
     "REFERENCE_EXEMPT_SEGMENTS",
-    "ARRAY_GROWTH_FUNCTIONS",
-    "PURE_BUILTINS",
     "DEPTH_BASE",
     "MAX_DEPTH_WEIGHTED",
     "COLD_WEIGHT",
@@ -29,47 +27,14 @@ __all__ = [
 SUPPRESSION_MARKER = "repro-hot"
 
 HOT_RULES: dict[str, str] = {
-    "P001": (
-        "per-item call inside a loop to an API with a registered batch "
-        "sibling (one batched call amortizes setup and vectorizes)"
-    ),
     "P002": (
         "repro.perf.reference kernel imported outside tests/benchmarks "
         "(reference kernels are equivalence oracles, not production code)"
-    ),
-    "P003": (
-        "membership test against a list/tuple built outside the loop — "
-        "O(n^2) scan; use a set (autofixable when provably unmutated)"
-    ),
-    "P004": (
-        "incremental np.append/np.vstack/np.concatenate growth inside a "
-        "loop — quadratic copying; collect parts and concatenate once"
-    ),
-    "P005": (
-        "loop-invariant pure call inside a hot loop — hoist it above "
-        "the loop (same result every iteration)"
-    ),
-    "P006": (
-        "method re-derives invariant state (sorted(...) over an "
-        "attribute only assigned in __init__) on every call — cache it"
     ),
     "P007": (
         ".toarray()/.todense() densification reachable from a hot entry "
         "point — keep the operand sparse or densify once outside loops"
     ),
-    "P008": (
-        "str += accumulation inside a loop — quadratic copying; collect "
-        "parts and ''.join() once"
-    ),
-}
-
-#: Per-item callable name -> its registered batch sibling.  P001 fires
-#: on a loop-nested call to a key when the project defines the sibling;
-#: extend this mapping to register new batch APIs.
-BATCH_SIBLINGS: dict[str, str] = {
-    "transform": "transform_many",
-    "auc_roc": "auc_roc_many",
-    "verify_site": "verify_sites",
 }
 
 #: Dotted-qualname suffixes that mark hot entry points: a project
@@ -115,35 +80,6 @@ REFERENCE_MODULE = "repro.perf.reference"
 #: Segment-based, not path-based, so a fixture tree analyzed from any
 #: directory keeps the same verdicts.
 REFERENCE_EXEMPT_SEGMENTS = frozenset({"tests", "benchmarks"})
-
-#: numpy functions whose loop-nested accumulation is quadratic (P004).
-ARRAY_GROWTH_FUNCTIONS = frozenset({"append", "vstack", "hstack", "concatenate"})
-
-#: Builtins treated as pure for the P005 purity derivation.
-PURE_BUILTINS = frozenset(
-    {
-        "abs",
-        "all",
-        "any",
-        "bool",
-        "divmod",
-        "enumerate",
-        "float",
-        "frozenset",
-        "int",
-        "len",
-        "max",
-        "min",
-        "pow",
-        "range",
-        "round",
-        "sorted",
-        "str",
-        "sum",
-        "tuple",
-        "zip",
-    }
-)
 
 #: Cost model: ``cost = DEPTH_BASE**min(depth, MAX_DEPTH_WEIGHTED) *
 #: reach``, where ``reach`` is ``1/(1+distance)`` for hot-reachable

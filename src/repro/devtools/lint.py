@@ -1,8 +1,8 @@
 """repro-lint: the per-module half of the project's static analysis.
 
 :func:`lint_paths` runs every rule in :data:`repro.devtools.rules.RULES`
-(R001-R009) over each file on its own; a file that cannot be read or
-parsed becomes an ``E000`` finding.  Run it through
+over each file on its own; a file that cannot be read or parsed becomes
+an ``E000`` finding.  Run it through
 ``python -m repro.devtools.analyze`` (:mod:`repro.devtools.analyze`);
 ``python -m repro.devtools.lint`` only points there and exits 2.
 """
@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.devtools.autofix import apply_r001_fixes, apply_r009_fixes
 from repro.devtools.findings import Finding, assign_occurrences
 from repro.devtools.rules import RULES, ModuleInfo, parse_module
 
@@ -44,22 +43,8 @@ def _lint_module(module: ModuleInfo) -> list[Finding]:
     return findings
 
 
-def lint_paths(
-    paths: Sequence[str],
-    fix: bool = False,
-    fixed_files: list[str] | None = None,
-) -> list[Finding]:
-    """Lint every python file under ``paths``; optionally autofix.
-
-    Args:
-        paths: files or directories to lint.
-        fix: apply cheap autofixes (R001, R009) in place, then re-lint
-            the fixed source so the report reflects the post-fix tree.
-            Fixers run one at a time with a re-lint in between, so the
-            findings each fixer sees carry line numbers valid for the
-            source it rewrites.
-        fixed_files: when given, paths of files ``--fix`` rewrote are
-            appended (lets the CLI exit non-zero on applied fixes).
+def lint_paths(paths: Sequence[str]) -> list[Finding]:
+    """Lint every python file under the files or directories ``paths``.
 
     Returns:
         All findings in (path, line) order, occurrence-stamped.
@@ -92,21 +77,7 @@ def lint_paths(
                 )
             )
             continue
-        findings = _lint_module(module)
-        if fix:
-            for apply_fn in (apply_r001_fixes, apply_r009_fixes):
-                if not any(f.fixable for f in findings):
-                    break
-                fixed = apply_fn(source, findings)
-                if fixed == source:
-                    continue
-                file_path.write_text(fixed, encoding="utf-8")
-                if fixed_files is not None and str(file_path) not in fixed_files:
-                    fixed_files.append(str(file_path))
-                source = fixed
-                module = parse_module(str(file_path), fixed)
-                findings = _lint_module(module)
-        all_findings.extend(findings)
+        all_findings.extend(_lint_module(module))
     return assign_occurrences(all_findings)
 
 

@@ -1,4 +1,4 @@
-"""Lint rules R001–R008, tailored to the repro codebase.
+"""Lint rules R001–R004, R007 and R008, tailored to the repro codebase.
 
 Each rule inspects one parsed module (:class:`ModuleInfo`) and yields
 :class:`~repro.devtools.findings.Finding` objects.  The catalogue:
@@ -11,23 +11,15 @@ R002      no unseeded randomness (``random.*``; ``np.random.*`` other
           ``data/synthesis.py``
 R003      import layering: ``text``/``network``/``ml``/``web``/``data``
           must not import ``core``/``experiments``; ``core`` must not
-          import ``experiments``; ``devtools`` sits below everything;
-          only ``cli`` is unrestricted
+          import ``experiments``; no library layer imports
+          ``devtools``, and ``devtools`` imports no library layer;
+          ``cli`` may import every other layer
 R004      no mutable default arguments
-R005      no ``print()`` in library code (logging only; the CLI module
-          is exempt)
-R006      no float ``==``/``!=`` on probability/score values — compare
-          with a tolerance
 R007      public functions must carry full type hints and a docstring
 R008      no bare or over-broad exception handlers (``except:``,
           ``except Exception:``, ``except BaseException:``) in library
           code — handlers that re-raise (cleanup blocks ending in a
           bare ``raise``) and the ``devtools`` layer are exempt
-R009      mutable default argument that the function body *mutates*
-          (``def f(x, acc=[]): acc.append(x)``) — state leaks across
-          calls; autofixable to a ``None`` sentinel.  The syntactic
-          superset (any mutable default) is R004; R009 is the
-          escalation repro-conc's C001 generalizes across processes
 ========  ==============================================================
 
 Violations are suppressed line-by-line with ``# repro-lint:
@@ -51,7 +43,6 @@ __all__ = [
     "RULES",
     "parse_module",
     "parse_suppressions",
-    "R001_FIX_MAP",
 ]
 
 # --------------------------------------------------------------------------
@@ -77,8 +68,8 @@ BANNED_EXCEPTIONS = frozenset(
     }
 )
 
-#: Autofix mapping for R001 (`--fix`): builtin -> repro.exceptions name.
-R001_FIX_MAP = {
+#: The repro.exceptions type R001's message suggests for a builtin.
+R001_REPLACEMENTS = {
     "ValueError": "ValidationError",
     "TypeError": "ValidationError",
     "KeyError": "MissingKeyError",
@@ -94,9 +85,6 @@ SEEDED_RANDOM_ALLOWED = frozenset(
 #: Path suffixes exempt from R002 (the synthetic-web generator owns its
 #: seeding policy and documents it).
 R002_EXEMPT_SUFFIXES = ("data/synthesis.py",)
-
-#: Path suffixes exempt from R005 (user-facing command-line surface).
-R005_EXEMPT_SUFFIXES = ("repro/cli.py",)
 
 #: Known architectural layers (directory names under the package root,
 #: plus the top-level ``cli`` module).
@@ -126,18 +114,24 @@ LAYERS = frozenset(
 #: through the structural ``SiteIndex`` protocol — must not import it.
 #: ``stream`` (the incremental pipeline) sits beside ``core``: it builds
 #: on the kernel layers and ``data`` deltas but must not reach into the
-#: batch verifier, and nothing below it may import it.
+#: batch verifier, and nothing below it may import it.  No library
+#: layer imports the analyzer (``devtools``): the verifier loads none
+#: of it.
+_ABOVE_KERNELS = frozenset(
+    {"core", "data", "experiments", "cli", "serve", "stream", "devtools"}
+)
 FORBIDDEN_IMPORTS: dict[str, frozenset[str]] = {
-    "perf": frozenset({"core", "data", "experiments", "cli", "serve", "stream"}),
-    "text": frozenset({"core", "data", "experiments", "cli", "serve", "stream"}),
-    "network": frozenset({"core", "data", "experiments", "cli", "serve", "stream"}),
-    "ml": frozenset({"core", "data", "experiments", "cli", "serve", "stream"}),
-    "web": frozenset({"core", "data", "experiments", "cli", "serve", "stream"}),
-    "data": frozenset({"core", "experiments", "cli", "serve", "stream"}),
-    "core": frozenset({"experiments", "cli", "serve", "stream"}),
-    "stream": frozenset({"core", "experiments", "cli", "serve"}),
-    "serve": frozenset({"data", "experiments", "cli", "stream"}),
-    "experiments": frozenset({"cli", "serve"}),
+    "perf": _ABOVE_KERNELS,
+    "text": _ABOVE_KERNELS,
+    "network": _ABOVE_KERNELS,
+    "ml": _ABOVE_KERNELS,
+    "web": _ABOVE_KERNELS,
+    "data": frozenset({"core", "experiments", "cli", "serve", "stream", "devtools"}),
+    "core": frozenset({"experiments", "cli", "serve", "stream", "devtools"}),
+    "stream": frozenset({"core", "experiments", "cli", "serve", "devtools"}),
+    "serve": frozenset({"data", "experiments", "cli", "stream", "devtools"}),
+    "experiments": frozenset({"cli", "serve", "devtools"}),
+    "cli": frozenset({"devtools"}),
     "devtools": frozenset(
         {
             "text",
@@ -153,22 +147,6 @@ FORBIDDEN_IMPORTS: dict[str, frozenset[str]] = {
         }
     ),
 }
-
-#: Identifier substrings that mark a value as a probability/score for
-#: R006's tolerance requirement.
-SCORE_TOKENS = (
-    "prob",
-    "score",
-    "rank",
-    "trust",
-    "similarity",
-    "confidence",
-    "pvalue",
-    "auc",
-    "precision",
-    "recall",
-    "accuracy",
-)
 
 #: File-wide suppressions must appear within the first N lines.
 _FILE_SUPPRESS_WINDOW = 12
@@ -340,7 +318,6 @@ def _finding(
     node: ast.AST,
     message: str,
     symbol: str,
-    fixable: bool = False,
 ) -> Finding:
     lineno = getattr(node, "lineno", 1)
     col = getattr(node, "col_offset", 0)
@@ -352,7 +329,6 @@ def _finding(
         message=message,
         symbol=symbol,
         source_line=module.source_line(lineno),
-        fixable=fixable,
     )
 
 
@@ -373,7 +349,7 @@ def _check_r001(module: ModuleInfo) -> list[Finding]:
         elif isinstance(exc, ast.Name):
             name = exc.id
         if name in BANNED_EXCEPTIONS:
-            replacement = R001_FIX_MAP.get(name)
+            replacement = R001_REPLACEMENTS.get(name)
             hint = (
                 f" (use repro.exceptions.{replacement})"
                 if replacement
@@ -386,7 +362,6 @@ def _check_r001(module: ModuleInfo) -> list[Finding]:
                     node,
                     f"raises builtin {name}{hint}",
                     symbol,
-                    fixable=replacement is not None,
                 )
             )
     return findings
@@ -557,219 +532,6 @@ def _check_r004(module: ModuleInfo) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
-# R009 — mutable default arguments that the body mutates
-# --------------------------------------------------------------------------
-
-#: Method names that mutate their receiver in place (R009).
-_PARAM_MUTATOR_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "remove",
-        "pop",
-        "popitem",
-        "clear",
-        "update",
-        "setdefault",
-        "add",
-        "discard",
-        "sort",
-        "reverse",
-    }
-)
-
-
-def _iter_own_scope(body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
-    """Walk a function body without entering nested defs/classes."""
-    stack: list[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _mutated_params(
-    node: ast.FunctionDef | ast.AsyncFunctionDef, candidates: frozenset[str]
-) -> set[str]:
-    """Which of ``candidates`` the function body mutates in place."""
-    mutated: set[str] = set()
-    for child in _iter_own_scope(node.body):
-        if (
-            isinstance(child, ast.Call)
-            and isinstance(child.func, ast.Attribute)
-            and child.func.attr in _PARAM_MUTATOR_METHODS
-            and isinstance(child.func.value, ast.Name)
-            and child.func.value.id in candidates
-        ):
-            mutated.add(child.func.value.id)
-        elif isinstance(child, (ast.Assign, ast.AugAssign)):
-            targets = child.targets if isinstance(child, ast.Assign) else [child.target]
-            for target in targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in candidates
-                ):
-                    mutated.add(target.value.id)
-        elif isinstance(child, ast.Delete):
-            for target in child.targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in candidates
-                ):
-                    mutated.add(target.value.id)
-    return mutated
-
-
-def _check_r009(module: ModuleInfo) -> list[Finding]:
-    findings = []
-    for node, symbol in _walk_scoped(module.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        qualname = node.name if symbol == "<module>" else f"{symbol}.{node.name}"
-        args = node.args
-        paired = list(
-            zip(
-                args.posonlyargs + args.args,
-                [None] * (len(args.posonlyargs) + len(args.args) - len(args.defaults))
-                + list(args.defaults),
-            )
-        ) + list(zip(args.kwonlyargs, args.kw_defaults))
-        defaults_by_param = {
-            arg.arg: default
-            for arg, default in paired
-            if default is not None and _is_mutable_default(default)
-        }
-        if not defaults_by_param:
-            continue
-        for name in sorted(
-            _mutated_params(node, frozenset(defaults_by_param))
-        ):
-            default = defaults_by_param[name]
-            findings.append(
-                _finding(
-                    module,
-                    "R009",
-                    default,
-                    f"mutable default for `{name}` of {qualname}() is "
-                    "mutated in the body — state leaks across calls; use a "
-                    "None sentinel and create inside",
-                    symbol,
-                    fixable=default.lineno == (default.end_lineno or default.lineno),
-                )
-            )
-    return findings
-
-
-# --------------------------------------------------------------------------
-# R005 — no print() in library code
-# --------------------------------------------------------------------------
-
-
-def _check_r005(module: ModuleInfo) -> list[Finding]:
-    if module.path.endswith(R005_EXEMPT_SUFFIXES):
-        return []
-    findings = []
-    for node, symbol in _walk_scoped(module.tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "print"
-        ):
-            findings.append(
-                _finding(
-                    module,
-                    "R005",
-                    node,
-                    "print() in library code; use the logging module",
-                    symbol,
-                )
-            )
-    return findings
-
-
-# --------------------------------------------------------------------------
-# R006 — float equality on probability/score values
-# --------------------------------------------------------------------------
-
-
-def _expr_name(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Subscript):
-        return _expr_name(node.value)
-    if isinstance(node, ast.Call):
-        return _expr_name(node.func)
-    return None
-
-
-def _is_scoreish(node: ast.expr) -> bool:
-    name = _expr_name(node)
-    if name is None:
-        return False
-    lowered = name.lower()
-    return any(token in lowered for token in SCORE_TOKENS)
-
-
-def _is_float_literal(node: ast.expr) -> bool:
-    if isinstance(node, ast.Constant) and isinstance(node.value, float):
-        return True
-    if (
-        isinstance(node, ast.UnaryOp)
-        and isinstance(node.op, (ast.USub, ast.UAdd))
-        and isinstance(node.operand, ast.Constant)
-        and isinstance(node.operand.value, float)
-    ):
-        return True
-    return False
-
-
-def _is_numeric_literal(node: ast.expr) -> bool:
-    if _is_float_literal(node):
-        return True
-    return isinstance(node, ast.Constant) and isinstance(node.value, int)
-
-
-def _check_r006(module: ModuleInfo) -> list[Finding]:
-    findings = []
-    for node, symbol in _walk_scoped(module.tree):
-        if not isinstance(node, ast.Compare):
-            continue
-        operands = [node.left, *node.comparators]
-        for op, left, right in zip(node.ops, operands, operands[1:]):
-            if not isinstance(op, (ast.Eq, ast.NotEq)):
-                continue
-            pair = (left, right)
-            float_literal = any(_is_float_literal(side) for side in pair)
-            score_vs_number = any(
-                _is_scoreish(a) and (_is_numeric_literal(b) or _is_scoreish(b))
-                for a, b in (pair, pair[::-1])
-            )
-            if float_literal or score_vs_number:
-                findings.append(
-                    _finding(
-                        module,
-                        "R006",
-                        node,
-                        "exact float equality on a probability/score value; "
-                        "compare with a tolerance (abs(a - b) < eps) or "
-                        "suppress if exactness is intended",
-                        symbol,
-                    )
-                )
-                break
-    return findings
-
-
-# --------------------------------------------------------------------------
 # R007 — public functions carry type hints and a docstring
 # --------------------------------------------------------------------------
 
@@ -928,13 +690,6 @@ RULES: tuple[Rule, ...] = (
     Rule("R002", "no unseeded randomness outside data/synthesis.py", _check_r002),
     Rule("R003", "import-layering DAG enforcement", _check_r003),
     Rule("R004", "no mutable default arguments", _check_r004),
-    Rule("R005", "no print() in library code", _check_r005),
-    Rule("R006", "no exact float equality on score values", _check_r006),
     Rule("R007", "public functions need type hints and a docstring", _check_r007),
     Rule("R008", "no bare or over-broad exception handlers", _check_r008),
-    Rule(
-        "R009",
-        "no mutable default arguments mutated by the function body",
-        _check_r009,
-    ),
 )

@@ -106,6 +106,6 @@ class ServiceUnavailableError(ReproError):
 
 
 class ContractViolationError(ReproError, AssertionError):
-    """Raised by :mod:`repro.devtools.contracts` when a numeric
+    """Raised by :mod:`repro.contracts` when a numeric
     contract (probability vector, row-stochastic matrix, score range)
     is violated at runtime under the checked build."""

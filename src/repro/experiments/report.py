@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 from repro.core.config import ExperimentConfig
-from repro.devtools.sanitizers import sanitizes
 from repro.experiments import ablations, figures, tables
 from repro.experiments.results import TableResult
 
@@ -58,7 +57,6 @@ _ABLATIONS: tuple[tuple[str, str], ...] = (
 )
 
 
-@sanitizes("report")
 def _escape_cell(text: str) -> str:
     """Escape markdown table syntax in a cell value.
 
@@ -133,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.time()
     report = generate_report(config, include_ablations=not args.no_ablations)
     Path(args.output).write_text(report)
-    print(f"wrote {args.output} in {time.time() - start:.0f}s")  # repro-lint: disable=R005 (CLI entry point)
+    print(f"wrote {args.output} in {time.time() - start:.0f}s")
     return 0
 
 

@@ -110,15 +110,15 @@ def main(argv: list[str] | None = None) -> int:
         output = run_experiment(experiment_id, config)
         elapsed = time.perf_counter() - start
         timings.append((experiment_id, elapsed))
-        print(output)  # repro-lint: disable=R005 (CLI entry point)
-        print(f"[{experiment_id} done in {elapsed:.2f}s]\n")  # repro-lint: disable=R005 (CLI entry point)
+        print(output)
+        print(f"[{experiment_id} done in {elapsed:.2f}s]\n")
     if len(timings) > 1:
         total = sum(secs for _, secs in timings)
         width = max(len(name) for name, _ in timings)
-        print("wall time per experiment:")  # repro-lint: disable=R005 (CLI entry point)
+        print("wall time per experiment:")
         for name, secs in timings:
-            print(f"  {name:<{width}}  {secs:8.2f}s")  # repro-lint: disable=R005 (CLI entry point)
-        print(f"  {'total':<{width}}  {total:8.2f}s")  # repro-lint: disable=R005 (CLI entry point)
+            print(f"  {name:<{width}}  {secs:8.2f}s")
+        print(f"  {'total':<{width}}  {total:8.2f}s")
     return 0
 
 

@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.devtools.contracts import check_row_stochastic, check_score_range
+from repro.contracts import check_row_stochastic, check_score_range
 from repro.exceptions import NotFittedError, ValidationError
 from repro.ml.base import BaseClassifier, check_X_y, clone
 from repro.ml.model_selection import train_test_split

@@ -75,7 +75,7 @@ class LogisticRegression(BaseClassifier):
             n_pos = float(target.sum())
             n_neg = float(n_samples - n_pos)
             weight = np.where(
-                target == 1.0,  # repro-lint: disable=R006 (exact 0/1 label match)
+                target == 1.0,  # exact 0/1 label match
                 n_samples / (2.0 * max(n_pos, 1.0)),
                 n_samples / (2.0 * max(n_neg, 1.0)),
             )

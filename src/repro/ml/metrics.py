@@ -18,7 +18,7 @@ import numpy as np
 
 from numpy.typing import ArrayLike
 
-from repro.devtools.contracts import check_score_range
+from repro.contracts import check_score_range
 from repro.exceptions import ValidationError
 
 __all__ = [
@@ -185,7 +185,7 @@ def auc_roc_many(
     # Average ranks over tie groups: for each sorted position find the
     # first and last index of its group of equal values.
     new_group = np.ones((m, n), dtype=bool)
-    new_group[:, 1:] = np.diff(svals, axis=1) != 0.0  # repro-lint: disable=R006 (exact tie-group detection)
+    new_group[:, 1:] = np.diff(svals, axis=1) != 0.0  # exact tie-group detection
     first = np.maximum.accumulate(np.where(new_group, idx, 0.0), axis=1)
     is_last = np.ones((m, n), dtype=bool)
     is_last[:, :-1] = new_group[:, 1:]

@@ -26,7 +26,7 @@ class StandardScaler:
         X = ensure_dense(X)
         self._mean = X.mean(axis=0)
         std = X.std(axis=0)
-        std[std == 0.0] = 1.0  # repro-lint: disable=R006 (exact zero-division guard)
+        std[std == 0.0] = 1.0  # exact zero-division guard
         self._scale = std
         return self
 

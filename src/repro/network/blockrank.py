@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.devtools.contracts import check_probability_vector
+from repro.contracts import check_probability_vector
 from repro.exceptions import GraphError, ValidationError
 from repro.network.pagerank import (
     _power_iteration,

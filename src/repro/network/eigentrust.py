@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.devtools.contracts import check_probability_vector
+from repro.contracts import check_probability_vector
 from repro.exceptions import ValidationError
 from repro.network.graph import DirectedGraph
 from repro.network.trustrank import trustrank

@@ -30,7 +30,7 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.devtools.contracts import check_probability_vector
+from repro.contracts import check_probability_vector
 from repro.exceptions import GraphError, ValidationError
 from repro.network.graph import DirectedGraph
 
@@ -112,7 +112,7 @@ def _transition_blocks(
     out_weight = np.bincount(src, weights=weight, minlength=n)
     # A node is dangling iff it has no out-edges at all, so exact zero
     # is the intended test.
-    dangling = out_weight == 0.0  # repro-lint: disable=R006
+    dangling = out_weight == 0.0
     if src.size:
         data = weight / out_weight[src]
         order = np.argsort(dst, kind="stable")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.devtools.contracts import check_probability_vector
+from repro.contracts import check_probability_vector
 from repro.network.graph import DirectedGraph
 from repro.network.pagerank import _seed_teleport, personalized_pagerank
 

@@ -235,7 +235,7 @@ class FeatureCache:
         self.stats.evictions += evicted
         # Every logged value is an integer byte/entry count, never
         # cached content.
-        logger.info(  # repro-flow: disable=T005
+        logger.info(
             "feature cache over %d-byte budget: evicted %d LRU entries "
             "(now ~%d bytes)",
             self._max_bytes,

@@ -219,7 +219,7 @@ def reference_personalized_pagerank(
         new_rank = np.zeros(n)
         for i in range(n):
             mass = rank[i]
-            if mass == 0.0:  # repro-lint: disable=R006 (exact sparsity skip)
+            if mass == 0.0:  # exact sparsity skip
                 continue
             if dangling[i]:
                 new_rank += mass * t

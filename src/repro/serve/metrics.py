@@ -90,11 +90,11 @@ class MetricsRegistry:
             counters = [
                 {"name": name, "labels": dict(labels), "value": value}
                 # counters mutate between calls, so no caching
-                for (name, labels), value in sorted(self._counters.items())  # repro-hot: disable=P006
+                for (name, labels), value in sorted(self._counters.items())
             ]
             latency: dict[str, dict[str, float]] = {}
             # routes appear as traffic arrives, so no caching
-            for route, reservoir in sorted(self._latency.items()):  # repro-hot: disable=P006
+            for route, reservoir in sorted(self._latency.items()):
                 observed = np.asarray(reservoir, dtype=np.float64)
                 quantiles = np.quantile(observed, _QUANTILES)
                 latency[route] = {

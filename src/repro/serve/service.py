@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.core.verifier import PharmacyVerifier, VerificationReport
-from repro.devtools.sanitizers import sanitizes
 from repro.exceptions import (
     CrawlError,
     MissingKeyError,
@@ -56,6 +55,7 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.perf import FeatureCache, content_fingerprint
+from repro.sanitizers import sanitizes
 from repro.serve.admission import Deadline
 from repro.serve.metrics import MetricsRegistry
 from repro.web.crawler import Crawler, CrawlStats
@@ -142,14 +142,13 @@ _DOMAIN_RE = re.compile(
 )
 
 
-@sanitizes("path", "ssrf", "report")
+@sanitizes("path", "ssrf")
 def _validate_domain(domain: object) -> str:
     """Normalize and validate one request domain.
 
-    Declared a sanitizer for the ``path``/``ssrf``/``report`` sink
-    categories: the returned value matches :data:`_DOMAIN_RE`, so it
-    cannot carry path separators or traversal tricks into checkpoint
-    paths (T001), markup or format payloads into log records (T005),
+    Declared a sanitizer for the ``path``/``ssrf`` sink categories:
+    the returned value matches :data:`_DOMAIN_RE`, so it cannot carry
+    path separators or traversal tricks into checkpoint paths (T001),
     and every on-demand crawl is pinned to exactly this validated
     registrable domain — naming the domain to verify is the service's
     API, and the crawler's same-site guard re-checks every link it
@@ -361,7 +360,7 @@ class VerificationService:
         try:
             with self._review_lock:
                 # the review dict mutates per verdict, so no caching
-                entries = sorted(  # repro-hot: disable=P006
+                entries = sorted(
                     self._review.values(),
                     key=lambda e: (e["confidence"], e["domain"]),
                 )

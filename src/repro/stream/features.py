@@ -417,7 +417,7 @@ class IncrementalClassGraphs:
         """label -> current mean graph, for every populated class."""
         # _classes is mutated in place by add/remove, so the sort
         # cannot be hoisted to __init__.
-        return {label: self.class_graph(label) for label in sorted(self._classes)}  # repro-hot: disable=P006
+        return {label: self.class_graph(label) for label in sorted(self._classes)}
 
     def model(self) -> ClassGraphModel:
         """A transform-capable model over the current class graphs.

@@ -167,7 +167,7 @@ class DeltaRankState:
             return
         sign = 1.0 if value else -1.0
         xi = self._x[i]
-        if xi != 0.0:  # repro-lint: disable=R006
+        if xi != 0.0:
             n = len(self._names)
             self._res[:n] += self._damping * sign * xi * self._t[:n]
         self._dangling[i] = value
@@ -203,7 +203,7 @@ class DeltaRankState:
         old = self._rows.pop(s, None)
         if old is not None:
             old_ids, old_probs = old
-            if xs != 0.0:  # repro-lint: disable=R006
+            if xs != 0.0:
                 self._res[old_ids] -= d * xs * old_probs
             self._adjust_refs(old_ids, -1)
             self._dirty.add(self._block_of(s))
@@ -225,7 +225,7 @@ class DeltaRankState:
                 )
                 probs = values / total
                 self._rows[s] = (ids, probs)
-                if xs != 0.0:  # repro-lint: disable=R006
+                if xs != 0.0:
                     self._res[ids] += d * xs * probs
                 self._adjust_refs(ids, +1)
                 self._dirty.add(self._block_of(s))
@@ -249,7 +249,7 @@ class DeltaRankState:
         old = self._rows.pop(s, None)
         if old is not None:
             old_ids, old_probs = old
-            if xs != 0.0:  # repro-lint: disable=R006
+            if xs != 0.0:
                 self._res[old_ids] -= d * xs * old_probs
             self._adjust_refs(old_ids, -1)
             self._dirty.add(self._block_of(s))
@@ -259,7 +259,7 @@ class DeltaRankState:
             # Tombstone: no teleport mass, no inbound edges; the exact
             # residual for the reduced system is -x so pushes zero it.
             n = len(self._names)
-            if self._t[s] != 0.0:  # repro-lint: disable=R006
+            if self._t[s] != 0.0:
                 self.set_teleport(self._teleport_map_without(src))
             self._res[s] = -self._x[s]
 
@@ -409,7 +409,7 @@ class DeltaRankState:
             x[:n] += res[:n]
             spread = self._propagate(res)
             dangling_mass = float(res[:n][dangling[:n]].sum())
-            if dangling_mass != 0.0:  # repro-lint: disable=R006
+            if dangling_mass != 0.0:
                 spread[:n] += dangling_mass * t[:n]
             new_res = d * spread
             res[:] = 0.0

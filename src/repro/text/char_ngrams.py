@@ -106,7 +106,7 @@ class CharNGramVectorizer:
         )
         if self._normalize:
             norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
-            norms[norms == 0.0] = 1.0  # repro-lint: disable=R006 (exact zero-division guard)
+            norms[norms == 0.0] = 1.0  # exact zero-division guard
             matrix = (sp.diags(1.0 / norms) @ matrix).tocsr()
         return matrix
 

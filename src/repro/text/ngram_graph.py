@@ -430,7 +430,7 @@ class NGramGraph:
     def normalized_value_similarity(self, other: "NGramGraph") -> float:
         """NVS = VS / SS (0 when SS is 0)."""
         ss = self.size_similarity(other)
-        if ss == 0.0:  # repro-lint: disable=R006 (exact zero-division guard)
+        if ss == 0.0:  # exact zero-division guard
             return 0.0
         return self.value_similarity(other) / ss
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import filterfalse
 from typing import Iterable
 
-from repro.devtools.sanitizers import sanitizes
+from repro.sanitizers import sanitizes
 from repro.text.stopwords import default_stop_words
 from repro.text.tokenization import tokenize
 from repro.exceptions import ValidationError

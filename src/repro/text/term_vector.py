@@ -217,6 +217,6 @@ class TfidfVectorizer:
 def _l2_normalize_rows(matrix: sp.csr_matrix) -> sp.csr_matrix:
     """Row-wise L2 normalization; zero rows stay zero."""
     norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
-    norms[norms == 0.0] = 1.0  # repro-lint: disable=R006 (exact zero-division guard)
+    norms[norms == 0.0] = 1.0  # exact zero-division guard
     inv = sp.diags(1.0 / norms)
     return (inv @ matrix).tocsr()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from typing import Iterator
 
-from repro.devtools.sanitizers import sanitizes
+from repro.sanitizers import sanitizes
 
 __all__ = ["tokenize", "iter_tokens"]
 

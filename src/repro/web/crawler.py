@@ -45,7 +45,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.devtools.sanitizers import sanitizes
 from repro.exceptions import (
     CheckpointError,
     CrawlError,
@@ -53,6 +52,7 @@ from repro.exceptions import (
     PermanentFetchError,
     TransientFetchError,
 )
+from repro.sanitizers import sanitizes
 from repro.web.host import WebHost
 from repro.web.page import WebPage
 from repro.web.resilience.breaker import CircuitBreaker
@@ -335,7 +335,7 @@ class Crawler:
             # SystemClock only when the caller opts into real time.
             if (
                 self._deadline is not None
-                and self._clock.monotonic() - started >= self._deadline  # repro-flow: disable=D002
+                and self._clock.monotonic() - started >= self._deadline
             ):
                 state.deadline_hit = True
                 break
@@ -506,16 +506,13 @@ class Crawler:
         )
 
     @staticmethod
-    @sanitizes("ssrf", "report")
+    @sanitizes("ssrf")
     def _same_site(link: str, domain: str) -> str | None:
         """Re-derive the link's registrable domain *after* normalization
         and return the canonical URL only when it still matches
         ``domain``.  Returning the re-serialized parse (rather than the
         raw link text) means the crawl frontier only ever holds URLs
-        whose target domain has been verified.  The return value is the
-        :func:`~repro.web.url.parse_url` re-serialization, so it also
-        inherits that parser's report-sink safety (no markup or format
-        payloads survive the round-trip)."""
+        whose target domain has been verified."""
         try:
             parsed = parse_url(link)
         except InvalidURLError:

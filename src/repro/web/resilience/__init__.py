@@ -7,8 +7,7 @@ This package makes that environment *reproducible* and the crawl
 
 * :mod:`~repro.web.resilience.clock` — injectable ``Clock``/``Sleeper``
   abstractions so retry backoff and crawl deadlines never read the wall
-  clock in library code (repro-flow D002 stays clean) and tests never
-  actually sleep;
+  clock in library code and tests never actually sleep;
 * :mod:`~repro.web.resilience.faults` — a seeded, deterministic
   :class:`FaultPlan` executed by :class:`FaultInjectingWebHost` over
   any host: transient/permanent failures, slow responses, truncated or

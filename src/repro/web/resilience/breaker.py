@@ -77,7 +77,7 @@ class CircuitBreaker:
             # Time is injected: the default clock is the deterministic
             # VirtualClock; SystemClock is the one audited real-time
             # boundary callers opt into.
-            if elapsed >= self._reset_after:  # repro-flow: disable=D002
+            if elapsed >= self._reset_after:
                 circuit.state = _HALF_OPEN
                 return True
             return False
@@ -96,8 +96,8 @@ class CircuitBreaker:
         # The injected clock only stamps opened_at; these comparisons
         # are deterministic under the default VirtualClock.
         if (
-            circuit.state == _HALF_OPEN  # repro-flow: disable=D002
-            or circuit.consecutive_failures >= self._threshold  # repro-flow: disable=D002
+            circuit.state == _HALF_OPEN
+            or circuit.consecutive_failures >= self._threshold
         ):
             circuit.state = _OPEN
             circuit.opened_at = self._clock.monotonic()

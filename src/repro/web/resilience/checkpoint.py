@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.devtools.sanitizers import sanitizes
 from repro.exceptions import CheckpointError
+from repro.sanitizers import sanitizes
 from repro.web.page import WebPage
 
 __all__ = ["CrawlCheckpoint", "save_checkpoint", "load_checkpoint"]

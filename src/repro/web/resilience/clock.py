@@ -2,8 +2,7 @@
 
 Retry backoff, circuit-breaker cooldowns, and crawl deadlines all need
 a notion of time, but reading the wall clock inside library code makes
-crawls irreproducible (and trips repro-flow's D002 determinism rule).
-Time is therefore injected:
+crawls irreproducible.  Time is therefore injected:
 
 * :class:`VirtualClock` — the default everywhere: a manually advanced
   monotonic counter whose :meth:`~VirtualClock.sleep` *advances the

@@ -33,8 +33,8 @@ import functools
 import re
 from dataclasses import dataclass, field
 
-from repro.devtools.sanitizers import sanitizes
 from repro.exceptions import InvalidURLError
+from repro.sanitizers import sanitizes
 
 __all__ = [
     "ParsedURL",
@@ -110,7 +110,7 @@ class ParsedURL:
         return f"{self.scheme}://{self.host}{self.path}"
 
 
-@sanitizes("path", "regex", "report")
+@sanitizes("path")
 @functools.lru_cache(maxsize=65536)
 def parse_url(url: str) -> ParsedURL:
     """Parse an absolute ``http(s)`` URL.
@@ -120,11 +120,10 @@ def parse_url(url: str) -> ParsedURL:
     on the same handful of URL strings hundreds of thousands of times.
     Failed parses raise and are never cached.
 
-    Declared a sanitizer for the ``path``/``regex``/``report`` sink
-    categories: parsing rejects everything but a lowercased
-    ``scheme://host/path`` shape, so the result cannot smuggle path
-    separators tricks, regex metacharacter payloads, or markup into
-    those sinks.  It deliberately does **not** clear ``ssrf`` — a
+    Declared a sanitizer for the ``path`` sink category: parsing
+    rejects everything but a lowercased ``scheme://host/path`` shape,
+    so the result cannot smuggle path separator tricks into a
+    filesystem path.  It deliberately does **not** clear ``ssrf`` — a
     well-formed URL is still an arbitrary fetch target; only the
     crawler's registrable-domain guard clears that.
 

@@ -1,6 +1,6 @@
 """Rule-level assertions against the seeded concpkg fixture package.
 
-Every rule C001–C006 has at least one true positive *and* one
+Every rule C001 and C003–C006 has at least one true positive *and* one
 near-miss in the package; the suite pins both directions so analyzer
 changes cannot silently widen or narrow a rule.
 """
@@ -21,25 +21,19 @@ def _lines(findings, rule, filename):
 class TestTruePositives:
     def test_c001_shared_state_mutations(self, concpkg_findings):
         found = _by_rule(concpkg_findings, "C001")
-        assert _lines(concpkg_findings, "C001", "workers.py") == [41, 45]
+        assert _lines(concpkg_findings, "C001", "workers.py") == [32, 36]
         assert all("_RESULT_CACHE" in f.message for f in found)
-
-    def test_c002_global_and_class_attr_writes(self, concpkg_findings):
-        assert _lines(concpkg_findings, "C002", "workers.py") == [60, 70]
-        messages = " ".join(f.message for f in _by_rule(concpkg_findings, "C002"))
-        assert "_COUNTER" in messages
-        assert "RunFlags.verbose" in messages
 
     def test_c003_unseeded_rng_in_worker(self, concpkg_findings):
         (finding,) = _by_rule(concpkg_findings, "C003")
         assert finding.path.endswith("workers.py")
-        assert finding.line == 84
+        assert finding.line == 50
         assert "[D001]" in finding.message
 
     def test_c004_raw_write_in_worker(self, concpkg_findings):
         (finding,) = _by_rule(concpkg_findings, "C004")
         assert finding.path.endswith("workers.py")
-        assert finding.line == 92
+        assert finding.line == 58
 
     def test_c005_incomplete_cache_keys(self, concpkg_findings):
         found = _by_rule(concpkg_findings, "C005")
@@ -67,17 +61,17 @@ class TestTruePositives:
         assert "lock" in messages
 
     def test_exact_finding_count(self, concpkg_findings):
-        assert len(concpkg_findings) == 12
+        assert len(concpkg_findings) == 10
 
 
 class TestNearMisses:
     def test_unreached_mutator_not_flagged(self, concpkg_findings):
-        # untouched_mutator (TALLY.append) and rebind_unreached never run
-        # in a worker, and export_report's raw write is unreachable too.
+        # untouched_mutator (TALLY.append) never runs in a worker, and
+        # export_report's raw write is unreachable too.
         lines = {
             (f.path.rsplit("/", 1)[-1], f.line) for f in concpkg_findings
         }
-        for miss in (("workers.py", 50), ("workers.py", 66), ("workers.py", 108)):
+        for miss in (("workers.py", 41), ("workers.py", 74)):
             assert miss not in lines
 
     def test_reads_of_forked_state_not_flagged(self, concpkg_findings):
@@ -87,19 +81,12 @@ class TestNearMisses:
 
     def test_seeded_rng_not_flagged(self, concpkg_findings):
         assert not any(
-            f.rule == "C003" and f.line == 88 for f in concpkg_findings
-        )
-
-    def test_instance_attr_write_not_flagged(self, concpkg_findings):
-        assert not any(
-            "Session" in f.message or "mode" in f.message
-            for f in concpkg_findings
-            if f.rule == "C002"
+            f.rule == "C003" and f.line == 54 for f in concpkg_findings
         )
 
     def test_read_mode_open_not_flagged(self, concpkg_findings):
         assert not any(
-            f.rule == "C004" and f.line != 92 for f in concpkg_findings
+            f.rule == "C004" and f.line != 58 for f in concpkg_findings
         )
 
     def test_partial_of_module_function_not_flagged(self, concpkg_findings):
@@ -122,4 +109,4 @@ class TestSuppression:
     def test_suppression_comment_is_honored(self, concpkg_findings):
         # dump_suppressed carries `# repro-conc: disable=C004` on its
         # open() line and is worker-reachable via work().
-        assert not any(f.line == 97 for f in concpkg_findings)
+        assert not any(f.line == 63 for f in concpkg_findings)

@@ -5,9 +5,6 @@ Seeded hazards (each asserted by ``test_conc_rules.py``):
 * ``_record`` / ``accumulate`` — C001 true positives: the worker call
   tree mutates ``state._RESULT_CACHE``, directly and through a
   parameter whose default aliases it.
-* ``bump_counter`` / ``enable_verbose`` — C002 true positives: a
-  ``global`` rebind and a class-attribute write, both worker-reachable
-  and both silently lost in the parent process under fork.
 * ``_draw_noise`` — C003 true positive: unseeded ``default_rng()``
   gives every worker process (and every run) a different stream.
   ``_draw_seeded`` is the near-miss: seeded per item, bit-stable.
@@ -30,12 +27,6 @@ from threading import Lock
 
 from concpkg.state import _CONFIG, _RESULT_CACHE, TALLY
 
-_COUNTER = 0
-
-
-class RunFlags:
-    verbose = False
-
 
 def _record(item: int) -> None:
     _RESULT_CACHE[item] = item * 2
@@ -53,31 +44,6 @@ def untouched_mutator() -> None:
 def read_config() -> int:
     # C001 near-miss: workers *read* forked module state all the time.
     return _CONFIG["scale"]
-
-
-def bump_counter() -> None:
-    global _COUNTER
-    _COUNTER += 1
-
-
-def rebind_unreached() -> None:
-    # C002 near-miss: same shape as bump_counter, never worker-reachable.
-    global _COUNTER
-    _COUNTER = 0
-
-
-def enable_verbose() -> None:
-    RunFlags.verbose = True
-
-
-class Session:
-    def __init__(self) -> None:
-        self.mode = "idle"
-
-    def set_mode(self, mode: str) -> None:
-        # C002 near-miss: instance-attribute writes are worker-local by
-        # design, not shared state.
-        self.mode = mode
 
 
 def _draw_noise() -> float:
@@ -122,8 +88,6 @@ def work(item: int, out_dir: str | None = None) -> float:
     """The hazardous worker: reaches every true positive above."""
     _record(item)
     accumulate(item)
-    bump_counter()
-    enable_verbose()
     if out_dir is not None:
         dump_partial(os.path.join(out_dir, f"{item}.txt"), str(item))
         dump_suppressed(os.path.join(out_dir, f"{item}.ok"), str(item))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.devtools.sanitizers import sanitizes
+from repro.sanitizers import sanitizes
 
 
 @sanitizes("*")

@@ -4,22 +4,20 @@ from __future__ import annotations
 
 import time
 
-from flowpkg import helpers, patterns, report, storage
+from flowpkg import helpers, storage
 from flowpkg.web import fetch_page as grab, refetch
 
 
 def main(host):
     content = grab(host, "https://pharm.example/start")  # aliased import
     storage.store(content, "payload")  # -> T001 in storage.py
-    patterns.scan("body", content)  # -> T002 in patterns.py
-    patterns.scan_quiet("body", content)  # suppressed in patterns.py
+    storage.store_quiet(content, "payload")  # suppressed in storage.py
     refetch(host, content)  # -> T004 in web.py
-    report.render(content)  # -> T005 in report.py
     scores = helpers.sample_scores([1, 2, 3])  # -> transitive D001
     ordered = helpers.pick_order(scores)  # -> transitive D003
     return ordered
 
 
 def elapsed_filter(scores):
-    cutoff = time.time()
-    return [score for score in scores if score < cutoff]  # D002
+    cutoff = time.time()  # near-miss: a wall-clock read is no finding
+    return [score for score in scores if score < cutoff]

@@ -1,27 +1,5 @@
-"""Hot-reachable pipeline helpers: the expensive anti-patterns live on
-exactly the paths the sweep driver exercises."""
-
-
-def _weight_table(size):
-    """Provably pure: arithmetic over whitelisted builtins only."""
-    total = float(size * (size + 1)) / 2.0
-    return [float(index) / max(total, 1.0) for index in range(size)]
-
-
-def per_item_scores(model, docs):
-    scores = []
-    for doc in docs:
-        scores.append(model.transform(doc))  # P001: batch sibling exists
-    return scores
-
-
-def weight_documents(docs, size):
-    weights = []
-    for doc in docs:
-        table = _weight_table(size)  # P005: loop-invariant pure call
-        varying = _weight_table(len(doc))  # near-miss: argument varies
-        weights.append(table[0] + varying[-1])
-    return weights
+"""Hot-reachable pipeline helpers: the densifications live on exactly
+the paths the sweep driver exercises."""
 
 
 def densify_grid(matrix, docs):
@@ -32,8 +10,12 @@ def densify_grid(matrix, docs):
             out.append(len(gram) + cell[0][0])
     header = matrix.toarray()  # near-miss: toarray outside any loop
     total = matrix.todense()  # P007: hot todense at top level
-    return out, header, total, _cell_total(matrix)
+    return out, header, total, _cell_total(matrix), _quiet_total(matrix)
 
 
 def _cell_total(matrix):
     return matrix.todense().sum()  # P007: one call further from the entry
+
+
+def _quiet_total(matrix):
+    return matrix.todense().sum()  # repro-hot: disable=P007

@@ -1,13 +1,8 @@
 """Sweep driver: the hot entry point rooting the reachability pass."""
 
 from hotpkg import pipeline
-from hotpkg.features import Vocabulary
 
 
-def run_tfidf_sweep(model, docs, matrix, size):
+def run_tfidf_sweep(matrix, docs):
     """Matches the registered 'sweep.run_tfidf_sweep' entry suffix."""
-    scores = pipeline.per_item_scores(model, docs)
-    grid = pipeline.densify_grid(matrix, docs)
-    weights = pipeline.weight_documents(docs, size)
-    vocab = Vocabulary(docs)
-    return scores, grid, weights, vocab.ordered()
+    return pipeline.densify_grid(matrix, docs)

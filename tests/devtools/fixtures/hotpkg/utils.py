@@ -1,69 +1,4 @@
-"""Cold utility helpers: syntactic rules fire here at cold rank, and
-hot-gated rules must stay quiet."""
-
-import numpy as np
-
-
-def count_flagged(tokens):
-    flagged = ["viagra", "cialis", "xanax"]
-    hits = 0
-    for token in tokens:
-        if token in flagged:  # P003: list scan per iteration (fixable)
-            hits += 1
-    return hits
-
-
-def count_flagged_set(tokens):
-    flagged = {"viagra", "cialis", "xanax"}
-    hits = 0
-    for token in tokens:
-        if token in flagged:  # near-miss: already hashed
-            hits += 1
-    return hits
-
-
-def unique_tokens(tokens):
-    seen = []
-    for token in tokens:
-        if token in seen:  # near-miss: container built inside the loop
-            continue
-        seen.append(token)
-    return seen
-
-
-def accumulate(values):
-    out = np.zeros(0)
-    for value in values:
-        out = np.append(out, value)  # P004: quadratic array growth
-    return out
-
-
-def gather(values):
-    parts = []
-    for value in values:
-        parts.append(np.zeros(3) + value)
-    return np.concatenate(parts)  # near-miss: one concatenate after
-
-
-def render_report(rows):
-    report = ""
-    for row in rows:
-        report += str(row)  # P008: quadratic string growth
-    return report
-
-
-def count_rows(rows):
-    total = 0
-    for _row in rows:
-        total += 1  # near-miss: numeric accumulator
-    return total
-
-
-def render_suppressed(rows):
-    body = ""
-    for row in rows:
-        body += str(row)  # repro-hot: disable=P008
-    return body
+"""Cold utility helpers: the hot-gated P007 must stay quiet here."""
 
 
 def cold_densify(matrix):

@@ -1,9 +1,5 @@
-"""Seeded R004 violation: mutable default argument.
-
-The default is only *read* here so the escalation rule (R009, mutated
-mutable default) stays quiet — its own fixture lives in
-``r009_mutated_default.py``.
-"""
+"""Seeded R004 violation: mutable default argument (the default is
+only *read* here; R004 flags the shape, mutated or not)."""
 
 from __future__ import annotations
 

@@ -1,7 +1,9 @@
-"""Seeded R003 violation: a `text`-layer module importing `core`."""
+"""Seeded R003 violations: a `text`-layer module importing `core`, and
+importing the analyzer (`devtools`), which no library layer may load."""
 
 from __future__ import annotations
 
 from repro.core.config import ExperimentConfig
+from repro.devtools.findings import Finding
 
-__all__ = ["ExperimentConfig"]
+__all__ = ["ExperimentConfig", "Finding"]

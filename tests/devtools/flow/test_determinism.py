@@ -38,14 +38,7 @@ class TestTransitiveRng:
         assert any(f.symbol == "unreached_jitter" for f in findings)
 
 
-class TestClockAndSets:
-    def test_wall_clock_comparison_in_entrypoint(
-        self, flow_project, flow_result, flow_graph
-    ):
-        findings = _findings(flow_project, flow_result, flow_graph)
-        d002 = [f for f in findings if f.rule == "D002"]
-        assert any(f.symbol == "elapsed_filter" for f in d002)
-
+class TestUnorderedSets:
     def test_set_iteration_reached_transitively(
         self, flow_project, flow_result, flow_graph
     ):

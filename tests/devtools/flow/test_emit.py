@@ -1,15 +1,10 @@
-"""SARIF and GitHub workflow-command emitters."""
+"""SARIF emitter."""
 
 from __future__ import annotations
 
 import json
 
-from repro.devtools.emit import (
-    SARIF_VERSION,
-    render_github,
-    render_sarif_document,
-    sarif_run,
-)
+from repro.devtools.emit import SARIF_VERSION, render_sarif_document, sarif_run
 from repro.devtools.findings import Finding
 
 FINDING = Finding(
@@ -55,21 +50,3 @@ class TestSarif:
         doc = json.loads(render_sarif("repro-flow", [], {"T001": "path sink"}))
         assert doc["runs"][0]["results"] == []
 
-
-class TestGithubCommands:
-    def test_error_command_shape(self):
-        out = render_github([FINDING])
-        assert out.startswith("::error file=src/repro/io.py,line=10,col=5,")
-        assert "::T001 untrusted data reaches open()" in out
-
-    def test_property_escaping(self):
-        tricky = Finding(
-            rule="T005",
-            path="a,b:c.py",
-            line=1,
-            column=0,
-            message="100% bad\nnewline",
-        )
-        out = render_github([tricky])
-        assert "file=a%2Cb%3Ac.py" in out
-        assert "100%25 bad%0Anewline" in out

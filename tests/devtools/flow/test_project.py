@@ -64,11 +64,11 @@ class TestDispatchTables:
 
 class TestSuppressions:
     def test_flow_marker_parsed(self, flow_project):
-        patterns = flow_project.modules["flowpkg.patterns"]
+        storage = flow_project.modules["flowpkg.storage"]
         suppressed_lines = [
             line
-            for line, ids in patterns.line_suppressions.items()
-            if "T002" in ids
+            for line, ids in storage.line_suppressions.items()
+            if "T001" in ids
         ]
         assert len(suppressed_lines) == 1
 

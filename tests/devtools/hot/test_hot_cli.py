@@ -1,11 +1,10 @@
 """repro-analyze on the hot fixture package: baseline round-trip, SARIF
-shape, exit codes, the --fix round trip, and the repo-tree regression
-gate (src/repro must stay hot-clean)."""
+shape, exit codes, and the repo-tree regression gate (src/repro must
+stay hot-clean)."""
 
 from __future__ import annotations
 
 import json
-import shutil
 
 from repro.devtools.analyze import main
 from repro.devtools.hot.analyzer import hot_findings
@@ -18,7 +17,7 @@ class TestExitCodes:
     def test_fixture_package_fails(self, capsys):
         assert main([str(HOTPKG), "--no-baseline"]) == 1
         out = capsys.readouterr().out
-        assert "repro-hot: 10 new finding(s)" in out
+        assert "repro-hot: 4 new finding(s)" in out
 
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["does/not/exist"]) == 2
@@ -54,7 +53,7 @@ class TestBaselineRoundTrip:
         )
         payload = json.loads(baseline.read_text())
         hot = [e for e in payload["findings"] if e["rule"] in HOT_RULES]
-        assert len(hot) == 10
+        assert len(hot) == 4
         assert all(
             e["justification"] == "seeded fixture anti-patterns"
             for e in payload["findings"]
@@ -63,7 +62,7 @@ class TestBaselineRoundTrip:
         capsys.readouterr()
         assert main([str(HOTPKG), "--baseline", str(baseline)]) == 0
         out = capsys.readouterr().out
-        assert "repro-hot: clean (10 baselined)" in out
+        assert "repro-hot: clean (4 baselined)" in out
 
 
 class TestSarif:
@@ -81,49 +80,17 @@ class TestSarif:
             assert region["startLine"] >= 1
             assert "reproFingerprint/v1" in result["partialFingerprints"]
 
-    def test_github_format(self, capsys):
-        main([str(HOTPKG), "--no-baseline", "--format", "github"])
-        out = capsys.readouterr().out
-        assert out.startswith("::error file=")
-        assert "P007" in out
-
 
 class TestEntryOverride:
     def test_extra_entry_widens_the_hot_set(self, hot_analysis):
         # Registering utils.cold_densify as an entry turns its todense()
-        # into an eleventh finding.
+        # into a fifth finding.
         findings = hot_findings(hot_analysis, extra_entries=["utils.cold_densify"])
-        assert len(findings) == 11
+        assert len(findings) == 5
         assert any(
-            f.rule == "P007" and f.path.endswith("utils.py") and f.line == 70
+            f.rule == "P007" and f.path.endswith("utils.py") and f.line == 5
             for f in findings
         )
-
-
-class TestFix:
-    def test_fix_round_trip(self, tmp_path, capsys):
-        work = tmp_path / "hotpkg"
-        shutil.copytree(HOTPKG, work)
-        assert main([str(work), "--no-baseline", "--fix"]) == 1
-        assert "--fix rewrote 1 file(s)" in capsys.readouterr().err
-        rewritten = (work / "utils.py").read_text()
-        assert '{"viagra", "cialis", "xanax"}' in rewritten
-        assert '["viagra", "cialis", "xanax"]' not in rewritten
-        # Re-analysis: the P003 is gone, everything else is untouched.
-        assert main([str(work), "--no-baseline"]) == 1
-        out = capsys.readouterr().out
-        assert "repro-hot: 9 new finding(s)" in out
-        assert "P003" not in out
-
-    def test_fix_is_idempotent(self, tmp_path, capsys):
-        work = tmp_path / "hotpkg"
-        shutil.copytree(HOTPKG, work)
-        main([str(work), "--no-baseline", "--fix"])
-        first = (work / "utils.py").read_text()
-        capsys.readouterr()
-        main([str(work), "--no-baseline", "--fix"])
-        assert "rewrote" not in capsys.readouterr().err
-        assert (work / "utils.py").read_text() == first
 
 
 class TestRepoTreeIsClean:

@@ -56,15 +56,9 @@ class TestWeights:
 class TestRanking:
     def test_full_ranking_pinned(self, hotpkg_findings):
         assert [_key(f) for f in hotpkg_findings] == [
-            ("P007", "pipeline.py", 31),  # depth 2, distance 1 -> 8
-            ("P001", "pipeline.py", 14),  # depth 1, distance 1 -> 2
-            ("P005", "pipeline.py", 21),  # depth 1, distance 1 -> 2
-            ("P006", "features.py", 27),  # depth 0, distance 1 -> 0.5
-            ("P007", "pipeline.py", 34),  # depth 0, distance 1 -> 0.5
-            ("P007", "pipeline.py", 39),  # depth 0, distance 2 -> 1/3
-            ("P003", "utils.py", 11),  # depth 1, cold -> 0.25
-            ("P004", "utils.py", 37),  # depth 1, cold -> 0.25
-            ("P008", "utils.py", 51),  # depth 1, cold -> 0.25
+            ("P007", "pipeline.py", 9),  # depth 2, distance 1 -> 8
+            ("P007", "pipeline.py", 12),  # depth 0, distance 1 -> 0.5
+            ("P007", "pipeline.py", 17),  # depth 0, distance 2 -> 1/3
             ("P002", "legacy.py", 3),  # depth 0, cold -> 0.0625
         ]
 
@@ -72,20 +66,20 @@ class TestRanking:
         order = [_key(f) for f in hotpkg_findings]
         # Same rule, same function: the two-loops-deep toarray() must
         # rank above the top-level todense().
-        assert order.index(("P007", "pipeline.py", 31)) < order.index(
-            ("P007", "pipeline.py", 34)
+        assert order.index(("P007", "pipeline.py", 9)) < order.index(
+            ("P007", "pipeline.py", 12)
         )
 
     def test_entry_proximity_outranks_distance(self, hotpkg_findings):
         order = [_key(f) for f in hotpkg_findings]
         # Same rule, same depth: one call from the entry beats two.
-        assert order.index(("P007", "pipeline.py", 34)) < order.index(
-            ("P007", "pipeline.py", 39)
+        assert order.index(("P007", "pipeline.py", 12)) < order.index(
+            ("P007", "pipeline.py", 17)
         )
 
     def test_hot_sites_outrank_cold_sites(self, hotpkg_findings):
         ranks = {_key(f): i for i, f in enumerate(hotpkg_findings)}
-        hottest_cold = min(r for (_, name, _), r in ranks.items() if name == "utils.py")
+        hottest_cold = min(r for (_, name, _), r in ranks.items() if name == "legacy.py")
         coldest_hot = max(
             r for (_, name, _), r in ranks.items() if name == "pipeline.py"
         )

@@ -1,6 +1,6 @@
 """Rule-level assertions against the seeded hotpkg fixture package.
 
-Every rule P001–P008 has at least one true positive *and* one
+Every rule (P002, P007) has at least one true positive *and* one
 near-miss in the package; the suite pins both directions so analyzer
 changes cannot silently widen or narrow a rule.
 """
@@ -23,77 +23,26 @@ def _sites(findings):
 
 
 class TestTruePositives:
-    def test_p001_per_item_call_with_batch_sibling(self, hotpkg_findings):
-        (finding,) = _by_rule(hotpkg_findings, "P001")
-        assert finding.path.endswith("pipeline.py")
-        assert finding.line == 14
-        assert "transform_many" in finding.message
-
     def test_p002_reference_import_in_production_module(self, hotpkg_findings):
         (finding,) = _by_rule(hotpkg_findings, "P002")
         assert finding.path.endswith("legacy.py")
         assert finding.line == 3
         assert "repro.perf.reference" in finding.message
 
-    def test_p003_list_membership_scan_in_loop(self, hotpkg_findings):
-        (finding,) = _by_rule(hotpkg_findings, "P003")
-        assert finding.path.endswith("utils.py")
-        assert finding.line == 11
-        assert finding.fixable
-        assert "use a set" in finding.message
-
-    def test_p004_incremental_array_growth(self, hotpkg_findings):
-        (finding,) = _by_rule(hotpkg_findings, "P004")
-        assert finding.path.endswith("utils.py")
-        assert finding.line == 37
-        assert "np.append" in finding.message
-
-    def test_p005_loop_invariant_pure_call(self, hotpkg_findings):
-        (finding,) = _by_rule(hotpkg_findings, "P005")
-        assert finding.path.endswith("pipeline.py")
-        assert finding.line == 21
-        assert "_weight_table" in finding.message
-        assert "hoist" in finding.message
-
-    def test_p006_invariant_state_rederived(self, hotpkg_findings):
-        (finding,) = _by_rule(hotpkg_findings, "P006")
-        assert finding.path.endswith("features.py")
-        assert finding.line == 27
-        assert "Vocabulary.ordered" in finding.message
-        assert "_terms" in finding.message
-
     def test_p007_densification_sites(self, hotpkg_findings):
-        assert _lines(hotpkg_findings, "P007", "pipeline.py") == [31, 34, 39]
+        assert _lines(hotpkg_findings, "P007", "pipeline.py") == [9, 12, 17]
         messages = " ".join(f.message for f in _by_rule(hotpkg_findings, "P007"))
         assert ".toarray()" in messages
         assert ".todense()" in messages
 
-    def test_p008_string_accumulation(self, hotpkg_findings):
-        (finding,) = _by_rule(hotpkg_findings, "P008")
-        assert finding.path.endswith("utils.py")
-        assert finding.line == 51
-        assert "join" in finding.message
-
     def test_exact_finding_count(self, hotpkg_findings):
-        assert len(hotpkg_findings) == 10
+        assert len(hotpkg_findings) == 4
 
     def test_every_message_carries_a_cost_tag(self, hotpkg_findings):
         assert all("[cost " in f.message for f in hotpkg_findings)
 
 
 class TestNearMisses:
-    def test_set_membership_not_flagged(self, hotpkg_findings):
-        assert ("utils.py", 20) not in _sites(hotpkg_findings)
-
-    def test_loop_built_container_not_flagged(self, hotpkg_findings):
-        assert ("utils.py", 28) not in _sites(hotpkg_findings)
-
-    def test_post_loop_concatenate_not_flagged(self, hotpkg_findings):
-        assert ("utils.py", 45) not in _sites(hotpkg_findings)
-
-    def test_numeric_accumulator_not_flagged(self, hotpkg_findings):
-        assert ("utils.py", 58) not in _sites(hotpkg_findings)
-
     def test_cold_densify_not_flagged(self, hotpkg_findings):
         # P007 is hot-gated: utils.cold_densify is unreachable from any
         # registered entry, so its todense() stays legal.
@@ -102,21 +51,7 @@ class TestNearMisses:
         )
 
     def test_toarray_outside_loop_not_flagged(self, hotpkg_findings):
-        assert ("pipeline.py", 33) not in _sites(hotpkg_findings)
-
-    def test_varying_argument_call_not_flagged(self, hotpkg_findings):
-        assert ("pipeline.py", 22) not in _sites(hotpkg_findings)
-
-    def test_batch_sibling_body_exempt(self, hotpkg_findings):
-        # transform_many's own loop over transform() is the sanctioned
-        # implementation of the batch API, not a per-item caller.
-        assert not any(
-            f.path.endswith("features.py")
-            for f in _by_rule(hotpkg_findings, "P001")
-        )
-
-    def test_growing_vocabulary_not_flagged(self, hotpkg_findings):
-        assert ("features.py", 40) not in _sites(hotpkg_findings)
+        assert ("pipeline.py", 11) not in _sites(hotpkg_findings)
 
     def test_benchmarks_segment_import_exempt(self, hotpkg_findings):
         assert not any(
@@ -125,5 +60,7 @@ class TestNearMisses:
 
 
 class TestSuppression:
-    def test_inline_marker_silences_p008(self, hotpkg_findings):
-        assert ("utils.py", 65) not in _sites(hotpkg_findings)
+    def test_inline_marker_silences_p007(self, hotpkg_findings):
+        # _quiet_total's todense() is hot (one call below densify_grid)
+        # and carries `# repro-hot: disable=P007`.
+        assert ("pipeline.py", 21) not in _sites(hotpkg_findings)

@@ -1,5 +1,10 @@
 """Public-API surface tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -67,3 +72,23 @@ class TestPublicAPI:
         unavailable = ServiceUnavailableError("verify", "poisoned", retry_after=7.0)
         assert unavailable.backend == "verify"
         assert unavailable.retry_after == pytest.approx(7.0)
+
+
+def test_library_loads_no_analyzer():
+    # The verifier, the service and the stream import their contracts
+    # and sanitizer declarations from repro itself, never the analyzer.
+    src_root = str(Path(repro.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import repro, repro.cli, repro.core.verifier, repro.serve.service\n"
+        "import repro.stream.pipeline, repro.experiments.runner\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['repro', 'devtools']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src_root},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
