@@ -8,7 +8,8 @@ outputs are equivalent, and requires reference time / fast time >=
 ``MIN_SPEEDUP``.  The sweep
 case's reference is the library's per-entry cross-validation
 (``cross_validate_pipeline`` over one ``TfidfTextPipeline`` per roster
-entry and term subset).  Tier-1 runs
+entry and term subset); the ``stream_weekly`` SVM case's is the
+test-only scipy-indexing Pegasos loop from ``tests.perf``.  Tier-1 runs
 ``tables.table12`` end to end (``tests/experiments/test_tables.py``).
 
 Run from the repo root::
@@ -35,7 +36,7 @@ from repro.experiments.sweep import run_tfidf_sweep
 from repro.ml.base import ensure_dense
 from repro.ml.ensemble import EnsembleSelection, LibraryModel
 from repro.ml.sampling import SMOTE
-from repro.ml.svm import pegasos_weights
+from repro.ml.svm import LinearSVC, pegasos_weights
 from repro.ml.tree import C45Tree
 from repro.network.construction import build_pharmacy_graph
 from repro.network.graph import DirectedGraph
@@ -43,6 +44,7 @@ from repro.network.pagerank import personalized_pagerank
 from repro.text.ngram_graph import ClassGraphModel, NGramGraph
 from repro.text.summarization import SummaryDocument
 from repro.text.term_vector import TfidfVectorizer
+from tests.perf.test_ml_equivalence import scipy_indexing_pegasos, stream_weekly_matrix
 
 REPEAT = 3
 MIN_SPEEDUP = 1.0
@@ -172,6 +174,23 @@ def svm_fit_sparse():
     )
 
 
+def svm_fit_stream_weekly():
+    """The CSR kernel on ``stream_weekly``'s seed-1 live matrix, cold fit.
+
+    Its reference is the scipy-indexing loop the raw-array kernel
+    replaced, and the weights must be bit-equal.
+    """
+    X, y = stream_weekly_matrix()
+    X, signs, sample_weight = LinearSVC()._prepare(X, y)
+    args = (X, signs, sample_weight)
+    kwargs = dict(lam=1e-4, n_epochs=30, seed=0, batch_size=32)
+    return (
+        lambda: pegasos_weights(*args, **kwargs),
+        lambda: scipy_indexing_pegasos(*args, **kwargs),
+        np.testing.assert_array_equal,
+    )
+
+
 def tree_fit(n_rows=200, n_features=40):
     X = np.random.default_rng(13).normal(size=(n_rows, n_features))
     y = ((X[:, 0] + 0.5 * X[:, 1] - 0.25 * X[:, 2]) > 0.0).astype(np.int64)
@@ -254,7 +273,8 @@ def sweep_end_to_end(subsets=ExperimentConfig().term_subsets):
 
 CASES = (
     ngg_build, ngg_batch_similarity, trustrank, trustrank_corpus_graph, svm_fit,
-    svm_fit_sparse, tree_fit, ensemble_select, smote, densify, sweep_end_to_end,
+    svm_fit_sparse, svm_fit_stream_weekly, tree_fit, ensemble_select, smote, densify,
+    sweep_end_to_end,
 )
 
 

@@ -44,7 +44,6 @@ from repro.devtools.flow.registry import (
     PATH_SINK_BUILTINS,
     PATH_SINK_DOTTED,
     PROPAGATING_BUILTINS,
-    REGEX_CALLS,
     SEEDED_RNG_ALLOWED,
     SOURCE_ATTR_NAMES,
     TAINT_RULE_BY_CATEGORY,
@@ -842,8 +841,6 @@ class _Interp:
                     f"numpy.random.{member} uses the unseeded global "
                     "RandomState; construct default_rng(seed)",
                 )
-            return AV()
-        if dotted in REGEX_CALLS:
             return AV()
         if dotted in PATH_SINK_DOTTED:
             if positional:

@@ -37,7 +37,6 @@ __all__ = [
     "PATH_SINK_BUILTINS",
     "PATH_SINK_DOTTED",
     "PATH_SINK_ANY_ARG",
-    "REGEX_CALLS",
     "FETCH_ATTR_NAMES",
     "FETCH_SINK_DOTTED",
     "SEEDED_RNG_ALLOWED",
@@ -87,22 +86,6 @@ PATH_SINK_DOTTED = frozenset(
 #: Resolved dotted calls where *every* argument is a filesystem path.
 PATH_SINK_ANY_ARG = frozenset(
     {"os.replace", "os.rename", "os.path.join", "shutil.copy", "shutil.move"}
-)
-
-#: ``re`` module functions.  Their results (match objects, extracted
-#: groups) are not tracked: a call returns a clean value.
-REGEX_CALLS = frozenset(
-    {
-        "re.compile",
-        "re.search",
-        "re.match",
-        "re.fullmatch",
-        "re.findall",
-        "re.finditer",
-        "re.split",
-        "re.sub",
-        "re.subn",
-    }
 )
 
 #: Attribute-call names that perform an outbound fetch (URL = arg 0).

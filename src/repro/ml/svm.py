@@ -8,9 +8,10 @@ journal version), which handles sparse high-dimensional text matrices
 efficiently: each step computes all batch margins with one
 matrix-vector product and applies one aggregated update, so the hot
 loop is a handful of numpy/scipy kernels instead of a per-sample
-Python loop.  On CSR input each epoch gathers its permuted rows once
-and every batch is a no-copy slice of them, with the same sums as
-indexing ``X[batch]`` per batch (pinned bit-equal in ``tests/perf``).
+Python loop.  On CSR input no batch builds a scipy object: each epoch
+gathers its permuted rows once, and every batch runs scipy's own CSR
+kernels on raw arrays, with the same sums as indexing ``X[batch]`` per
+batch (pinned bit-equal in ``tests/perf``).
 ``batch_size=1`` reproduces the classic per-sample Pegasos schedule
 exactly; the per-sample Python-loop implementation is kept as
 :func:`repro.perf.reference.reference_pegasos_fit`, the equivalence
@@ -33,6 +34,10 @@ from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
+
+# Private, but the only way to run scipy's own CSR loops on raw arrays:
+# building a ``csr_array`` per Pegasos batch costs more than its product.
+from scipy.sparse import _sparsetools
 
 from repro.exceptions import NotFittedError, ValidationError
 from repro.ml.base import BaseClassifier, check_X, check_X_y
@@ -61,15 +66,16 @@ def pegasos_weights(
     margins of the whole batch are computed against the batch-start
     weights with one matvec, then ``w <- (1 - eta*lam) * w`` and the
     averaged sub-gradient of the margin violators is added with one
-    ``Xb.T @ coefs`` product.  Dense input indexes ``X[batch]``; CSR
-    input is never densified: each epoch gathers the permuted rows once
-    and each batch is a contiguous slice of their raw arrays, summed in
-    scipy's order, so the weights are bit-identical to indexing
-    ``X[batch]``.  With ``batch_size=1`` this is exactly the classic
-    per-sample Pegasos update sequence.
+    ``Xb.T @ coefs`` product.  Dense input indexes ``X[batch]``; other
+    input is converted to CSR and never densified: each epoch gathers
+    the permuted rows once and each batch runs scipy's CSR kernels on a
+    range of their raw arrays, summed in scipy's order, so the weights
+    are bit-identical to indexing ``X[batch]``.  With ``batch_size=1``
+    this is exactly the classic per-sample Pegasos update sequence.
 
     Args:
-        X: ``(n_samples, n_features)`` dense ndarray or CSR matrix.
+        X: ``(n_samples, n_features)`` dense ndarray or scipy sparse
+            matrix.
         signs: ±1.0 per sample.
         sample_weight: per-sample loss weight.
         lam: regularization strength λ.
@@ -140,42 +146,63 @@ def _pegasos_csr(
 ) -> np.ndarray:
     """The CSR branch of :func:`pegasos_weights`, on raw CSR arrays.
 
-    Each epoch gathers the permuted rows once (``X[order]``), so every
-    batch is a contiguous slice of their ``indptr``/``indices``/``data``,
-    wrapped without a copy as a ``csr_array``.  Margins and update are
-    scipy's ``csr_matvec`` and transposed product, summing in the order
-    that ``X[batch]`` and ``X[batch][violators]`` did; non-violators
-    enter the update with a zero coefficient, which leaves every sum
+    No batch builds a scipy object: the loop calls the C kernels that
+    ``X[order]``, ``Xb @ w`` and ``Xb.T @ coefs`` run (``csr_row_index``,
+    ``csr_matvec``, ``csc_matvec``) directly on raw arrays.  Each epoch
+    gathers the permuted rows once into buffers allocated per fit, and
+    each batch passes its absolute ``offsets[start:stop + 1]`` with the
+    whole gathered ``cols``/``vals``.  Margins and update each sum into a
+    fresh zero vector, as scipy's products do, and the update is then
+    added to the weights, so every sum runs in the order that
+    ``X[batch]`` and ``X[batch][violators]`` did; non-violators enter
+    the update with a zero coefficient, which leaves every sum
     unchanged.  (``np.add.reduceat`` would sum pairwise, and a margin
     at exactly 1.0 could then flip.)
     """
     n_samples, n_features = X.shape
+    index_dtype = np.promote_types(X.indptr.dtype, X.indices.dtype)
+    indptr = X.indptr.astype(index_dtype, copy=False)
+    indices = X.indices.astype(index_dtype, copy=False)
+    # scipy's products upcast the data to float64 on every call.
+    data = X.data.astype(np.float64, copy=False)
+    lengths = np.diff(indptr)
+    nnz = int(indptr[-1])
+    offsets = np.zeros(n_samples + 1, dtype=index_dtype)
+    cols = np.empty(nnz, dtype=index_dtype)
+    vals = np.empty(nnz, dtype=np.float64)
     weights = w[:-1]
     t = t0
     for _ in range(n_epochs):
-        order = rng.permutation(n_samples)
-        permuted = X[order]
-        offsets, cols, vals = permuted.indptr, permuted.indices, permuted.data
+        order = rng.permutation(n_samples).astype(index_dtype, copy=False)
+        np.cumsum(lengths[order], out=offsets[1:])
+        _sparsetools.csr_row_index(
+            n_samples, order, indptr, indices, data, cols, vals
+        )
         epoch_signs = signs[order]
         epoch_coefs = coef_full[order]
         for start in range(0, n_samples, batch_size):
             stop = min(start + batch_size, n_samples)
-            lo, hi = offsets[start], offsets[stop]
-            Xb = sp.csr_array(
-                (vals[lo:hi], cols[lo:hi], offsets[start : stop + 1] - lo),
-                shape=(stop - start, n_features),
-                copy=False,
-            )
+            batch_offsets = offsets[start : stop + 1]
             t += 1
             eta = 1.0 / (lam * t)
-            margins = epoch_signs[start:stop] * (Xb @ weights + w[-1])
+            margins = np.zeros(stop - start)
+            _sparsetools.csr_matvec(
+                stop - start, n_features, batch_offsets, cols, vals,
+                weights, margins,
+            )
+            margins = epoch_signs[start:stop] * (margins + w[-1])
             w *= 1.0 - eta * lam
             violators = margins < 1.0
             if not np.any(violators):
                 continue
             coefs = (eta / (stop - start)) * epoch_coefs[start:stop]
             coefs[~violators] = 0.0
-            weights += Xb.T @ coefs
+            update = np.zeros(n_features)
+            _sparsetools.csc_matvec(
+                n_features, stop - start, batch_offsets, cols, vals,
+                coefs, update,
+            )
+            weights += update
             w[-1] += coefs[violators].sum()
     return w
 

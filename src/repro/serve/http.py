@@ -186,19 +186,31 @@ class VerificationRequestHandler(BaseHTTPRequestHandler):
 
     # -- pipeline -----------------------------------------------------------
 
+    #: The route of the dispatched request until :meth:`_count` counts
+    #: it; ``None`` outside :meth:`_dispatch`, so stdlib rejections
+    #: stay uncounted.
+    _uncounted_route: str | None = None
+
     def _dispatch(self, method: str) -> None:
         """The request pipeline: route, drain, auth, limit, admit, run."""
         started = self.server.service.clock.monotonic()
         route = self.path.split("?", 1)[0]
-        status = 500
+        self._uncounted_route = route
         try:
-            status = self._run_pipeline(method, route)
+            self._run_pipeline(method, route)
         finally:
+            # A no-op unless the pipeline raised before responding.
+            self._count(500)
             elapsed = self.server.service.clock.monotonic() - started
+            self.server.metrics.observe_latency(route, max(0.0, elapsed))
+
+    def _count(self, status: int) -> None:
+        """Count the dispatched request once, under its first status."""
+        route, self._uncounted_route = self._uncounted_route, None
+        if route is not None:
             self.server.metrics.increment(
                 "http_requests_total", route=route, status=str(status)
             )
-            self.server.metrics.observe_latency(route, max(0.0, elapsed))
 
     def _run_pipeline(self, method: str, route: str) -> int:
         handler = self._ROUTES.get((method, route))
@@ -417,6 +429,9 @@ class VerificationRequestHandler(BaseHTTPRequestHandler):
         if close:
             lines.append("Connection: close")
             self.close_connection = True
+        # Counted before the write: a client that has read the response
+        # can already see it in ``/metrics``.
+        self._count(status)
         self.wfile.write("\r\n".join([*lines, "", ""]).encode("latin-1") + body)
         self.wfile.flush()
         return status

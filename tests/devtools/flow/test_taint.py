@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from repro.devtools.flow.interp import run_analysis
+from repro.devtools.flow.project import load_project
+
 
 def _by_rule(flow_result, rule):
     return [f for f in flow_result.taint_findings if f.rule == rule]
@@ -19,6 +22,28 @@ class TestCrossFunctionFlows:
         (finding,) = _by_rule(flow_result, "T004")
         assert finding.path.endswith("flowpkg/web.py")
         assert finding.symbol == "refetch"
+
+
+class TestRegexCalls:
+    def test_links_extracted_by_regex_reach_a_fetch(self, tmp_path):
+        # ``re.*`` results carry their arguments' taint.
+        package = tmp_path / "regexpkg"
+        package.mkdir()
+        (package / "__init__.py").write_text("")
+        (package / "crawl.py").write_text(
+            "import re\n"
+            "\n"
+            "\n"
+            "def follow_links(host, url):\n"
+            "    page = host.fetch(url)\n"
+            "    for link in re.findall(r\"href=(\\S+)\", page):\n"
+            "        host.fetch(link)\n"
+        )
+        result = run_analysis(load_project([str(package)]))
+        (finding,) = _by_rule(result, "T004")
+        assert finding.path.endswith("regexpkg/crawl.py")
+        assert finding.symbol == "follow_links"
+        assert finding.line == 7
 
 
 class TestSanitizers:

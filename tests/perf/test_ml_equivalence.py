@@ -15,6 +15,7 @@ import random
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse._base as sparse_base
 
 from repro.ml.ensemble import EnsembleSelection, LibraryModel
 from repro.ml.metrics import auc_roc, auc_roc_many
@@ -159,22 +160,26 @@ def tfidf_shaped_problem(seed, n_samples=53, n_features=90, min_nnz=0, max_nnz=2
     return X, signs, sample_weight
 
 
-def assert_pegasos_bit_equal(X, signs, sw, **kwargs):
-    """Cold and warm (``init_weights``, ``t0 > 0``) fits equal the oracle."""
+def assert_pegasos_bit_equal(X, signs, sw, oracle_X=None, **kwargs):
+    """Cold and warm (``init_weights``, ``t0 > 0``) fits equal the oracle.
+
+    The oracle runs on ``oracle_X`` when given, else on ``X`` itself.
+    """
+    oracle_X = X if oracle_X is None else oracle_X
     cold = pegasos_weights(X, signs, sw, **kwargs)
     np.testing.assert_array_equal(
-        cold, scipy_indexing_pegasos(X, signs, sw, **kwargs)
+        cold, scipy_indexing_pegasos(oracle_X, signs, sw, **kwargs)
     )
     warm_kwargs = dict(kwargs, n_epochs=3, seed=kwargs["seed"] + 1)
     warm_kwargs.update(init_weights=cold, t0=17)
     np.testing.assert_array_equal(
         pegasos_weights(X, signs, sw, **warm_kwargs),
-        scipy_indexing_pegasos(X, signs, sw, **warm_kwargs),
+        scipy_indexing_pegasos(oracle_X, signs, sw, **warm_kwargs),
     )
     return cold
 
 
-def _stream_weekly_matrix():
+def stream_weekly_matrix():
     """The ``stream_weekly`` benchmark's seed-1 live rows after tick 50."""
     n_sites = 400
     config = GeneratorConfig(
@@ -290,8 +295,79 @@ class TestPegasosCsrBitEquality:
             X, signs, sw, lam=1e-3, n_epochs=3, seed=6, batch_size=7
         )
 
+    @pytest.mark.parametrize("data_dtype", [np.float32, np.int64])
+    def test_float32_and_integer_data(self, data_dtype):
+        # scipy upcasts the data to float64 inside each product; the
+        # kernel converts it once per fit.
+        X, signs, sw = tfidf_shaped_problem(12)
+        X.data = (10.0 * X.data).astype(data_dtype)
+        assert X.dtype == data_dtype
+        assert_pegasos_bit_equal(
+            X, signs, sw, lam=1e-3, n_epochs=3, seed=7, batch_size=7
+        )
+
+    @pytest.mark.parametrize("fmt", ["csc", "coo"])
+    def test_csc_and_coo_input(self, fmt):
+        # The oracle runs on the CSR form that :func:`pegasos_weights`
+        # converts to: COO cannot be row-indexed, and CSC's own row
+        # indexing and products sum in another order.
+        X, signs, sw = tfidf_shaped_problem(13)
+        assert_pegasos_bit_equal(
+            X.asformat(fmt), signs, sw, oracle_X=X.asformat(fmt).tocsr(),
+            lam=1e-3, n_epochs=3, seed=8, batch_size=7,
+        )
+
+    def test_duplicate_column_entries(self):
+        X, signs, sw = tfidf_shaped_problem(15)
+        indices = X.indices.copy()
+        for i in range(X.shape[0]):
+            lo, hi = X.indptr[i], X.indptr[i + 1]
+            if hi - lo >= 3:
+                indices[lo + 1 : lo + 3] = indices[lo]
+        X = sp.csr_matrix((X.data, indices, X.indptr), shape=X.shape)
+        assert not X.has_canonical_format
+        assert_pegasos_bit_equal(
+            X, signs, sw, lam=1e-3, n_epochs=3, seed=11, batch_size=7
+        )
+
+    @pytest.mark.parametrize(
+        "data_dtype, index_dtype", [(np.float64, np.int32), (np.float32, np.int64)]
+    )
+    def test_caller_arrays_unchanged(self, data_dtype, index_dtype):
+        X, signs, sw = tfidf_shaped_problem(16)
+        X.data = X.data.astype(data_dtype)
+        X.indptr = X.indptr.astype(index_dtype)
+        X.indices = X.indices.astype(index_dtype)
+        arrays = (X.indptr, X.indices, X.data)
+        before = [a.copy() for a in arrays]
+        assert_pegasos_bit_equal(
+            X, signs, sw, lam=1e-3, n_epochs=3, seed=12, batch_size=7
+        )
+        for array, now in zip(arrays, (X.indptr, X.indices, X.data)):
+            assert now is array
+        for array, copy in zip(arrays, before):
+            assert array.dtype == copy.dtype
+            np.testing.assert_array_equal(array, copy)
+
+    def test_no_sparse_object_per_batch(self, monkeypatch):
+        # Neither a batch nor the per-epoch gather builds a scipy object.
+        X, signs, sw = tfidf_shaped_problem(17)
+        built = []
+        init = sparse_base._spbase.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sparse_base._spbase, "__init__", counting_init)
+        sp.csr_array(X)
+        assert built == ["csr_array"]
+        built.clear()
+        pegasos_weights(X, signs, sw, lam=1e-3, n_epochs=3, seed=13, batch_size=7)
+        assert built == []
+
     def test_stream_weekly_live_matrix(self):
-        X, y = _stream_weekly_matrix()
+        X, y = stream_weekly_matrix()
         svm = LinearSVC()
         X, signs, sw = svm._prepare(X, y)
         assert_pegasos_bit_equal(

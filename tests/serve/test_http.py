@@ -83,14 +83,18 @@ def server(fitted_verifier, tiny_corpus, tiny_host):
 
 
 class _CountingWriter:
-    """A socket writer that records every write before passing it on."""
+    """A socket writer that records every write before passing it on,
+    calling ``on_write`` (if given) just before each one."""
 
-    def __init__(self, inner, writes):
+    def __init__(self, inner, writes, on_write=None):
         self._inner = inner
         self._writes = writes
+        self._on_write = on_write
 
     def write(self, data):
         self._writes.append(bytes(data))
+        if self._on_write is not None:
+            self._on_write()
         return self._inner.write(data)
 
     def __getattr__(self, name):
@@ -180,6 +184,58 @@ class TestRouting:
         )
         assert status == 200
         assert "counters" in payload and "latency" in payload
+
+    @pytest.mark.parametrize(
+        "method, path, body, status",
+        [
+            ("GET", "/healthz", None, 200),
+            ("GET", "/nope", None, 404),
+            ("POST", "/v1/verify", {"domain": ""}, 400),
+        ],
+    )
+    def test_request_is_counted_before_its_response_is_written(
+        self, server, method, path, body, status
+    ):
+        # A client that has read a response must find it in /metrics.
+        counted_at_write = []
+
+        def read_counter():
+            counted_at_write.append(
+                server.metrics.counter_value(
+                    "http_requests_total", route=path, status=str(status)
+                )
+            )
+
+        class Handler(VerificationRequestHandler):
+            def setup(self):
+                super().setup()
+                self.wfile = _CountingWriter(self.wfile, [], read_counter)
+
+        server.RequestHandlerClass = Handler
+        assert request(server.port, method, path, body=body)[0] == status
+        assert counted_at_write == [1.0]
+
+    def test_stdlib_rejection_is_not_counted(self, server):
+        with raw_connection(server.port) as (sock, reader):
+            sock.sendall(b"GET /a b HTTP/1.1\r\n")
+            assert read_response(reader)[0] == 400
+            assert read_until_closed(reader) == b""
+        assert not [
+            entry
+            for entry in server.metrics.snapshot()["counters"]
+            if entry["name"] == "http_requests_total"
+        ]
+
+    def test_route_that_raises_counts_as_500(self, server, monkeypatch):
+        def broken_health():
+            raise RuntimeError("health probe failed")
+
+        monkeypatch.setattr(server.service, "health", broken_health)
+        with pytest.raises((http.client.HTTPException, ConnectionError)):
+            request(server.port, "GET", "/healthz", key=None)
+        assert server.metrics.counter_value(
+            "http_requests_total", route="/healthz", status="500"
+        ) == 1.0
 
 
 class TestConnections:
@@ -431,26 +487,14 @@ class TestOverload:
         assert server.metrics.counter_value("http_shed_total") == 1.0
 
     def test_metrics_count_requests_by_status(self, server, tiny_corpus):
-        import time
-
         request(
             server.port, "POST", "/v1/verify",
             body={"domain": tiny_corpus.sites[0].domain},
         )
-        # The count lands just after the response bytes; poll briefly.
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            if server.metrics.counter_value(
-                "http_requests_total", route="/v1/verify", status="200"
-            ) >= 1.0:
-                break
-            time.sleep(0.01)
-        assert (
-            server.metrics.counter_value(
-                "http_requests_total", route="/v1/verify", status="200"
-            )
-            >= 1.0
-        )
+        # Counted before the response bytes, so no poll is needed.
+        assert server.metrics.counter_value(
+            "http_requests_total", route="/v1/verify", status="200"
+        ) == 1.0
 
 
 class TestDrain:
