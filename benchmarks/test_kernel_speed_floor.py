@@ -1,7 +1,7 @@
 """Speed floor: no fast kernel is slower than the loop it replaced.
 
 Each case runs a vectorized kernel and its pure-Python reference
-(:mod:`repro.perf.reference`) on small fixed inputs, takes the best of
+(:mod:`tests.reference`) on small fixed inputs, takes the best of
 ``REPEAT`` timings of each (every repeat times the fast run, then the
 reference run, so host load lands on both sides alike), asserts the two
 outputs are equivalent, and requires reference time / fast time >=
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import repro.perf.reference as ref
+import tests.reference as ref
 from repro.core.config import ExperimentConfig, preset
 from repro.core.evaluation import cross_validate_pipeline
 from repro.core.text_pipeline import TfidfTextPipeline

@@ -28,7 +28,6 @@ paper-vs-measured results of every table and figure.
 
 from repro.core import (
     AggregatedReport,
-    CombinedFeaturePipeline,
     EnsembleClassificationPipeline,
     ExperimentConfig,
     NetworkClassificationPipeline,
@@ -73,7 +72,6 @@ from repro.ml import (
     C45Tree,
     GaussianNB,
     LinearSVC,
-    LogisticRegression,
     MLPClassifier,
     MultinomialNB,
     SMOTE,
@@ -102,7 +100,6 @@ __all__ = [
     "__version__",
     # core
     "AggregatedReport",
-    "CombinedFeaturePipeline",
     "EnsembleClassificationPipeline",
     "ExperimentConfig",
     "NetworkClassificationPipeline",
@@ -138,7 +135,6 @@ __all__ = [
     "C45Tree",
     "GaussianNB",
     "LinearSVC",
-    "LogisticRegression",
     "MLPClassifier",
     "MultinomialNB",
     "SMOTE",

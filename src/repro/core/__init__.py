@@ -1,10 +1,7 @@
 """Core layer: the paper's contribution assembled from the substrates."""
 
 from repro.core.config import ExperimentConfig, PRESETS, ScalePreset, preset
-from repro.core.ensemble_pipeline import (
-    CombinedFeaturePipeline,
-    EnsembleClassificationPipeline,
-)
+from repro.core.ensemble_pipeline import EnsembleClassificationPipeline
 from repro.core.evaluation import (
     AggregatedReport,
     MeasureSummary,
@@ -36,7 +33,6 @@ __all__ = [
     "PRESETS",
     "ScalePreset",
     "preset",
-    "CombinedFeaturePipeline",
     "EnsembleClassificationPipeline",
     "AggregatedReport",
     "MeasureSummary",

@@ -1,14 +1,10 @@
-"""Ensemble classification (Section 6.3.3) and combined-feature models.
+"""Ensemble classification (Section 6.3.3).
 
 :class:`EnsembleClassificationPipeline` builds a model library out of
 text and network models fitted on a sub-training set, runs Ensemble
 Selection (Caruana et al. 2004) on a held-out hill-climbing slice of
 the training fold, and predicts by bag-averaged probabilities —
 mirroring the paper's use of Weka's "Ensemble Selection".
-
-:class:`CombinedFeaturePipeline` is the future-work alternative
-(Section 7b): a single classifier over the concatenation of text and
-network features.
 """
 
 from __future__ import annotations
@@ -17,11 +13,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.evaluation import PipelineScores, classifier_scores
+from repro.core.evaluation import PipelineScores
 from repro.core.network_pipeline import NetworkClassificationPipeline
 from repro.data.corpus import PharmacyCorpus
 from repro.exceptions import NotFittedError, ValidationError
-from repro.ml.base import BaseClassifier, clone, ensure_dense
+from repro.ml.base import BaseClassifier, clone
 from repro.ml.ensemble import EnsembleSelection, LibraryModel
 from repro.ml.mlp import MLPClassifier
 from repro.ml.model_selection import train_test_split
@@ -33,7 +29,7 @@ from repro.text.ngram_graph import ClassGraphModel
 from repro.text.summarization import SummaryDocument
 from repro.text.term_vector import TfidfVectorizer
 
-__all__ = ["EnsembleClassificationPipeline", "CombinedFeaturePipeline"]
+__all__ = ["EnsembleClassificationPipeline"]
 
 #: Slice of the training fold held out for the greedy selection.
 _HILLCLIMB_FRACTION = 0.3
@@ -185,72 +181,3 @@ def _indexed_proba(model: BaseClassifier, X_all) -> Callable[[np.ndarray], np.nd
         return model.predict_proba(X_all[idx])
 
     return predict_proba
-
-
-class CombinedFeaturePipeline:
-    """One classifier over concatenated text + network features.
-
-    Future-work extension (Section 7b): instead of voting over separate
-    models, concatenate the TF-IDF matrix (densified), the
-    N-Gram-Graph similarities, and the TrustRank scores into a single
-    feature space.
-
-    Fits on corpus row indices like the other transductive pipelines.
-
-    Args:
-        corpus: full working set.
-        documents: summary documents aligned with corpus rows.
-        classifier: prototype (default MLP).
-        max_text_features: TF-IDF vocabulary cap (densified, keep small).
-        seed: RNG seed.
-    """
-
-    def __init__(
-        self,
-        corpus: PharmacyCorpus,
-        documents: Sequence[SummaryDocument],
-        classifier: BaseClassifier | None = None,
-        max_text_features: int = 300,
-        seed: int = 0,
-    ) -> None:
-        self._corpus = corpus
-        self._documents = list(documents)
-        self._prototype = classifier or MLPClassifier(seed=seed)
-        self._max_text_features = max_text_features
-        self._seed = seed
-        self._classifier: BaseClassifier | None = None
-        self._X_all: np.ndarray | None = None
-
-    def fit(self, train_indices: Sequence[int]) -> "CombinedFeaturePipeline":
-        train_idx = np.asarray(train_indices, dtype=np.int64)
-        labels = self._corpus.labels
-        docs = self._documents
-
-        vectorizer = TfidfVectorizer(max_features=self._max_text_features)
-        vectorizer.fit([docs[i].tokens for i in train_idx])
-        X_text = ensure_dense(
-            vectorizer.transform([doc.tokens for doc in docs])
-        )
-
-        ngg = ClassGraphModel(seed=self._seed)
-        ngg.fit(
-            [docs[i].text for i in train_idx], labels[train_idx].tolist()
-        )
-        X_ngg = ngg.transform([doc.text for doc in docs])
-
-        network = NetworkClassificationPipeline(self._corpus, GaussianNB())
-        network.fit(train_idx)
-        X_net = network.feature_matrix.column("outlink_trust").reshape(-1, 1)
-
-        self._X_all = np.hstack([X_text, X_ngg, X_net])
-        classifier = clone(self._prototype)
-        classifier.fit(self._X_all[train_idx], labels[train_idx])
-        self._classifier = classifier
-        return self
-
-    def score(self, indices: Sequence[int]) -> PipelineScores:
-        """Score corpus rows; the rank term is the probability."""
-        if self._X_all is None or self._classifier is None:
-            raise NotFittedError("CombinedFeaturePipeline is not fitted")
-        idx = np.asarray(indices, dtype=np.int64)
-        return classifier_scores(self._classifier, self._X_all[idx])

@@ -15,8 +15,8 @@ Runs four analyzers over the same package directories (default
   D001 and D003 (:mod:`repro.devtools.flow`);
 * ``repro-conc`` — parallel safety and cache coherence, C001 and
   C003-C006 (:mod:`repro.devtools.conc`);
-* ``repro-hot`` — reference-kernel imports and hot-path densification
-  ranked by a static cost model, P002 and P007 (:mod:`repro.devtools.hot`).
+* ``repro-hot`` — hot-path densification ranked by a static cost
+  model, P007 (:mod:`repro.devtools.hot`).
 
 The three interprocedural analyzers share one parsed project and call
 graph, so a run costs one front-end pass, not three.  Rule IDs are

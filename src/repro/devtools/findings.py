@@ -21,7 +21,7 @@ class Finding:
     """One rule violation.
 
     Attributes:
-        rule: rule identifier (``R001``, ``T001``, ``C001``, ``P002``, ...).
+        rule: rule identifier (``R001``, ``T001``, ``C001``, ``P007``, ...).
         path: file path as given to the linter (posix separators).
         line: 1-based line number of the violation.
         column: 0-based column offset.

@@ -1,10 +1,9 @@
-"""Rule engine for ``repro-hot`` (P002 and P007).
+"""Rule engine for ``repro-hot`` (P007).
 
-* **P007** (densification) is hot-gated: it fires only in functions
-  reachable from a registered hot entry point through the flow call
-  graph — a ``todense()`` in a cold CLI helper is noise, the same one
-  inside the sweep is a scaling bug;
-* **P002** (reference-kernel imports) is checked per module.
+**P007** (densification) is hot-gated: it fires only in functions
+reachable from a registered hot entry point through the flow call
+graph — a ``todense()`` in a cold CLI helper is noise, the same one
+inside the sweep is a scaling bug.
 
 Every finding's message carries its static cost
 (:mod:`repro.devtools.hot.cost`) and, for hot sites, the shortest call
@@ -21,12 +20,7 @@ from repro.devtools.findings import Finding, assign_occurrences
 from repro.devtools.flow.analysis import ProjectAnalysis
 from repro.devtools.flow.project import ModuleUnit
 from repro.devtools.hot.cost import format_cost, site_cost
-from repro.devtools.hot.registry import (
-    HOT_ENTRY_SUFFIXES,
-    REFERENCE_EXEMPT_SEGMENTS,
-    REFERENCE_MODULE,
-    SUPPRESSION_MARKER,
-)
+from repro.devtools.hot.registry import HOT_ENTRY_SUFFIXES, SUPPRESSION_MARKER
 
 __all__ = ["hot_findings", "hot_entry_qualnames"]
 
@@ -181,36 +175,10 @@ class _HotAnalyzer:
                     identity_extra=f"P007:{kind}",
                 )
 
-    # -- P002: reference-kernel imports ------------------------------------
-
-    def _reference_imports(self) -> None:
-        for name in sorted(self.project.modules):
-            module = self.project.modules[name]
-            segments = set(name.split("."))
-            if segments & REFERENCE_EXEMPT_SEGMENTS:
-                continue
-            if name == REFERENCE_MODULE or name.startswith(REFERENCE_MODULE + "."):
-                continue
-            for node, target in _reference_import_sites(module):
-                self._emit(
-                    "P002",
-                    module,
-                    node.lineno,
-                    node.col_offset,
-                    f"imports reference kernel '{target}' outside "
-                    "tests/benchmarks — reference kernels are equivalence "
-                    "oracles, not production code",
-                    "<module>",
-                    0,
-                    f"{name}.<module>",
-                    identity_extra=target,
-                )
-
     # -- driver ------------------------------------------------------------
 
     def run(self) -> list[Finding]:
         self._densifications()
-        self._reference_imports()
         # Occurrence indexes must be stamped in source order; the report
         # itself is then re-ranked by descending static cost.
         self.pairs.sort(key=lambda p: (p[1].path, p[1].line, p[1].column, p[1].rule))
@@ -222,42 +190,9 @@ class _HotAnalyzer:
         return [finding for _, finding in ranked]
 
 
-def _reference_import_sites(
-    module: ModuleUnit,
-) -> list[tuple[ast.stmt, str]]:
-    sites: list[tuple[ast.stmt, str]] = []
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == REFERENCE_MODULE or alias.name.startswith(
-                    REFERENCE_MODULE + "."
-                ):
-                    sites.append((node, alias.name))
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                parts = module.name.split(".")
-                drop = node.level - 1 if module.is_package else node.level
-                anchor = parts[: len(parts) - drop]
-                base = ".".join(anchor + ([base] if base else []))
-            for alias in node.names:
-                target = f"{base}.{alias.name}" if base else alias.name
-                if base == REFERENCE_MODULE or base.startswith(
-                    REFERENCE_MODULE + "."
-                ):
-                    sites.append((node, base))
-                    break
-                if target == REFERENCE_MODULE or target.startswith(
-                    REFERENCE_MODULE + "."
-                ):
-                    sites.append((node, target))
-                    break
-    return sites
-
-
 def hot_findings(
     analysis: ProjectAnalysis, extra_entries: Iterable[str] = ()
 ) -> list[Finding]:
-    """All P002 and P007 findings for an analyzed project, ranked by
-    descending static cost."""
+    """All P007 findings for an analyzed project, ranked by descending
+    static cost."""
     return _HotAnalyzer(analysis, extra_entries).run()

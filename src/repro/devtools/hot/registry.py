@@ -1,10 +1,8 @@
 """Rule catalogue and shared configuration for ``repro-hot``.
 
-The hot-path analyzer guards two properties of the shipping code: the
+The hot-path analyzer guards one property of the shipping code: the
 feature/ranking/ML pipeline stays sparse on the paths a large run
-exercises (P007), and the slow loop kernels kept in
-:mod:`repro.perf.reference` as equivalence oracles stay out of it
-(P002).
+exercises (P007).
 
 Findings are suppressed with ``# repro-hot: disable=P007`` comments
 (same syntax as repro-lint/repro-flow/repro-conc, different marker).
@@ -16,8 +14,6 @@ __all__ = [
     "HOT_RULES",
     "SUPPRESSION_MARKER",
     "HOT_ENTRY_SUFFIXES",
-    "REFERENCE_MODULE",
-    "REFERENCE_EXEMPT_SEGMENTS",
     "DEPTH_BASE",
     "MAX_DEPTH_WEIGHTED",
     "COLD_WEIGHT",
@@ -27,10 +23,6 @@ __all__ = [
 SUPPRESSION_MARKER = "repro-hot"
 
 HOT_RULES: dict[str, str] = {
-    "P002": (
-        "repro.perf.reference kernel imported outside tests/benchmarks "
-        "(reference kernels are equivalence oracles, not production code)"
-    ),
     "P007": (
         ".toarray()/.todense() densification reachable from a hot entry "
         "point — keep the operand sparse or densify once outside loops"
@@ -50,7 +42,7 @@ HOT_ENTRY_SUFFIXES: tuple[str, ...] = (
     "verifier.PharmacyVerifier.verify_sites",
     "crawler.Crawler.crawl_site",
     "svm.pegasos_weights",
-    "ngram_graph.ClassGraphModel.transform_many",
+    "ngram_graph.ClassGraphModel.transform",
     "metrics.auc_roc_many",
     # the serving request path: every HTTP request funnels through the
     # handler dispatch and the service batch entry point (registered
@@ -71,15 +63,6 @@ HOT_ENTRY_SUFFIXES: tuple[str, ...] = (
     "deltas.StreamCorpus.apply",
     "rank.DeltaRankState.push",
 )
-
-#: The reference-kernel module P002 polices.
-REFERENCE_MODULE = "repro.perf.reference"
-
-#: Dotted-module-name segments whose modules may import the reference
-#: kernels (equivalence tests and the benchmark harness live there).
-#: Segment-based, not path-based, so a fixture tree analyzed from any
-#: directory keeps the same verdicts.
-REFERENCE_EXEMPT_SEGMENTS = frozenset({"tests", "benchmarks"})
 
 #: Cost model: ``cost = DEPTH_BASE**min(depth, MAX_DEPTH_WEIGHTED) *
 #: reach``, where ``reach`` is ``1/(1+distance)`` for hot-reachable

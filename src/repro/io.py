@@ -334,13 +334,18 @@ def import_corpus(path: str | Path) -> PharmacyCorpus:
     """Read a corpus written by :func:`export_corpus`.
 
     Raises:
-        PersistenceError: malformed file or unsupported version.
+        PersistenceError: unreadable path (missing, a directory, no
+            permission), malformed file or unsupported version.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except FileNotFoundError as exc:
-        raise PersistenceError(f"no such corpus file: {path}") from exc
+    except OSError as exc:
+        raise PersistenceError(
+            f"cannot read corpus file {path}: {exc.strerror or exc} "
+            "(train reads a .jsonl corpus; verify, rank and serve also "
+            "read a --shards directory)"
+        ) from exc
     if not lines:
         raise PersistenceError(f"empty corpus file: {path}")
     try:

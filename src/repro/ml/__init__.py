@@ -11,10 +11,8 @@ from repro.ml.metrics import (
     BinaryClassificationReport,
     accuracy,
     auc_roc,
-    average_precision,
     classification_report,
     confusion_counts,
-    f1_score,
     mean_confidence_interval,
     pairwise_orderedness,
     precision,
@@ -23,17 +21,11 @@ from repro.ml.metrics import (
     roc_curve,
     threshold_for_precision,
 )
-from repro.ml.logistic import LogisticRegression
 from repro.ml.mlp import MLPClassifier
-from repro.ml.model_selection import (
-    StratifiedKFold,
-    cross_val_predictions,
-    train_test_split,
-)
+from repro.ml.model_selection import StratifiedKFold, train_test_split
 from repro.ml.naive_bayes import GaussianNB, MultinomialNB
-from repro.ml.noise import inject_label_noise, noise_robustness_curve
+from repro.ml.noise import inject_label_noise
 from repro.ml.sampling import SAMPLER_ABBREVIATIONS, SMOTE, RandomUnderSampler
-from repro.ml.scaling import StandardScaler
 from repro.ml.svm import LinearSVC
 from repro.ml.tree import C45Tree
 
@@ -50,30 +42,24 @@ __all__ = [
     "BinaryClassificationReport",
     "accuracy",
     "auc_roc",
-    "average_precision",
     "precision_recall_curve",
     "threshold_for_precision",
     "classification_report",
     "confusion_counts",
-    "f1_score",
     "mean_confidence_interval",
     "pairwise_orderedness",
     "precision",
     "recall",
     "roc_curve",
-    "LogisticRegression",
     "MLPClassifier",
     "inject_label_noise",
-    "noise_robustness_curve",
     "StratifiedKFold",
-    "cross_val_predictions",
     "train_test_split",
     "GaussianNB",
     "MultinomialNB",
     "SAMPLER_ABBREVIATIONS",
     "SMOTE",
     "RandomUnderSampler",
-    "StandardScaler",
     "LinearSVC",
     "C45Tree",
 ]

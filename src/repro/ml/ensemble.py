@@ -25,7 +25,7 @@ considered in sorted-name order: initialization ranks models by
 the lowest name, so the selected bag is deterministic regardless of the
 order the library was assembled in.  The per-candidate loop
 implementation lives on as
-:func:`repro.perf.reference.reference_ensemble_select`, the equivalence
+``tests.reference.reference_ensemble_select``, the equivalence
 oracle pinned by ``tests/perf``.
 
 The library entries are heterogeneous: each has its own feature matrix

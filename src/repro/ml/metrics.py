@@ -26,12 +26,10 @@ __all__ = [
     "accuracy",
     "precision",
     "recall",
-    "f1_score",
     "roc_curve",
     "auc_roc",
     "auc_roc_many",
     "precision_recall_curve",
-    "average_precision",
     "threshold_for_precision",
     "mean_confidence_interval",
     "pairwise_orderedness",
@@ -90,15 +88,6 @@ def recall(
     tp, _, _, fn = confusion_counts(y_true, y_pred, positive_label)
     denom = tp + fn
     return tp / denom if denom else 0.0
-
-
-def f1_score(
-    y_true: ArrayLike, y_pred: ArrayLike, positive_label: int = 1
-) -> float:
-    """Harmonic mean of precision and recall for ``positive_label``."""
-    p = precision(y_true, y_pred, positive_label)
-    r = recall(y_true, y_pred, positive_label)
-    return 2 * p * r / (p + r) if (p + r) else 0.0
 
 
 def roc_curve(
@@ -229,14 +218,6 @@ def precision_recall_curve(
     rec = np.r_[0.0, tp / n_pos]
     thresholds = np.r_[sorted_scores[0] + 1.0, sorted_scores[cut]]
     return prec, rec, thresholds
-
-
-def average_precision(
-    y_true: ArrayLike, scores: ArrayLike, positive_label: int = 1
-) -> float:
-    """Average precision (area under the PR curve, step interpolation)."""
-    prec, rec, _ = precision_recall_curve(y_true, scores, positive_label)
-    return float(np.sum(np.diff(rec) * prec[1:]))
 
 
 def threshold_for_precision(

@@ -7,8 +7,7 @@ paper uses on N-Gram-Graph similarity features (where it is the best
 classifier, Tables 7–10).
 
 Inputs are expected to be dense and roughly unit-scaled (similarity
-features are already in [0, 1]; use
-:class:`~repro.ml.scaling.StandardScaler` otherwise).
+features are already in [0, 1]).
 """
 
 from __future__ import annotations

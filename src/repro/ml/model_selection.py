@@ -8,12 +8,12 @@ only ~167 legitimate examples.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from repro.exceptions import ValidationError
 
-__all__ = ["StratifiedKFold", "train_test_split", "cross_val_predictions"]
+__all__ = ["StratifiedKFold", "train_test_split"]
 
 
 class StratifiedKFold:
@@ -84,28 +84,3 @@ def train_test_split(
         np.sort(np.concatenate(train_parts)),
         np.sort(np.concatenate(test_parts)),
     )
-
-
-def cross_val_predictions(
-    fit_predict: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    y: Sequence[int],
-    n_splits: int = 3,
-    seed: int = 0,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Drive k-fold CV over an arbitrary fit/predict closure.
-
-    Args:
-        fit_predict: callable ``(train_idx, test_idx) ->
-            (predictions, scores)`` over the caller's own data store.
-        y: labels, used only for stratification and returned per fold.
-        n_splits: fold count.
-        seed: fold RNG seed.
-
-    Yields:
-        ``(y_test, predictions, scores)`` per fold.
-    """
-    labels = np.asarray(y).ravel()
-    splitter = StratifiedKFold(n_splits=n_splits, shuffle=True, seed=seed)
-    for train_idx, test_idx in splitter.split(labels):
-        predictions, scores = fit_predict(train_idx, test_idx)
-        yield labels[test_idx], np.asarray(predictions), np.asarray(scores)

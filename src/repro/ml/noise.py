@@ -6,22 +6,19 @@ noise (Mirylenka, Giannakopoulos, Do, Palpanas, DMKD 2017 — reference
 PharmaVerComp corpus is described as "consistent and error free", but a
 production deployment would face noisy reviewer labels.  This module
 provides the tooling to reproduce that analysis on the pharmacy task:
-
-* :func:`inject_label_noise` — flip a fraction of labels, uniformly or
-  asymmetrically (e.g. only illegitimate -> legitimate, the costly
-  direction);
-* :func:`noise_robustness_curve` — evaluation measure vs noise level
-  for an arbitrary fit/predict closure.
+:func:`inject_label_noise` flips a fraction of labels, uniformly or
+asymmetrically (e.g. only illegitimate -> legitimate, the costly
+direction).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from repro.exceptions import ValidationError
 
-__all__ = ["inject_label_noise", "noise_robustness_curve"]
+__all__ = ["inject_label_noise"]
 
 
 def inject_label_noise(
@@ -61,31 +58,3 @@ def inject_label_noise(
     flip = rng.choice(eligible, size=n_flip, replace=False)
     labels[flip] = 1 - labels[flip]
     return labels
-
-
-def noise_robustness_curve(
-    fit_score: Callable[[np.ndarray], float],
-    y: Sequence[int],
-    noise_rates: Sequence[float] = (0.0, 0.05, 0.1, 0.2, 0.3),
-    direction: str = "both",
-    seed: int = 0,
-) -> list[tuple[float, float]]:
-    """Evaluate a model at increasing training-label noise.
-
-    Args:
-        fit_score: callable taking a (noisy) training label vector and
-            returning the evaluation measure on *clean* test labels —
-            the caller owns the split and the model.
-        y: the clean training labels to corrupt.
-        noise_rates: noise levels to sweep.
-        direction: see :func:`inject_label_noise`.
-        seed: RNG seed (varied per level for independent corruptions).
-
-    Returns:
-        List of (noise_rate, score) pairs in sweep order.
-    """
-    curve = []
-    for level_no, rate in enumerate(noise_rates):
-        noisy = inject_label_noise(y, rate, direction=direction, seed=seed + level_no)
-        curve.append((float(rate), float(fit_score(noisy))))
-    return curve

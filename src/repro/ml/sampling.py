@@ -80,7 +80,7 @@ class SMOTE:
     chunk), so memory stays bounded at ``chunk_size * n_minority``
     floats while the interpolation of all synthetic rows happens in one
     vectorized expression.  The classic per-sample loop implementation
-    is kept as :class:`repro.perf.reference.ReferenceSMOTE`, the
+    is kept as ``tests.reference.ReferenceSMOTE``, the
     equivalence oracle pinned by ``tests/perf``.
 
     Args:

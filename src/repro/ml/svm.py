@@ -14,7 +14,7 @@ kernels on raw arrays, with the same sums as indexing ``X[batch]`` per
 batch (pinned bit-equal in ``tests/perf``).
 ``batch_size=1`` reproduces the classic per-sample Pegasos schedule
 exactly; the per-sample Python-loop implementation is kept as
-:func:`repro.perf.reference.reference_pegasos_fit`, the equivalence
+``tests.reference.reference_pegasos_fit``, the equivalence
 oracle pinned by ``tests/perf``.
 
 SVMs are non-probabilistic; the paper maps their output to {0, 1} for

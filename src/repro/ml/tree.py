@@ -17,7 +17,7 @@ The split search is fully vectorized: one stable argsort of the whole
 candidate-feature block, cumulative class-count arrays, and a single
 masked argmax evaluate every (feature, threshold) pair without a
 Python candidate loop.  The per-feature/per-candidate loop
-implementation survives as :class:`repro.perf.reference.ReferenceC45Tree`,
+implementation survives as ``tests.reference.ReferenceC45Tree``,
 the equivalence oracle pinned by ``tests/perf`` (identical trees,
 bit-equal predictions).
 """
@@ -328,32 +328,6 @@ class C45Tree(BaseClassifier):
         self._fill_proba(node.right, X, idx[~mask], out, n_classes)
 
     # -- introspection --------------------------------------------------------------
-
-    def depth(self) -> int:
-        """Depth of the fitted tree (0 for a single leaf)."""
-        if self._root is None:
-            raise NotFittedError("C45Tree has not been fitted")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            assert node.left is not None and node.right is not None
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self._root)
-
-    def n_leaves(self) -> int:
-        """Number of leaves in the fitted tree."""
-        if self._root is None:
-            raise NotFittedError("C45Tree has not been fitted")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            assert node.left is not None and node.right is not None
-            return walk(node.left) + walk(node.right)
-
-        return walk(self._root)
 
     def to_text(self, feature_names: list[str] | None = None) -> str:
         """Render the fitted tree as indented rules (J48's print style).

@@ -1,9 +1,6 @@
 """Network substrate: web graph, PageRank/TrustRank, the network stage."""
 
-from repro.network.construction import (
-    build_graph_from_link_table,
-    build_pharmacy_graph,
-)
+from repro.network.construction import build_pharmacy_graph
 from repro.network.eigentrust import eigentrust
 from repro.network.features import (
     NetworkFeatureMatrix,
@@ -33,7 +30,6 @@ __all__ = [
     "compile_transition_store_from_edges",
     "load_block_plan",
     "teleport_vector",
-    "build_graph_from_link_table",
     "build_pharmacy_graph",
     "eigentrust",
     "NetworkFeatureMatrix",

@@ -12,12 +12,12 @@ trustiness value.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.network.graph import DirectedGraph
 from repro.web.site import SiteEvidence
 
-__all__ = ["build_pharmacy_graph", "build_graph_from_link_table"]
+__all__ = ["build_pharmacy_graph"]
 
 
 def build_pharmacy_graph(
@@ -44,18 +44,4 @@ def build_pharmacy_graph(
         graph.add_node(site.domain)
         for endpoint_domain in site.outbound_endpoints():
             graph.add_edge(site.domain, endpoint_domain, 1.0)
-    return graph
-
-
-def build_graph_from_link_table(
-    links: Iterable[tuple[str, str]]
-) -> DirectedGraph:
-    """Build a graph from explicit (source_domain, target_domain) pairs.
-
-    Convenience constructor for tests and for callers who already hold
-    a harvested link table instead of crawled sites.
-    """
-    graph = DirectedGraph()
-    for src, dst in links:
-        graph.add_edge(src, dst, 1.0)
     return graph

@@ -8,7 +8,7 @@ additive weight.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.exceptions import GraphError
 
@@ -82,31 +82,9 @@ class DirectedGraph:
         self._require(node)
         return dict(self._pred[node])
 
-    def out_degree(self, node: str) -> int:
-        """Number of outgoing edges of ``node``."""
-        self._require(node)
-        return len(self._succ[node])
-
-    def in_degree(self, node: str) -> int:
-        """Number of incoming edges of ``node``."""
-        self._require(node)
-        return len(self._pred[node])
-
     def has_edge(self, src: str, dst: str) -> bool:
         """Whether the edge ``src -> dst`` exists."""
         return src in self._succ and dst in self._succ[src]
-
-    def subgraph(self, nodes: Iterable[str]) -> "DirectedGraph":
-        """Induced subgraph on ``nodes`` (unknown nodes ignored)."""
-        keep = {n for n in nodes if n in self._succ}
-        sub = DirectedGraph()
-        for node in keep:
-            sub.add_node(node)
-        for src in keep:
-            for dst, weight in self._succ[src].items():
-                if dst in keep:
-                    sub.add_edge(src, dst, weight)
-        return sub
 
     def _require(self, node: str) -> None:
         if node not in self._succ:

@@ -19,7 +19,7 @@ Anti-TrustRank, EigenTrust and the block-wise rankers of
   the same loop serves one in-memory matrix, a serial loop over
   spilled blocks, and a process-pool map over them.
 
-(:func:`repro.perf.reference.reference_personalized_pagerank` keeps
+(``tests.reference.reference_personalized_pagerank`` keeps
 the per-node loop form as the equivalence baseline.)
 """
 

@@ -1,4 +1,4 @@
-"""Performance layer: caching, deterministic parallelism, references.
+"""Performance layer: caching and deterministic parallelism.
 
 The hot paths of the reproduction — N-Gram-Graph similarity
 (:mod:`repro.text.ngram_graph`), TrustRank power iteration
@@ -15,9 +15,10 @@ infrastructure:
   memoization, keyed by (content hash, extractor params, code version).
 * :mod:`repro.perf.parallel` — an order-stable, seed-safe process-pool
   ``pmap`` with a serial fallback.
-* :mod:`repro.perf.reference` — the pre-optimization pure-Python
-  implementations, kept as the equivalence oracle for property tests
-  and as the baseline timed by ``benchmarks/perf``.
+
+The pre-optimization pure-Python loops these kernels replaced live
+beside the tests (``tests/reference.py``), as the equivalence oracle
+for the property tests and the baseline the kernel speed floors time.
 """
 
 from repro.perf.cache import FeatureCache, content_fingerprint

@@ -26,16 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.exceptions import ValidationError
 from repro.io import PersistenceError, load_model, save_model
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "CODE_VERSION",
@@ -93,7 +89,7 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    evictions: int = field(default=0)
+    evictions: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """The counters as a plain dict (for logs and reports)."""
@@ -110,32 +106,15 @@ class FeatureCache:
 
     Args:
         root: cache directory (created on first store).
-        max_bytes: total size budget; when a store pushes the cache
-            over it, the least-recently-used entries are evicted (and
-            counted in ``stats.evictions``) until it fits.  ``None``
-            means unbounded.  Million-site runs should set a budget
-            so the cache cannot fill the disk.
 
     Entries are sharded two hex characters deep
     (``<root>/ab/abcdef….pkl``) to keep directory fan-out sane for
     large corpora.
     """
 
-    def __init__(
-        self, root: str | Path, max_bytes: int | None = None
-    ) -> None:
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValidationError(
-                f"max_bytes must be > 0 or None, got {max_bytes}"
-            )
+    def __init__(self, root: str | Path) -> None:
         self._root = Path(root)
-        self._max_bytes = max_bytes
         self.stats = CacheStats()
-
-    @property
-    def max_bytes(self) -> int | None:
-        """The size budget (``None`` = unbounded)."""
-        return self._max_bytes
 
     @property
     def root(self) -> Path:
@@ -187,61 +166,15 @@ class FeatureCache:
                 self.stats.evictions += 1
             self.stats.misses += 1
             return None
-        if self._max_bytes is not None:
-            # Refresh recency so LRU eviction spares hot entries.
-            try:
-                os.utime(path)
-            except OSError:
-                pass  # entry raced away or fs is read-only; still a hit
         self.stats.hits += 1
         return value
 
     def store(self, key: str, value: Any) -> None:
-        """Persist ``value`` under ``key`` (atomically), then enforce
-        the size budget by evicting least-recently-used entries."""
+        """Persist ``value`` under ``key`` (atomically)."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         save_model(value, path)
         self.stats.stores += 1
-        if self._max_bytes is not None:
-            self._enforce_budget(keep=path)
-
-    def _enforce_budget(self, keep: Path) -> None:
-        """Evict oldest-accessed entries until the cache fits its budget.
-
-        The just-written entry (``keep``) is never evicted — otherwise a
-        single value larger than the budget would thrash forever.
-        """
-        entries: list[tuple[float, int, Path]] = []
-        total = 0
-        for entry in self._root.glob("??/*.pkl"):
-            try:
-                stat = entry.stat()
-            except OSError:
-                continue  # concurrently evicted by another process
-            total += stat.st_size
-            if entry != keep:
-                entries.append((stat.st_mtime, stat.st_size, entry))
-        if total <= self._max_bytes:
-            return
-        entries.sort()
-        evicted = 0
-        for _, size, entry in entries:
-            entry.unlink(missing_ok=True)
-            evicted += 1
-            total -= size
-            if total <= self._max_bytes:
-                break
-        self.stats.evictions += evicted
-        # Every logged value is an integer byte/entry count, never
-        # cached content.
-        logger.info(
-            "feature cache over %d-byte budget: evicted %d LRU entries "
-            "(now ~%d bytes)",
-            self._max_bytes,
-            evicted,
-            total,
-        )
 
     def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
         """The cached value for ``key``, computing and storing on miss."""

@@ -258,18 +258,15 @@ class DeltaRankState:
         if not self._alive(s):
             # Tombstone: no teleport mass, no inbound edges; the exact
             # residual for the reduced system is -x so pushes zero it.
-            n = len(self._names)
             if self._t[s] != 0.0:
-                self.set_teleport(self._teleport_map_without(src))
+                self.set_teleport(
+                    {
+                        name: float(self._t[i])
+                        for i, name in enumerate(self._names)
+                        if self._t[i] > 0.0 and i != s
+                    }
+                )
             self._res[s] = -self._x[s]
-
-    def _teleport_map_without(self, node: str) -> dict[str, float]:
-        n = len(self._names)
-        return {
-            self._names[i]: float(self._t[i])
-            for i in range(n)
-            if self._t[i] > 0.0 and self._names[i] != node
-        }
 
     def set_teleport(self, teleport: Mapping[str, float]) -> None:
         """Replace the teleport distribution (normalized here).
@@ -312,20 +309,6 @@ class DeltaRankState:
         if not seed_list:
             raise GraphError("trusted seed has no overlap with the graph")
         self.set_teleport({node: 1.0 for node in seed_list})
-
-    def refresh_uniform_teleport(self) -> None:
-        """Plain-PageRank teleport: uniform over the live nodes.
-
-        Call after each tick's edits in uniform mode — the live-node
-        count changes with births and tombstones.
-        """
-        n = len(self._names)
-        live = {
-            self._names[i]: 1.0 for i in range(n) if self._alive(i)
-        }
-        if not live:
-            raise GraphError("no live nodes to rank")
-        self.set_teleport(live)
 
     # -- block-CSR propagation ---------------------------------------------
 

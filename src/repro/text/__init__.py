@@ -2,7 +2,6 @@
 
 from repro.text.char_ngrams import CharNGramVectorizer
 from repro.text.feature_selection import (
-    chi2_scores,
     filter_documents,
     information_gain_scores,
     select_terms,
@@ -25,11 +24,10 @@ from repro.text.summarization import (
     TERM_SUBSET_SIZES,
 )
 from repro.text.term_vector import TfidfVectorizer, Vocabulary
-from repro.text.tokenization import iter_tokens, tokenize
+from repro.text.tokenization import tokenize
 
 __all__ = [
     "CharNGramVectorizer",
-    "chi2_scores",
     "filter_documents",
     "information_gain_scores",
     "select_terms",
@@ -46,6 +44,5 @@ __all__ = [
     "TERM_SUBSET_SIZES",
     "TfidfVectorizer",
     "Vocabulary",
-    "iter_tokens",
     "tokenize",
 ]

@@ -3,15 +3,10 @@
 The paper reduces dimensionality by *random* term subsampling
 (Section 4.1).  Classic text-categorization practice (Sebastiani [31],
 Yang & Pedersen) instead scores terms against the labels and keeps the
-top-k.  This module implements the two standard scorers so the
-random-vs-informed choice can be ablated:
-
-* **information gain** — entropy reduction of the class variable given
-  the term's presence;
-* **chi-squared** — independence test statistic between term presence
-  and the class.
-
-Both operate on presence/absence (document frequency) statistics, the
+top-k.  This module implements the standard scorer so the
+random-vs-informed choice can be ablated.  It scores by **information
+gain**, the entropy reduction of the class variable given the term's
+presence: a presence/absence (document frequency) statistic, the
 convention of the text-categorization literature.
 """
 
@@ -25,7 +20,6 @@ from repro.exceptions import ValidationError
 
 __all__ = [
     "information_gain_scores",
-    "chi2_scores",
     "select_terms",
 ]
 
@@ -90,35 +84,10 @@ def information_gain_scores(
     return dict(zip(terms, gains.tolist()))
 
 
-def chi2_scores(
-    documents: Sequence[Sequence[str]], y: Sequence[int]
-) -> dict[str, float]:
-    """Chi-squared statistic of each term's presence vs the class."""
-    labels = np.asarray(y, dtype=np.int64)
-    if len(documents) != labels.shape[0]:
-        raise ValidationError("documents and y disagree in length")
-    n = labels.shape[0]
-    if n == 0:
-        return {}
-    n_pos = float(np.sum(labels == 1))
-    n_neg = n - n_pos
-    terms, pos, neg = _presence_counts(documents, labels)
-    # 2x2 contingency: a=pos&present, b=neg&present, c=pos&absent, d=neg&absent
-    a, b = pos, neg
-    c, d = n_pos - pos, n_neg - neg
-    numerator = n * (a * d - b * c) ** 2
-    denominator = (a + b) * (c + d) * (a + c) * (b + d)
-    chi2 = np.divide(
-        numerator, denominator, out=np.zeros_like(a), where=denominator > 0
-    )
-    return dict(zip(terms, chi2.tolist()))
-
-
 def select_terms(
     documents: Sequence[Sequence[str]],
     y: Sequence[int],
     k: int,
-    method: str = "information_gain",
 ) -> frozenset[str]:
     """The top-``k`` class-informative terms.
 
@@ -126,19 +95,13 @@ def select_terms(
         documents: tokenized training documents.
         y: labels.
         k: how many terms to keep.
-        method: ``"information_gain"`` or ``"chi2"``.
 
     Returns:
         The selected term set (ties broken alphabetically).
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    if method == "information_gain":
-        scores = information_gain_scores(documents, y)
-    elif method == "chi2":
-        scores = chi2_scores(documents, y)
-    else:
-        raise ValidationError(f"unknown method: {method!r}")
+    scores = information_gain_scores(documents, y)
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return frozenset(term for term, _ in ranked[:k])
 

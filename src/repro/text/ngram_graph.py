@@ -28,7 +28,7 @@ Representation: an edge {a, b} is the packed ``int64`` key
 sorted key array plus an aligned ``float64`` weight array.  Pairwise
 and batch similarities are sorted-array intersections
 (``searchsorted``/``intersect1d``) instead of per-edge dict probes; see
-:class:`repro.perf.reference.ReferenceNGramGraph` for the equivalent
+``tests.reference.ReferenceNGramGraph`` for the equivalent
 dict-loop semantics this implementation is property-tested against.
 """
 
@@ -643,22 +643,6 @@ class ClassGraphModel:
         """
         return self.transform_graphs(self.build_document_graphs(texts))
 
-    def transform_many(
-        self, texts: Sequence[str], jobs: int | None = None
-    ) -> np.ndarray:
-        """Batch :meth:`transform`: graph building optionally parallel,
-        similarities computed in one vectorized pass per class graph.
-
-        Args:
-            texts: document texts.
-            jobs: worker count for graph construction per
-                :func:`repro.perf.parallel.resolve_jobs`.
-
-        Returns:
-            Same array :meth:`transform` returns.
-        """
-        return self.transform_graphs(self.build_document_graphs(texts, jobs=jobs))
-
     def transform_graphs(self, graphs: Sequence[NGramGraph]) -> np.ndarray:
         """Like :meth:`transform` but over pre-built document graphs."""
         class_graphs = self.class_graphs
@@ -675,13 +659,3 @@ class ClassGraphModel:
         """``fit`` then ``transform`` the same texts."""
         graphs = self.build_document_graphs(texts)
         return self.fit_graphs(graphs, labels).transform_graphs(graphs)
-
-    def document_similarities(
-        self, text: str
-    ) -> dict[int, GraphSimilarities]:
-        """Similarities of one document against every class graph."""
-        doc = NGramGraph.from_text(text, n=self._n, window=self._window)
-        return {
-            label: doc.similarities(graph)
-            for label, graph in self.class_graphs.items()
-        }

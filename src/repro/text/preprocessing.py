@@ -62,10 +62,3 @@ class TextPreprocessor:
             min_len = self._min_len
             return [tok for tok in tokens if len(tok) >= min_len]
         return list(tokens)
-
-    def preprocess_to_text(self, text: str) -> str:
-        """Like :meth:`preprocess` but re-joined with single spaces.
-
-        Used by the N-Gram-Graph path, which works on character streams.
-        """
-        return " ".join(self.preprocess(text))

@@ -156,7 +156,7 @@ class TfidfVectorizer:
         *is* CSR row-major order), and :meth:`tfidf_rows` weighs them
         with one vectorized expression.  Output is bit-identical to the
         former per-document dict loop (pinned by a regression test
-        against :func:`repro.perf.reference.reference_tfidf_transform`).
+        against ``tests.reference.reference_tfidf_transform``).
         """
         vocab = self.vocabulary
         n_docs = len(documents)

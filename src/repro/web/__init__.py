@@ -21,7 +21,6 @@ from repro.web.url import (
     endpoint,
     normalize_url,
     parse_url,
-    same_domain,
 )
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "endpoint",
     "normalize_url",
     "parse_url",
-    "same_domain",
     "CircuitBreaker",
     "CrawlCheckpoint",
     "FaultInjectingWebHost",

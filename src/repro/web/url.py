@@ -40,7 +40,6 @@ __all__ = [
     "ParsedURL",
     "parse_url",
     "endpoint",
-    "same_domain",
     "resolve_url",
     "normalize_url",
 ]
@@ -206,11 +205,6 @@ def normalize_url(url: str) -> str:
     parsed = parse_url(url)
     path = parsed.path.rstrip("/") or "/"
     return f"{parsed.host}{path}"
-
-
-def same_domain(url_a: str, url_b: str) -> bool:
-    """True when both URLs resolve to the same registrable domain."""
-    return endpoint(url_a) == endpoint(url_b)
 
 
 def resolve_url(base: str, href: str) -> str:

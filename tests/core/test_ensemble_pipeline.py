@@ -1,12 +1,9 @@
-"""Tests for the ensemble and combined-feature pipelines."""
+"""Tests for the ensemble pipeline."""
 
 import numpy as np
 import pytest
 
-from repro.core.ensemble_pipeline import (
-    CombinedFeaturePipeline,
-    EnsembleClassificationPipeline,
-)
+from repro.core.ensemble_pipeline import EnsembleClassificationPipeline
 from repro.exceptions import NotFittedError
 from repro.ml.metrics import accuracy, auc_roc
 
@@ -51,17 +48,3 @@ class TestEnsemblePipeline:
     def test_length_mismatch_rejected(self, tiny_corpus, tiny_documents):
         with pytest.raises(ValueError):
             EnsembleClassificationPipeline(tiny_corpus, tiny_documents[:-1])
-
-
-class TestCombinedFeaturePipeline:
-    def test_fit_predict(self, tiny_corpus, tiny_documents, split):
-        train, test = split
-        y = tiny_corpus.labels
-        pipeline = CombinedFeaturePipeline(
-            tiny_corpus, tiny_documents, max_text_features=150, seed=0
-        ).fit(train)
-        assert accuracy(y[test], pipeline.score(test).labels) > 0.85
-
-    def test_unfitted_raises(self, tiny_corpus, tiny_documents):
-        with pytest.raises(NotFittedError):
-            CombinedFeaturePipeline(tiny_corpus, tiny_documents).score([0])

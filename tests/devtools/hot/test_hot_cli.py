@@ -17,7 +17,7 @@ class TestExitCodes:
     def test_fixture_package_fails(self, capsys):
         assert main([str(HOTPKG), "--no-baseline"]) == 1
         out = capsys.readouterr().out
-        assert "repro-hot: 4 new finding(s)" in out
+        assert "repro-hot: 3 new finding(s)" in out
 
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["does/not/exist"]) == 2
@@ -53,7 +53,7 @@ class TestBaselineRoundTrip:
         )
         payload = json.loads(baseline.read_text())
         hot = [e for e in payload["findings"] if e["rule"] in HOT_RULES]
-        assert len(hot) == 4
+        assert len(hot) == 3
         assert all(
             e["justification"] == "seeded fixture anti-patterns"
             for e in payload["findings"]
@@ -62,7 +62,7 @@ class TestBaselineRoundTrip:
         capsys.readouterr()
         assert main([str(HOTPKG), "--baseline", str(baseline)]) == 0
         out = capsys.readouterr().out
-        assert "repro-hot: clean (4 baselined)" in out
+        assert "repro-hot: clean (3 baselined)" in out
 
 
 class TestSarif:
@@ -84,9 +84,9 @@ class TestSarif:
 class TestEntryOverride:
     def test_extra_entry_widens_the_hot_set(self, hot_analysis):
         # Registering utils.cold_densify as an entry turns its todense()
-        # into a fifth finding.
+        # into a fourth finding.
         findings = hot_findings(hot_analysis, extra_entries=["utils.cold_densify"])
-        assert len(findings) == 5
+        assert len(findings) == 4
         assert any(
             f.rule == "P007" and f.path.endswith("utils.py") and f.line == 5
             for f in findings

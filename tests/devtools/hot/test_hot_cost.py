@@ -8,6 +8,8 @@ independent analysis passes produce byte-identical output.
 
 from __future__ import annotations
 
+import re
+
 from repro.devtools.flow.analysis import analyze_project
 from repro.devtools.hot.analyzer import hot_findings
 from repro.devtools.hot.cost import (
@@ -59,7 +61,6 @@ class TestRanking:
             ("P007", "pipeline.py", 9),  # depth 2, distance 1 -> 8
             ("P007", "pipeline.py", 12),  # depth 0, distance 1 -> 0.5
             ("P007", "pipeline.py", 17),  # depth 0, distance 2 -> 1/3
-            ("P002", "legacy.py", 3),  # depth 0, cold -> 0.0625
         ]
 
     def test_deeper_nesting_outranks_shallower(self, hotpkg_findings):
@@ -78,20 +79,20 @@ class TestRanking:
         )
 
     def test_hot_sites_outrank_cold_sites(self, hotpkg_findings):
-        ranks = {_key(f): i for i, f in enumerate(hotpkg_findings)}
-        hottest_cold = min(r for (_, name, _), r in ranks.items() if name == "legacy.py")
-        coldest_hot = max(
-            r for (_, name, _), r in ranks.items() if name == "pipeline.py"
-        )
-        assert coldest_hot < hottest_cold
+        # utils.py:5 is the fixture's cold P007 site: a top-level
+        # todense() that no hot entry reaches.  The hot gate leaves it
+        # unreported, and at the cold weight it would still rank below
+        # every reported hot site.
+        assert not any(f.path.endswith("utils.py") for f in hotpkg_findings)
+        costs = [
+            float(re.search(r"\[cost ([0-9.]+);", f.message).group(1))
+            for f in hotpkg_findings
+        ]
+        assert min(costs) > site_cost(0, None)
 
     def test_hot_chain_rendered_in_message(self, hotpkg_findings):
         top = hotpkg_findings[0]
         assert top.message.endswith("[cost 8; hot: run_tfidf_sweep -> densify_grid]")
-
-    def test_cold_tag_rendered_in_message(self, hotpkg_findings):
-        (p002,) = [f for f in hotpkg_findings if f.rule == "P002"]
-        assert p002.message.endswith("[cost 0.0625; cold]")
 
 
 class TestDeterminism:

@@ -69,7 +69,7 @@ def test_list_rules_covers_all_four_tools(capsys):
     expected = [rule.rule_id for rule in RULES]
     expected += [*FLOW_RULES, *CONC_RULES, *HOT_RULES]
     assert listed == expected
-    assert len(set(listed)) == 17
+    assert len(set(listed)) == 16
 
 
 def test_docs_catalogue_matches_the_registry(capsys):

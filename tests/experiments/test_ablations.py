@@ -91,17 +91,6 @@ class TestAuxiliarySitesAblation:
         assert all(0.0 <= row[1] <= 1.0 for row in table.rows)
 
 
-class TestReportGeneration:
-    def test_markdown_report_contains_sections(self):
-        from repro.experiments.report import generate_report
-
-        report = generate_report(CONFIG, include_ablations=False)
-        assert "# Reproduction report" in report
-        assert "### table1" in report
-        assert "### figure3" in report
-        assert "|---" in report  # markdown tables present
-
-
 class TestTermSelectionAblation:
     def test_budget_sweep_shape(self):
         table = ablations.term_selection_ablation(CONFIG, budgets=(10, 50))

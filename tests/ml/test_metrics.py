@@ -9,7 +9,6 @@ from repro.ml.metrics import (
     auc_roc,
     classification_report,
     confusion_counts,
-    f1_score,
     mean_confidence_interval,
     pairwise_orderedness,
     precision,
@@ -39,11 +38,6 @@ class TestConfusionAndBasics:
     def test_negative_class_measures(self):
         assert precision(Y_TRUE, Y_PRED, 0) == pytest.approx(4 / 5)
         assert recall(Y_TRUE, Y_PRED, 0) == pytest.approx(4 / 5)
-
-    def test_f1(self):
-        p = precision(Y_TRUE, Y_PRED, 1)
-        r = recall(Y_TRUE, Y_PRED, 1)
-        assert f1_score(Y_TRUE, Y_PRED, 1) == pytest.approx(2 * p * r / (p + r))
 
     def test_degenerate_precision_zero(self):
         assert precision([0, 0], [0, 0], 1) == 0.0
@@ -222,22 +216,13 @@ def test_pairord_in_unit_interval(labels, seed):
 
 class TestPrecisionRecallCurve:
     def test_perfect_ranking(self):
-        from repro.ml.metrics import average_precision, precision_recall_curve
+        from repro.ml.metrics import precision_recall_curve
 
         y = [1, 1, 0, 0]
         scores = [0.9, 0.8, 0.2, 0.1]
         prec, rec, thresholds = precision_recall_curve(y, scores)
         assert prec[0] == 1.0 and rec[0] == 0.0
         assert rec[-1] == pytest.approx(1.0)
-        assert average_precision(y, scores) == pytest.approx(1.0)
-
-    def test_ap_hand_computed(self):
-        from repro.ml.metrics import average_precision
-
-        # Ranking: pos, neg, pos -> AP = (1/2)(1) + (1/2)(2/3) = 0.8333.
-        y = [1, 0, 1]
-        scores = [0.9, 0.5, 0.1]
-        assert average_precision(y, scores) == pytest.approx(5 / 6)
 
     def test_recall_monotone(self):
         from repro.ml.metrics import precision_recall_curve

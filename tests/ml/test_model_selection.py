@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.model_selection import (
-    StratifiedKFold,
-    cross_val_predictions,
-    train_test_split,
-)
+from repro.ml.model_selection import StratifiedKFold, train_test_split
 
 
 class TestStratifiedKFold:
@@ -70,16 +66,3 @@ class TestTrainTestSplit:
             train_test_split([0, 1], test_fraction=0.0)
         with pytest.raises(ValueError):
             train_test_split([0, 1], test_fraction=1.0)
-
-
-class TestCrossValPredictions:
-    def test_driver_yields_per_fold(self):
-        y = np.array([0] * 9 + [1] * 3)
-
-        def fit_predict(train_idx, test_idx):
-            return np.zeros(len(test_idx)), np.zeros(len(test_idx))
-
-        folds = list(cross_val_predictions(fit_predict, y, n_splits=3))
-        assert len(folds) == 3
-        for y_test, preds, scores in folds:
-            assert len(y_test) == len(preds) == len(scores) == 4

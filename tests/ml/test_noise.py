@@ -1,10 +1,10 @@
-"""Tests for label-noise injection and robustness curves."""
+"""Tests for label-noise injection."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ml.noise import inject_label_noise, noise_robustness_curve
+from repro.ml.noise import inject_label_noise
 
 
 class TestInjectLabelNoise:
@@ -51,21 +51,6 @@ class TestInjectLabelNoise:
             inject_label_noise([1, 0], 1.5)
         with pytest.raises(ValueError):
             inject_label_noise([1, 0], 0.5, direction="sideways")
-
-
-class TestNoiseRobustnessCurve:
-    def test_curve_shape(self):
-        y = np.array([1] * 10 + [0] * 30)
-
-        def fit_score(noisy):
-            # Score = agreement with clean labels: decays with noise.
-            return float(np.mean(noisy == y))
-
-        curve = noise_robustness_curve(fit_score, y, noise_rates=(0.0, 0.2, 0.5))
-        assert [rate for rate, _ in curve] == [0.0, 0.2, 0.5]
-        scores = [score for _, score in curve]
-        assert scores[0] == pytest.approx(1.0)
-        assert scores[0] >= scores[1] >= scores[2]
 
 
 @given(

@@ -7,6 +7,22 @@ from repro.exceptions import NotFittedError
 from repro.ml.tree import C45Tree, _entropy, _pessimistic_errors
 
 
+def _leaf_depths(clf):
+    """Depth of every leaf, read off the J48-style rendering: each leaf
+    is one ``class`` line indented by one ``|`` per level."""
+    return [
+        line.count("|") for line in clf.to_text().splitlines() if "class " in line
+    ]
+
+
+def _depth(clf):
+    return max(_leaf_depths(clf))
+
+
+def _n_leaves(clf):
+    return len(_leaf_depths(clf))
+
+
 class TestEntropyHelpers:
     def test_pure_node_zero_entropy(self):
         assert _entropy(np.array([10.0, 0.0])) == 0.0
@@ -34,27 +50,27 @@ class TestC45Tree:
         y = ((X[:, 0] > 0.5) ^ (X[:, 1] > 0.5)).astype(int)
         clf = C45Tree(min_samples_split=4, min_samples_leaf=2).fit(X, y)
         assert (clf.predict(X) == y).mean() > 0.9
-        assert clf.depth() >= 2
+        assert _depth(clf) >= 2
 
     def test_max_depth_limits(self):
         rng = np.random.default_rng(0)
         X = rng.random((100, 3))
         y = (X[:, 0] + X[:, 1] > 1).astype(int)
         clf = C45Tree(max_depth=1, confidence_factor=None).fit(X, y)
-        assert clf.depth() <= 1
+        assert _depth(clf) <= 1
 
     def test_min_samples_leaf_respected(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
         clf = C45Tree(min_samples_split=2, min_samples_leaf=2).fit(X, y)
         # Only the middle cut keeps 2 per side.
-        assert clf.n_leaves() <= 2
+        assert _n_leaves(clf) <= 2
 
     def test_pure_data_single_leaf(self):
         X = np.random.default_rng(0).random((10, 2))
         y01 = np.array([0, 1] + [0] * 8)
         clf = C45Tree().fit(X, y01)
-        assert clf.n_leaves() >= 1  # fitted without error
+        assert _n_leaves(clf) >= 1  # fitted without error
 
     def test_proba_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
@@ -69,13 +85,13 @@ class TestC45Tree:
         y = rng.integers(0, 2, 150)  # pure noise: pruning should collapse
         pruned = C45Tree(confidence_factor=0.25).fit(X, y)
         unpruned = C45Tree(confidence_factor=None).fit(X, y)
-        assert pruned.n_leaves() <= unpruned.n_leaves()
+        assert _n_leaves(pruned) <= _n_leaves(unpruned)
 
     def test_constant_features_yield_leaf(self):
         X = np.ones((10, 3))
         y = np.array([0, 1] * 5)
         clf = C45Tree().fit(X, y)
-        assert clf.depth() == 0
+        assert _depth(clf) == 0
 
     def test_max_candidate_features(self):
         rng = np.random.default_rng(0)

@@ -1,9 +1,6 @@
 """Tests for Algorithm 1 (graph creation from pharmacy sites)."""
 
-from repro.network.construction import (
-    build_graph_from_link_table,
-    build_pharmacy_graph,
-)
+from repro.network.construction import build_pharmacy_graph
 from repro.web.page import WebPage
 from repro.web.site import Website
 
@@ -47,14 +44,7 @@ class TestBuildPharmacyGraph:
             [site("spoke.com", ["https://www.hub.com/"]), site("hub.com", [])]
         )
         assert graph.has_edge("spoke.com", "hub.com")
-        assert graph.in_degree("hub.com") == 1
+        assert graph.predecessors("hub.com") == {"spoke.com": 1.0}
 
     def test_empty_working_set(self):
         assert build_pharmacy_graph([]).n_nodes == 0
-
-
-class TestBuildFromLinkTable:
-    def test_pairs_become_edges(self):
-        graph = build_graph_from_link_table([("a.com", "b.com"), ("a.com", "c.com")])
-        assert graph.has_edge("a.com", "b.com")
-        assert graph.out_degree("a.com") == 2

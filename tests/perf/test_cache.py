@@ -110,69 +110,3 @@ class TestFeatureCache:
         writer.store(key, fresh)
         reader = FeatureCache(tmp_path)
         np.testing.assert_array_equal(reader.load(key), fresh)
-
-
-class TestSizeBudget:
-    """LRU eviction under a max_bytes budget."""
-
-    @staticmethod
-    def _filled(tmp_path, max_bytes, n_entries=8):
-        cache = FeatureCache(tmp_path, max_bytes=max_bytes)
-        keys = []
-        for i in range(n_entries):
-            key = cache.key("budget", content_fingerprint([f"doc{i}"]), {})
-            cache.store(key, list(range(50)))
-            keys.append(key)
-        return cache, keys
-
-    @staticmethod
-    def _on_disk(tmp_path):
-        return sum(p.stat().st_size for p in tmp_path.glob("??/*.pkl"))
-
-    def test_rejects_non_positive_budget(self, tmp_path):
-        with pytest.raises(ValidationError):
-            FeatureCache(tmp_path, max_bytes=0)
-        with pytest.raises(ValidationError):
-            FeatureCache(tmp_path, max_bytes=-5)
-
-    def test_unbounded_never_evicts(self, tmp_path):
-        cache, keys = self._filled(tmp_path, max_bytes=None)
-        assert cache.stats.evictions == 0
-        assert all(cache.load(k) is not None for k in keys)
-
-    def test_stays_under_budget(self, tmp_path):
-        probe, _ = self._filled(tmp_path / "probe", max_bytes=None, n_entries=1)
-        entry_size = self._on_disk(tmp_path / "probe")
-        budget = entry_size * 3 + 1
-        cache, keys = self._filled(tmp_path / "real", max_bytes=budget)
-        assert self._on_disk(tmp_path / "real") <= budget
-        assert cache.stats.evictions == 5
-
-    def test_oldest_evicted_newest_kept(self, tmp_path):
-        probe, _ = self._filled(tmp_path / "probe", max_bytes=None, n_entries=1)
-        budget = self._on_disk(tmp_path / "probe") * 2 + 1
-        cache, keys = self._filled(tmp_path / "real", max_bytes=budget)
-        # The most recent store is never evicted.
-        assert cache.load(keys[-1]) is not None
-        assert cache.load(keys[0]) is None  # oldest went first
-
-    def test_just_written_entry_survives_tiny_budget(self, tmp_path):
-        cache = FeatureCache(tmp_path, max_bytes=1)
-        key = cache.key("huge", content_fingerprint(["doc"]), {})
-        cache.store(key, list(range(1000)))
-        # Larger than the whole budget, but keep=... spares it.
-        assert cache.load(key) is not None
-
-    def test_load_refreshes_recency(self, tmp_path):
-        import os as _os
-        import time as _time
-
-        cache = FeatureCache(tmp_path, max_bytes=10_000_000)
-        key = cache.key("touch", content_fingerprint(["doc"]), {})
-        cache.store(key, "v")
-        path = cache._path(key)
-        old = _time.time() - 3600
-        _os.utime(path, (old, old))
-        before = path.stat().st_mtime
-        cache.load(key)
-        assert path.stat().st_mtime > before

@@ -3,7 +3,7 @@
 The mini-batch Pegasos SVM, the C4.5 split search, the ensemble
 hill-climb, SMOTE's neighbour search, and the batched TF-IDF transform
 all replaced per-sample/per-candidate Python loops (kept in
-:mod:`repro.perf.reference` as the equivalence oracle).  These tests
+:mod:`tests.reference` as the equivalence oracle).  These tests
 pin the equivalence on randomized, seeded inputs: bit-equal where the
 arithmetic is identical, within 1e-9 where summation order differs.
 The raw-CSR Pegasos kernel is also pinned bit-equal to the
@@ -25,7 +25,10 @@ from repro.data.deltas import StreamConfig, StreamCorpus, plan_deltas
 from repro.data.synthesis import GeneratorConfig
 from repro.ml.svm import LinearSVC, pegasos_weights
 from repro.ml.tree import C45Tree
-from repro.perf.reference import (
+from repro.stream import DriftDetector, StreamingVerifier
+from repro.text.term_vector import TfidfVectorizer
+
+from tests.reference import (
     ReferenceC45Tree,
     ReferenceSMOTE,
     reference_ensemble_select,
@@ -33,8 +36,6 @@ from repro.perf.reference import (
     reference_pegasos_fit,
     reference_tfidf_transform,
 )
-from repro.stream import DriftDetector, StreamingVerifier
-from repro.text.term_vector import TfidfVectorizer
 
 VOCAB = [f"term{i}" for i in range(40)]
 

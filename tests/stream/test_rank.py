@@ -13,7 +13,6 @@ import pytest
 
 from repro.exceptions import GraphError, ValidationError
 from repro.network.graph import DirectedGraph
-from repro.network.pagerank import personalized_pagerank
 from repro.network.trustrank import trustrank
 from repro.stream.rank import DeltaRankState
 
@@ -120,23 +119,6 @@ class TestOracleEquivalence:
         state.push(1e-12)
         assert state.n_nodes == n
         _assert_matches_oracle(state, rows, set(names))
-
-    def test_uniform_teleport_matches_plain_pagerank(self):
-        rng = np.random.default_rng(5)
-        state, rows, live = _bootstrap(rng)
-        state.refresh_uniform_teleport()
-        state.push(1e-12)
-        expected = personalized_pagerank(
-            _oracle_graph(rows, live),
-            None,
-            damping=_DAMPING,
-            max_iterations=1000,
-            tolerance=1e-12,
-        )
-        actual = state.scores()
-        assert set(actual) == set(expected)
-        for node, score in expected.items():
-            assert abs(actual[node] - score) < 1e-9, node
 
 
 class TestLifecycle:

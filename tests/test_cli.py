@@ -236,6 +236,15 @@ class TestShardedCommands:
         out = capsys.readouterr().out
         assert "serving 50 pharmacies" in out
 
+    def test_train_on_sharded_dir_is_one_line(self, sharded_dir, tmp_path, capsys):
+        model_path = str(tmp_path / "m.pkl")
+        assert main(["train", "-o", model_path, sharded_dir]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro: error: cannot read corpus file {sharded_dir}")
+        assert ".jsonl" in line
+        assert captured.out == ""
+
 
 class TestErrors:
     """A library error ends a command with one stderr line, no traceback."""

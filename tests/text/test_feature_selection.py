@@ -1,9 +1,8 @@
-"""Tests for supervised term selection (IG / chi-squared)."""
+"""Tests for supervised term selection (information gain)."""
 
 import pytest
 
 from repro.text.feature_selection import (
-    chi2_scores,
     filter_documents,
     information_gain_scores,
     select_terms,
@@ -45,26 +44,9 @@ class TestInformationGain:
         assert information_gain_scores([], []) == {}
 
 
-class TestChi2:
-    def test_indicative_terms_score_highest(self):
-        scores = chi2_scores(DOCS, Y)
-        assert scores["viagra"] == max(scores.values())
-        assert scores["seal"] == max(scores.values())
-        assert scores["pills"] < scores["viagra"]
-
-    def test_uninformative_term_near_zero(self):
-        docs = [["x", "common"], ["common"], ["x", "common"], ["common"]]
-        scores = chi2_scores(docs, [1, 1, 0, 0])
-        assert scores["common"] == pytest.approx(0.0)
-
-
 class TestSelectTerms:
     def test_top_k_selected(self):
         keep = select_terms(DOCS, Y, k=2)
-        assert keep == {"seal", "viagra"}
-
-    def test_chi2_method(self):
-        keep = select_terms(DOCS, Y, k=2, method="chi2")
         assert keep == {"seal", "viagra"}
 
     def test_k_larger_than_vocab(self):
@@ -74,8 +56,6 @@ class TestSelectTerms:
     def test_validation(self):
         with pytest.raises(ValueError):
             select_terms(DOCS, Y, k=0)
-        with pytest.raises(ValueError):
-            select_terms(DOCS, Y, k=2, method="mutualinfo")
 
     def test_filter_documents_projects(self):
         keep = select_terms(DOCS, Y, k=2)

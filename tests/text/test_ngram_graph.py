@@ -188,11 +188,6 @@ class TestClassGraphModel:
         b = graph_model.transform_graphs(graphs)
         assert np.allclose(a, b)
 
-    def test_document_similarities_keyed_by_class(self):
-        model = ClassGraphModel(seed=0).fit(self.TEXTS, self.LABELS)
-        sims = model.document_similarities("cheap pills no prescription")
-        assert set(sims) == {0, 1}
-
 
 @st.composite
 def _texts(draw):

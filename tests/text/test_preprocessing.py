@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.text.preprocessing import TextPreprocessor
-from repro.text.tokenization import iter_tokens
+from repro.text.tokenization import _TOKEN_RE
 from repro.text.stopwords import (
     EXTENDED_ENGLISH_STOP_WORDS,
     LUCENE_ENGLISH_STOP_WORDS,
@@ -60,10 +60,6 @@ class TestTextPreprocessor:
         with pytest.raises(ValueError):
             TextPreprocessor(min_token_length=0)
 
-    def test_preprocess_to_text(self):
-        pre = TextPreprocessor()
-        assert pre.preprocess_to_text("the cheap pills") == "cheap pills"
-
     def test_no_prescription_survives(self):
         """'no' is a Lucene stop word but 'prescription' must survive —
         the strongest illegitimate marker in the paper."""
@@ -75,7 +71,7 @@ def _reference_preprocess(text, stop_words, min_len):
     """The token-by-token filter ``preprocess`` was defined by."""
     return [
         tok
-        for tok in iter_tokens(text)
+        for tok in (m.group(0) for m in _TOKEN_RE.finditer(text.lower()))
         if len(tok) >= min_len and tok not in stop_words
     ]
 

@@ -125,7 +125,7 @@ class TestTfidfVectorizer:
     def test_batched_transform_matches_reference_loop(self):
         # The batched CSR assembly must be bit-identical (same data,
         # indices, indptr) to the per-document dict loop it replaced.
-        from repro.perf.reference import reference_tfidf_transform
+        from tests.reference import reference_tfidf_transform
 
         vectorizer = TfidfVectorizer().fit(self.DOCS)
         docs = self.DOCS + [["cherry", "unseen", "apple", "apple"], []]

@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.text.tokenization import _TOKEN_RE, iter_tokens, tokenize
+from repro.text.tokenization import _TOKEN_RE, tokenize
 
 #: Text weighted toward the token alphabet ``[a-z0-9'-]`` (so runs,
 #: internal hyphens/apostrophes and their edge cases are common), plus
@@ -45,10 +45,6 @@ class TestTokenize:
     def test_leading_trailing_hyphen_stripped(self):
         assert tokenize("-start end-") == ["start", "end"]
 
-    def test_iter_matches_list(self):
-        text = "Buy cheap-pills now, no prescription!"
-        assert list(iter_tokens(text)) == tokenize(text)
-
 
 @given(_TOKENISH_TEXT)
 def test_tokenize_equals_finditer_group0(text):
@@ -56,11 +52,6 @@ def test_tokenize_equals_finditer_group0(text):
     assert tokenize(text) == [
         m.group(0) for m in _TOKEN_RE.finditer(text.lower())
     ]
-
-
-@given(st.one_of(_TOKENISH_TEXT, st.text(max_size=200)))
-def test_iter_tokens_equals_tokenize(text):
-    assert list(iter_tokens(text)) == tokenize(text)
 
 
 @given(st.text(max_size=200))
