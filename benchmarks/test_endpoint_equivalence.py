@@ -2,8 +2,10 @@
 
 Run in CI's ``scale-smoke`` job.  A 5000-site corpus with the
 ``batch_rank`` benchmark's profile is written as 3 shards and read
-back as that benchmark reads it; for every site, ``outbound_endpoints()``
-and ``outbound_endpoint_counts()`` must equal the composition they
+back both as ``Website`` objects and as the shard rows a
+``batch_rank`` pass scores (``sites_view().rows``).  For every site,
+``Website.outbound_endpoints()``, ``outbound_endpoint_counts()`` and
+``SiteRow.outbound_endpoints()`` must equal the composition they
 replace: ``resolve_url`` per href, then ``endpoint`` per resolved URL,
 with ``InvalidURLError`` dropping the link.
 """
@@ -39,10 +41,15 @@ def oracle_endpoints(site: Website) -> list[str]:
 
 
 @pytest.fixture(scope="module")
-def sites(tmp_path_factory):
+def shards(tmp_path_factory):
     root = tmp_path_factory.mktemp("endpoint-shards")
     write_shards(corpus_config(SEED), root, N_SHARDS, jobs=1)
-    return list(ShardedCorpus(root).iter_sites())
+    return root
+
+
+@pytest.fixture(scope="module")
+def sites(shards):
+    return list(ShardedCorpus(shards).iter_sites())
 
 
 def test_endpoints_equal_loop_oracle_at_benchmark_scale(sites):
@@ -54,3 +61,11 @@ def test_endpoints_equal_loop_oracle_at_benchmark_scale(sites):
         assert site.outbound_endpoints() == tuple(dict.fromkeys(expected)), site.domain
         assert site.outbound_endpoint_counts() == Counter(expected), site.domain
     assert n_external > N_SITES  # the corpus really links out
+
+
+def test_row_endpoints_equal_loop_oracle_at_benchmark_scale(shards, sites):
+    rows = ShardedCorpus(shards).sites_view().rows(0, N_SITES)
+    assert [row.domain for row in rows] == [site.domain for site in sites]
+    for row, site in zip(rows, sites):
+        expected = tuple(dict.fromkeys(oracle_endpoints(site)))
+        assert row.outbound_endpoints() == expected, row.domain

@@ -31,8 +31,10 @@ from repro.core.config import ExperimentConfig, preset
 from repro.core.evaluation import cross_validate_pipeline
 from repro.core.text_pipeline import TfidfTextPipeline
 from repro.data.loaders import make_dataset
+from repro.data.synthesis import PharmacyRecord
 from repro.experiments import tables
 from repro.experiments.sweep import run_tfidf_sweep
+from repro.io import parse_site_row, site_record_to_row
 from repro.ml.base import ensure_dense
 from repro.ml.ensemble import EnsembleSelection, LibraryModel
 from repro.ml.sampling import SMOTE
@@ -44,6 +46,8 @@ from repro.network.pagerank import personalized_pagerank
 from repro.text.ngram_graph import ClassGraphModel, NGramGraph
 from repro.text.summarization import SummaryDocument
 from repro.text.term_vector import TfidfVectorizer
+from repro.text import tokenization
+from repro.web.url import parse_url
 from tests.perf.test_ml_equivalence import scipy_indexing_pegasos, stream_weekly_matrix
 
 REPEAT = 3
@@ -245,6 +249,35 @@ def densify(n_rows=2_000, n_features=600):
     return lambda: ensure_dense(counts), lambda: ref.reference_ensure_dense(counts), check
 
 
+def tokenize():
+    """Every merged page text of the ``tiny`` corpus."""
+    texts, _ = _documents(n_docs=None)
+    return (
+        lambda: [tokenization.tokenize(t) for t in texts],
+        lambda: [ref.reference_tokenize(t) for t in texts],
+        _same,
+    )
+
+
+def row_endpoints():
+    """Every ``tiny`` site as a shard row, from a cold ``parse_url`` cache."""
+    corpus = _corpus()
+    rows = [
+        parse_site_row(site_record_to_row(site, PharmacyRecord(site.domain, int(y))))
+        for site, y in zip(corpus.sites, corpus.labels)
+    ]
+
+    def cold(endpoints):
+        parse_url.cache_clear()
+        return [endpoints(row) for row in rows]
+
+    return (
+        lambda: cold(lambda row: row.outbound_endpoints()),
+        lambda: cold(ref.reference_row_endpoints),
+        _same,
+    )
+
+
 def sweep_end_to_end(subsets=ExperimentConfig().term_subsets):
     """The tables' TF-IDF grid: every roster entry at every term subset."""
     corpus = _corpus()
@@ -274,7 +307,7 @@ def sweep_end_to_end(subsets=ExperimentConfig().term_subsets):
 CASES = (
     ngg_build, ngg_batch_similarity, trustrank, trustrank_corpus_graph, svm_fit,
     svm_fit_sparse, svm_fit_stream_weekly, tree_fit, ensemble_select, smote, densify,
-    sweep_end_to_end,
+    tokenize, row_endpoints, sweep_end_to_end,
 )
 
 

@@ -129,10 +129,9 @@ class _HotAnalyzer:
         if identity in self._seen:
             return
         self._seen.add(identity)
-        hit = self.reach.get(node)
-        distance = None if hit is None else len(hit[1]) - 1
-        cost = site_cost(depth, distance)
-        note = "cold" if hit is None else _chain_note(hit[1])
+        chain = self.reach[node][1]
+        cost = site_cost(depth, len(chain) - 1)
+        note = _chain_note(chain)
         self.pairs.append(
             (
                 cost,

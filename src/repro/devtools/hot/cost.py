@@ -7,12 +7,10 @@ A finding's cost is the product of two static multipliers:
   site.  Each enclosing loop multiplies how often the site executes, so
   a densification three loops deep inside the sweep outranks the same
   call at top level.
-* **reach weight** — ``1 / (1 + distance)`` when the enclosing function
-  is reachable from a registered hot entry point through the flow call
-  graph (``distance`` = number of calls from the nearest entry), and
-  :data:`~repro.devtools.hot.registry.COLD_WEIGHT` otherwise.  Cold
-  findings stay reported, but every hot site of equal depth outranks
-  them.
+* **reach weight** — ``1 / (1 + distance)``, where ``distance`` is the
+  number of calls from the nearest registered hot entry point to the
+  enclosing function through the flow call graph.  The rule is
+  hot-gated, so every reported site has a distance.
 
 Both inputs are integers derived deterministically from the AST and the
 call graph, so ranking is reproducible across runs and machines.
@@ -20,11 +18,7 @@ call graph, so ranking is reproducible across runs and machines.
 
 from __future__ import annotations
 
-from repro.devtools.hot.registry import (
-    COLD_WEIGHT,
-    DEPTH_BASE,
-    MAX_DEPTH_WEIGHTED,
-)
+from repro.devtools.hot.registry import DEPTH_BASE, MAX_DEPTH_WEIGHTED
 
 __all__ = ["depth_weight", "reach_weight", "site_cost", "format_cost"]
 
@@ -35,15 +29,12 @@ def depth_weight(depth: int) -> float:
     return float(DEPTH_BASE ** min(max(depth, 0), MAX_DEPTH_WEIGHTED))
 
 
-def reach_weight(entry_distance: int | None) -> float:
-    """Multiplier for hot reachability; ``None`` means not reachable
-    from any registered hot entry point."""
-    if entry_distance is None:
-        return COLD_WEIGHT
+def reach_weight(entry_distance: int) -> float:
+    """Multiplier for a site ``entry_distance`` calls from a hot entry."""
     return 1.0 / (1.0 + max(entry_distance, 0))
 
 
-def site_cost(depth: int, entry_distance: int | None) -> float:
+def site_cost(depth: int, entry_distance: int) -> float:
     """Combined static cost of one finding site."""
     return depth_weight(depth) * reach_weight(entry_distance)
 

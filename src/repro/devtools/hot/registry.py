@@ -16,7 +16,6 @@ __all__ = [
     "HOT_ENTRY_SUFFIXES",
     "DEPTH_BASE",
     "MAX_DEPTH_WEIGHTED",
-    "COLD_WEIGHT",
 ]
 
 #: Marker recognised in suppression comments.
@@ -65,11 +64,8 @@ HOT_ENTRY_SUFFIXES: tuple[str, ...] = (
 )
 
 #: Cost model: ``cost = DEPTH_BASE**min(depth, MAX_DEPTH_WEIGHTED) *
-#: reach``, where ``reach`` is ``1/(1+distance)`` for hot-reachable
-#: sites (distance = calls from the nearest hot entry) and
-#: :data:`COLD_WEIGHT` otherwise.  Base 4 approximates "each loop level
-#: multiplies the iteration count"; the cold weight keeps cold findings
-#: reported but ranked below any hot site of equal depth.
+#: reach``, where ``reach`` is ``1/(1+distance)`` (distance = calls from
+#: the nearest hot entry).  Base 4 approximates "each loop level
+#: multiplies the iteration count".
 DEPTH_BASE = 4
 MAX_DEPTH_WEIGHTED = 4
-COLD_WEIGHT = 1.0 / 16.0

@@ -32,7 +32,7 @@ from repro.data.synthesis import PharmacyRecord
 from repro.exceptions import DataGenerationError, ValidationError
 from repro.web.page import WebPage, _external_endpoints
 from repro.web.site import Website
-from repro.web.url import parse_url
+from repro.web.url import ParsedURL, parse_url
 
 __all__ = [
     "save_model",
@@ -207,20 +207,40 @@ class SiteRow(NamedTuple):
     def outbound_endpoints(self) -> tuple[str, ...]:
         """Equal to ``self.to_site().outbound_endpoints()``.
 
-        Each page URL costs one :func:`~repro.web.url.parse_url` lookup,
-        which is both the ownership check and the base its links
-        resolve against; nothing is memoized on the row.
+        One :func:`~repro.web.url.parse_url` per page origin, not per
+        page: a page URL that starts with an already parsed page's
+        origin ``f"{scheme}://{host}/"`` parses to that host (see
+        :func:`~repro.web.page._external_endpoints` for why), so it
+        shares that page's base.  A link's endpoint depends on its base
+        only through the scheme and host (a relative href stays on the
+        base's host, whatever its path), and so does ownership, so a
+        shared base changes neither.
+
+        Errors keep :meth:`to_site`'s precedence: every page URL is
+        parsed or origin-matched before any ownership check, and the
+        checks run in page order, once per origin.  Nothing is memoized
+        on the row.
         """
-        bases = [parse_url(url) for url, _, _ in self.pages]
-        for base, (url, _, _) in zip(bases, self.pages):
-            if base.registered_domain != self.domain:
+        domain = self.domain
+        origins: dict[str, tuple[ParsedURL, str]] = {}
+        bases = []
+        for url, _, _ in self.pages:
+            for origin, (base, _) in origins.items():
+                if url.startswith(origin):
+                    break
+            else:
+                base = parse_url(url)
+                origins.setdefault(f"{base.scheme}://{base.host}/", (base, url))
+            bases.append(base)
+        for base, url in origins.values():
+            if base.registered_domain != domain:
                 raise DataGenerationError(
-                    f"page {url!r} does not belong to domain {self.domain!r}"
+                    f"page {url!r} does not belong to domain {domain!r}"
                 )
         return tuple(
             dict.fromkeys(
                 chain.from_iterable(
-                    _external_endpoints(base, self.domain, links)
+                    _external_endpoints(base, domain, links)
                     for base, (_, _, links) in zip(bases, self.pages)
                 )
             )

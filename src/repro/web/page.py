@@ -95,9 +95,29 @@ def _external_endpoints(
     :meth:`WebPage.external_endpoints` and the shard-row evidence of
     :class:`repro.io.SiteRow`: each href is resolved against ``base``
     (unresolvable ones dropped), and its registered domain is yielded
-    unless it is ``own`` or a bare public suffix.
+    unless it is ``own`` or a bare public suffix.  ``own`` must be
+    ``base``'s registered domain.
+
+    Two kinds of href are skipped without a parse, and both skips are
+    exact:
+
+    * **No ``//``** (``/cart``, ``../about``, ``#top``, ``mailto:x``).
+      Such an href is neither absolute (``"://"`` in it) nor
+      protocol-relative (``//`` after stripping), so
+      :func:`~repro.web.url._resolve` either raises on it or returns a
+      URL on ``base.host``, whose domain is ``own``.
+    * **Same origin**: it starts with ``f"{base.scheme}://{base.host}/"``.
+      A parsed host holds no ``/ # ? @ :``, is lowercased (and
+      lowercasing is idempotent) and has no trailing dot, so re-parsing
+      such an href splits off exactly ``base.host`` as its host, and
+      its domain is again ``own``.  An href that differs in case or
+      leading whitespace only misses the prefix and takes the full
+      resolve, which gives the same answer.
     """
+    same_origin = f"{base.scheme}://{base.host}/"
     for href in links:
+        if "//" not in href or href.startswith(same_origin):
+            continue
         try:
             e = _resolve(base, href)._domain
         except InvalidURLError:

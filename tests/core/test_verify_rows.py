@@ -24,6 +24,7 @@ from repro.data.sharding import (
     shard_of,
 )
 from repro.data.synthesis import GeneratorConfig, PharmacyRecord
+from repro.exceptions import DataGenerationError, InvalidURLError
 from repro.io import parse_site_row, site_record_to_row
 from repro.web.crawler import CrawlStats
 from repro.web.page import WebPage
@@ -281,3 +282,108 @@ class TestVerifyRowsEqualsObjects:
         assert 0 < sum(labels) < len(labels)
         ranking = verifier.rank_sites(ShardedCorpus(root).sites_view(), labels)
         assert ranking.entries == verifier.rank_sites(sites, labels).entries
+
+
+def row_of(site):
+    return parse_site_row(
+        site_record_to_row(site, PharmacyRecord(domain=site.domain, label=0))
+    )
+
+
+class TestRowOrigins:
+    """A row parses one URL per page origin; evidence and errors are unchanged."""
+
+    def test_www_and_bare_hosts_on_one_site(self):
+        site = Website(
+            domain="x-rx.com",
+            pages=(
+                page(
+                    "https://www.x-rx.com/",
+                    links=["https://x-rx.com/a", "https://www.x-rx.com/b", "//cdn.net/s"],
+                ),
+                page(
+                    "https://x-rx.com/shop/",
+                    links=["https://www.x-rx.com/c", "../d", "https://fda.gov/"],
+                ),
+                page("https://www.x-rx.com/more", links=["https://www.x-rx.com.evil.com/"]),
+                page("HTTPS://X-RX.COM/upper", links=["http://x-rx.com/", "//fda.gov/"]),
+            ),
+        )
+        assert row_of(site).outbound_endpoints() == site.outbound_endpoints()
+        assert site.outbound_endpoints() == ("cdn.net", "fda.gov", "evil.com")
+
+    def test_page_url_with_userinfo_and_port(self):
+        site = Website(
+            domain="x-rx.com",
+            pages=(
+                page(
+                    "https://user:pw@www.x-rx.com:8443/a",
+                    links=["https://www.x-rx.com/b", "//evil.com/", "https://x-rx.com/"],
+                ),
+                page(
+                    "https://www.x-rx.com/next",
+                    links=["//fda.gov/x", "https://user@www.x-rx.com/"],
+                ),
+            ),
+        )
+        assert row_of(site).outbound_endpoints() == site.outbound_endpoints()
+        assert site.outbound_endpoints() == ("evil.com", "fda.gov")
+
+    def test_same_origin_hrefs_with_delimiters(self):
+        site = Website(
+            domain="x-rx.com",
+            pages=(
+                page(
+                    "https://www.x-rx.com/",
+                    links=[
+                        "https://www.x-rx.com/r?u=https://evil.com/",
+                        "https://www.x-rx.com/r#https://evil.com/",
+                        "https://www.x-rx.com/@evil.com",
+                        "https://www.x-rx.com/a:b@evil.com:1/",
+                        "  https://www.x-rx.com/ws",
+                        "HTTPS://WWW.X-RX.COM/upper",
+                    ],
+                ),
+            ),
+        )
+        assert row_of(site).outbound_endpoints() == site.outbound_endpoints() == ()
+
+    def test_foreign_page_then_bad_url_raises_invalid_url(self):
+        """Every page URL parses before any ownership check, on both paths."""
+        row = parse_site_row(
+            {
+                "domain": "x-rx.com",
+                "label": 0,
+                "pages": [
+                    {"url": "https://www.other-rx.com/", "text": "t", "links": []},
+                    {"url": "ftp://www.x-rx.com/", "text": "t", "links": []},
+                ],
+            }
+        )
+        with pytest.raises(InvalidURLError):
+            row.outbound_endpoints()
+        with pytest.raises(InvalidURLError):
+            row.to_site()
+
+    @pytest.mark.parametrize(
+        "urls",
+        [
+            ["https://www.x-rx.com/", "https://www.other-rx.com/"],
+            ["https://www.other-rx.com/", "https://www.other-rx.com/b"],
+            ["https://www.other-rx.com/", "HTTPS://WWW.OTHER-RX.COM/b"],
+            ["https://www.x-rx.com/", "https://www.x-rx.com.other-rx.com/"],
+        ],
+    )
+    def test_foreign_page_raises_data_generation_error(self, urls):
+        row = parse_site_row(
+            {
+                "domain": "x-rx.com",
+                "label": 0,
+                "pages": [{"url": u, "text": "t", "links": []} for u in urls],
+            }
+        )
+        with pytest.raises(DataGenerationError, match="other-rx") as from_row:
+            row.outbound_endpoints()
+        with pytest.raises(DataGenerationError) as from_site:
+            row.to_site()
+        assert str(from_row.value) == str(from_site.value)

@@ -3,5 +3,5 @@
 The rule (P007) has true positives and near-misses in this package.
 ``sweep.run_tfidf_sweep`` matches the registered hot-entry suffix, so
 the ``pipeline`` call tree is hot while ``utils`` stays cold — pinning
-both the rule's hot gate and the cost model's hot/cold ranking.
+both the rule's hot gate and the cost model's ranking.
 """

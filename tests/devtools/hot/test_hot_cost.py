@@ -18,7 +18,7 @@ from repro.devtools.hot.cost import (
     reach_weight,
     site_cost,
 )
-from repro.devtools.hot.registry import COLD_WEIGHT, DEPTH_BASE, HOT_ENTRY_SUFFIXES
+from repro.devtools.hot.registry import DEPTH_BASE, HOT_ENTRY_SUFFIXES
 
 from tests.devtools.hot.conftest import HOTPKG, REPO_ROOT
 
@@ -40,11 +40,6 @@ class TestWeights:
         assert reach_weight(0) == 1.0
         assert reach_weight(1) == 0.5
         assert reach_weight(2) > reach_weight(3)
-
-    def test_cold_sites_use_flat_penalty(self):
-        assert reach_weight(None) == COLD_WEIGHT
-        # A cold site never outranks a hot site of the same depth.
-        assert site_cost(2, None) < site_cost(2, 5)
 
     def test_site_cost_monotonic_in_depth(self):
         assert site_cost(2, 1) > site_cost(1, 1) > site_cost(0, 1)
@@ -78,17 +73,15 @@ class TestRanking:
             ("P007", "pipeline.py", 17)
         )
 
-    def test_hot_sites_outrank_cold_sites(self, hotpkg_findings):
+    def test_every_reported_site_is_hot(self, hotpkg_findings):
         # utils.py:5 is the fixture's cold P007 site: a top-level
         # todense() that no hot entry reaches.  The hot gate leaves it
-        # unreported, and at the cold weight it would still rank below
-        # every reported hot site.
+        # unreported, so every finding is costed by its distance from
+        # an entry and names the chain that reaches it.
+        assert hotpkg_findings
         assert not any(f.path.endswith("utils.py") for f in hotpkg_findings)
-        costs = [
-            float(re.search(r"\[cost ([0-9.]+);", f.message).group(1))
-            for f in hotpkg_findings
-        ]
-        assert min(costs) > site_cost(0, None)
+        for finding in hotpkg_findings:
+            assert re.search(r"\[cost [0-9.]+; hot: \w.*\]$", finding.message), finding.message
 
     def test_hot_chain_rendered_in_message(self, hotpkg_findings):
         top = hotpkg_findings[0]

@@ -20,6 +20,9 @@ sequential formulations the fast kernels must reproduce):
   ``sorted(counts)`` CSR assembly loop.
 * :func:`reference_ensure_dense` — the ``np.matrix``-routed densify
   helper that converted dtypes with a second full-matrix pass.
+* :func:`reference_tokenize` — one regex ``findall`` over every text.
+* :func:`reference_row_endpoints` — a shard row's endpoints with one
+  ``parse_url`` per page and one ``_resolve`` per href.
 
 They exist for two reasons: the property tests in ``tests/perf`` assert
 the fast paths match them within tight tolerances on randomized inputs,
@@ -30,13 +33,21 @@ tests, outside the installed package, and no pipeline imports them.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import GraphError, NotFittedError, ValidationError
+from repro.exceptions import (
+    DataGenerationError,
+    GraphError,
+    InvalidURLError,
+    NotFittedError,
+    ValidationError,
+)
+from repro.io import SiteRow
 from repro.ml.base import ensure_dense
 from repro.ml.metrics import auc_roc
 from repro.ml.sampling import SMOTE
@@ -44,6 +55,7 @@ from repro.ml.tree import C45Tree, _entropy
 from repro.ml.tree import _EPS as _TREE_EPS
 from repro.network.graph import DirectedGraph
 from repro.text.term_vector import TfidfVectorizer, _l2_normalize_rows
+from repro.web.url import _resolve, parse_url
 
 __all__ = [
     "ReferenceNGramGraph",
@@ -54,6 +66,8 @@ __all__ = [
     "ReferenceSMOTE",
     "reference_tfidf_transform",
     "reference_ensure_dense",
+    "reference_tokenize",
+    "reference_row_endpoints",
 ]
 
 
@@ -561,3 +575,37 @@ def reference_ensure_dense(X: Any) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     return arr
+
+
+_REFERENCE_TOKEN_RE = re.compile(r"[a-z0-9]+(?:[-'][a-z0-9]+)*")
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """The tokenizer as one regex ``findall`` over the lowercased text."""
+    return _REFERENCE_TOKEN_RE.findall(text.lower())
+
+
+def reference_row_endpoints(row: SiteRow) -> tuple[str, ...]:
+    """A row's distinct external endpoints, one parse per page and href.
+
+    Every page URL is parsed, then every page is checked for ownership
+    in page order, then every href is resolved against its page's
+    parse, and its registered domain kept unless it is the row's own
+    or a bare public suffix.
+    """
+    bases = [parse_url(url) for url, _, _ in row.pages]
+    for base, (url, _, _) in zip(bases, row.pages):
+        if base.registered_domain != row.domain:
+            raise DataGenerationError(
+                f"page {url!r} does not belong to domain {row.domain!r}"
+            )
+    out: list[str] = []
+    for base, (_, _, links) in zip(bases, row.pages):
+        for href in links:
+            try:
+                e = _resolve(base, href)._domain
+            except InvalidURLError:
+                continue
+            if e is not None and e != row.domain:
+                out.append(e)
+    return tuple(dict.fromkeys(out))

@@ -1,5 +1,6 @@
 """Public-API surface tests."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -92,3 +93,14 @@ def test_library_loads_no_analyzer():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_console_scripts_resolve():
+    """Every ``[project.scripts]`` target imports and is callable."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts["repro"] == "repro.cli:main"
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name

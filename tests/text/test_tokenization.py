@@ -19,6 +19,21 @@ _TOKENISH_TEXT = st.text(
     max_size=200,
 )
 
+#: ASCII text over all 128 code points but ``-`` and ``'``, weighted
+#: toward the separators ``str.split()`` also cuts at (``\x0b``,
+#: ``\x0c``, ``\x1c``-``\x1f``) and the word character ``_`` that is
+#: not a token character, plus the Kelvin sign, which is not ASCII but
+#: lowercases to ASCII ``k``.  Every example lowercases to ASCII text
+#: without ``-`` or ``'``, so it takes the translate-and-split path.
+_FAST_PATH_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from([chr(c) for c in range(128) if chr(c) not in "-'"]),
+        st.sampled_from("_\x0b\x0c\x1c\x1d\x1e\x1f\u212a"),
+        st.sampled_from("aZ09"),
+    ),
+    max_size=200,
+)
+
 
 class TestTokenize:
     def test_lowercases(self):
@@ -52,6 +67,18 @@ def test_tokenize_equals_finditer_group0(text):
     assert tokenize(text) == [
         m.group(0) for m in _TOKEN_RE.finditer(text.lower())
     ]
+
+
+@given(_FAST_PATH_TEXT)
+def test_translate_and_split_equals_findall(text):
+    """On ASCII text without ``-`` or ``'``, the fast path is the regex."""
+    low = text.lower()
+    assert low.isascii() and "-" not in low and "'" not in low
+    assert tokenize(text) == _TOKEN_RE.findall(low)
+
+
+def test_kelvin_sign_lowercases_into_a_token():
+    assert tokenize("\u212aelvin_2\x1cK") == ["kelvin", "2", "k"]
 
 
 @given(st.text(max_size=200))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.exceptions import InvalidURLError
 from repro.web.page import WebPage
+from repro.web.url import endpoint, resolve_url
 
 
 def make_page(**kwargs):
@@ -100,3 +101,77 @@ class TestRelativeLinks:
             links=("mailto:a@b.com", "javascript:void(0)", "/ok"),
         )
         assert page.resolved_links() == ("https://www.pharm.com/ok",)
+
+
+def oracle_endpoints(page):
+    """``resolve_url`` then ``endpoint`` per href, dropping what raises."""
+    own = endpoint(page.url)
+    out = []
+    for href in page.links:
+        try:
+            target = endpoint(resolve_url(page.url, href))
+        except InvalidURLError:
+            continue
+        if target != own:
+            out.append(target)
+    return tuple(out)
+
+
+class TestEndpointShortcuts:
+    """Same-origin and relative hrefs skip the parse; the answer is unchanged."""
+
+    @pytest.mark.parametrize(
+        "href, external",
+        [
+            # Same origin, with URL delimiters after the host's slash.
+            ("https://www.x.com/a?next=https://evil.com/", False),
+            ("https://www.x.com/a#https://evil.com/", False),
+            ("https://www.x.com/@evil.com", False),
+            ("https://www.x.com/user@evil.com:8080/", False),
+            ("https://www.x.com/a:b", False),
+            # Same host that misses the prefix: the full resolve.
+            ("HTTPS://WWW.X.COM/a", False),
+            ("  https://www.x.com/a", False),
+            ("\thttps://www.x.com/", False),
+            ("https://www.x.com", False),
+            ("https://www.x.com:443/a", False),
+            ("http://www.x.com/a", False),
+            ("https://x.com/a", False),
+            # Look-alikes of the origin.
+            ("https://www.x.com.evil.com/", True),
+            ("https://www.x.com@evil.com/", True),
+            ("https://www.x.co/", True),
+            # Relative, or with "//" but not protocol-relative.
+            ("/a//b", False),
+            ("a//b", False),
+            ("?u=https://evil.com/", False),
+            ("  //evil.com/x", True),
+            ("//www.x.com/x", False),
+        ],
+    )
+    def test_href_against_oracle(self, href, external):
+        page = WebPage(url="https://www.x.com/shop/item", text="x", links=(href,))
+        assert page.external_endpoints() == oracle_endpoints(page)
+        assert bool(page.external_endpoints()) is external
+
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "https://www.x.com/shop/",
+            "https://x.com/",
+            "https://user:pw@www.x.com:8443/a",
+            "HTTPS://WWW.X.COM./a",
+        ],
+    )
+    def test_page_url_forms(self, url):
+        links = (
+            "https://www.x.com/a",
+            "https://x.com/b",
+            "https://www.x.com.evil.com/",
+            "//cdn.net/s.js",
+            "../up",
+            "https://fda.gov/",
+        )
+        page = WebPage(url=url, text="x", links=links)
+        assert page.external_endpoints() == oracle_endpoints(page)
+        assert page.external_endpoints() == ("evil.com", "cdn.net", "fda.gov")
