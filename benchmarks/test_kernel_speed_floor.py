@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ import tests.reference as ref
 from repro.core.config import ExperimentConfig, preset
 from repro.core.evaluation import cross_validate_pipeline
 from repro.core.text_pipeline import TfidfTextPipeline
+from repro.core.verifier import PharmacyVerifier
 from repro.data.loaders import make_dataset
 from repro.data.synthesis import PharmacyRecord
 from repro.experiments import tables
@@ -278,6 +280,38 @@ def row_endpoints():
     )
 
 
+@functools.cache
+def _paper_profile_world():
+    """200 sites with the ``paper`` preset's pages, and a verifier fitted on half."""
+    corpus = make_dataset(
+        replace(preset("paper").generator, n_legitimate=20, n_illegitimate=180,
+                n_affiliate_hubs=4)
+    )
+    verifier = PharmacyVerifier().fit(corpus.subset(np.arange(0, len(corpus), 2)))
+    return list(corpus.sites), verifier
+
+
+def score_tokens():
+    """The verifier's text scores straight from tokens, on ``paper``-profile sites.
+
+    The sites have 5-14 pages of 80-180 terms, so 129 of the 200 (64.5%)
+    exceed the default ``max_terms=1000`` and 127 of them (63.5%) are
+    still above it after the stop filter: those take the subsample
+    branch, the rest score from their raw token lists.
+    """
+    sites, verifier = _paper_profile_world()
+
+    def scores(scored):
+        return [scored.labels.tolist(), scored.scores.tolist(), scored.proba.tolist(),
+                scored.rank.tolist()]
+
+    return (
+        lambda: scores(verifier._text_scores(sites)),
+        lambda: scores(ref.reference_score_text(verifier, sites)),
+        _same,
+    )
+
+
 def sweep_end_to_end(subsets=ExperimentConfig().term_subsets):
     """The tables' TF-IDF grid: every roster entry at every term subset."""
     corpus = _corpus()
@@ -307,7 +341,7 @@ def sweep_end_to_end(subsets=ExperimentConfig().term_subsets):
 CASES = (
     ngg_build, ngg_batch_similarity, trustrank, trustrank_corpus_graph, svm_fit,
     svm_fit_sparse, svm_fit_stream_weekly, tree_fit, ensemble_select, smote, densify,
-    tokenize, row_endpoints, sweep_end_to_end,
+    tokenize, row_endpoints, score_tokens, sweep_end_to_end,
 )
 
 

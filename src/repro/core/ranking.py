@@ -92,16 +92,22 @@ def rank_pharmacies(
         if oracle_labels is not None
         else None
     )
+    # Python floats and ints hold the same values as the arrays, and
+    # sorting on them is cheaper than on numpy scalars.
+    score_list = scores.tolist()
+    text_list = text.tolist()
+    network_list = network.tolist()
+    label_list = labels.tolist() if labels is not None else [None] * len(domains)
     order = sorted(
-        range(len(domains)), key=lambda i: (-scores[i], domains[i])
+        range(len(domains)), key=lambda i: (-score_list[i], domains[i])
     )
     entries = tuple(
         RankedPharmacy(
             domain=domains[i],
-            rank_score=float(scores[i]),
-            text_rank=float(text[i]),
-            network_rank=float(network[i]),
-            oracle_label=int(labels[i]) if labels is not None else None,
+            rank_score=score_list[i],
+            text_rank=text_list[i],
+            network_rank=network_list[i],
+            oracle_label=label_list[i],
         )
         for i in order
     )

@@ -105,9 +105,20 @@ class TfidfTextPipeline:
         :class:`~repro.ml.svm.LinearSVC`, which contributes its hard 0/1
         label (Section 5).
         """
+        return self.score_tokens([doc.tokens for doc in documents])
+
+    def score_tokens(self, token_lists: Sequence[Sequence[str]]) -> PipelineScores:
+        """:meth:`score` on one token list per document.
+
+        Out-of-vocabulary tokens add nothing to a row, so a list that
+        differs from a summary's tokens only by terms outside the
+        vocabulary scores exactly as the summary does (see
+        :meth:`Summarizer.scoring_tokens
+        <repro.text.summarization.Summarizer.scoring_tokens>`).
+        """
         if self._vectorizer is None:
             raise NotFittedError("TfidfTextPipeline has not been fitted")
-        X = self._vectorizer.transform([doc.tokens for doc in documents])
+        X = self._vectorizer.transform(token_lists)
         scored = classifier_scores(self.classifier, X)
         if isinstance(self._prototype, LinearSVC):
             return replace(scored, rank=scored.labels.astype(np.float64))

@@ -7,7 +7,9 @@ membership probability, the trust scores, and the cumulative rank —
 everything a human reviewer triaging pharmacies would consume.
 
 Internally it composes the pieces exactly as the paper does: summary
-documents → TF-IDF text classifier, the network stage
+documents → TF-IDF text classifier (verification feeds each site's
+tokens to the same transform, with the same rows as its summary), the
+network stage
 (:class:`~repro.network.features.NetworkStage`: TrustRank seeded from
 the training set's legitimate pharmacies, read through each site's
 outbound endpoints) for networkRank, and the Section-5 cumulative
@@ -30,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.evaluation import PipelineScores
 from repro.core.ranking import RankingResult, rank_pharmacies
 from repro.core.text_pipeline import TfidfTextPipeline
 from repro.data.corpus import ILLEGITIMATE, LEGITIMATE, PharmacyCorpus
@@ -38,6 +41,7 @@ from repro.ml.base import BaseClassifier
 from repro.ml.naive_bayes import MultinomialNB
 from repro.network.features import NetworkStage
 from repro.text.summarization import Summarizer
+from repro.text.tokenization import tokenize
 from repro.web.crawler import Crawler, CrawlStats
 from repro.web.host import WebHost
 from repro.web.resilience.clock import Clock, VirtualClock
@@ -64,8 +68,8 @@ MIN_CONFIDENCE = 0.1
 #: Sites materialised and scored together by :meth:`PharmacyVerifier.verify_sites`
 #: when no deadline is set.  Each block is read from the input sequence
 #: once, so a lazy sharded view is walked in shard-major order and each
-#: shard parsed once per pass; only one block of evidence and summaries
-#: is alive at a time.
+#: shard parsed once per pass; only one block of evidence and token
+#: lists is alive at a time.
 _BLOCK_SITES = 1024
 
 
@@ -170,9 +174,8 @@ class PharmacyVerifier:
 
         if self._network is None:
             raise NotFittedError("PharmacyVerifier has not been fitted")
-        documents = [self._summarizer.summarize_site(s) for s in sites]
         self._decision_threshold = threshold_for_precision(
-            labels, self._pipeline.score(documents).proba, min_precision
+            labels, self._text_scores(sites).proba, min_precision
         )
         return self._decision_threshold
 
@@ -229,8 +232,15 @@ class PharmacyVerifier:
 
         The batch is walked once, in consecutive blocks of
         :data:`_BLOCK_SITES` sites: each block is read from ``sites``
-        once, summarized, and sent through one TF-IDF transform.  A
-        sequence that offers ``rows(start, stop)``, as
+        once, tokenized, and sent through one TF-IDF transform.  No
+        summary document is built and, unless a site's token count
+        exceeds ``max_terms``, no stop word is filtered.  The rows still
+        equal those of the sites' summaries bit for bit: the vocabulary
+        was fitted on stop-filtered summaries, so a token the filter
+        drops is never a column, and a raw count at or below
+        ``max_terms`` draws no subsample (see :meth:`_text_scores`).
+
+        A sequence that offers ``rows(start, stop)``, as
         :meth:`ShardedCorpus.sites_view()
         <repro.data.sharding.ShardedCorpus.sites_view>` does, is read
         through it: each block is the shards' validated rows, sliced
@@ -305,7 +315,7 @@ class PharmacyVerifier:
         endpoints = [site.outbound_endpoints() for site in sites]
         network_ranks = self._network.network_rank(
             [site.domain for site in sites], endpoints
-        )
+        ).tolist()
         reasons: list[list[str]] = []
         scorable: list[int] = []
         for i, site in enumerate(sites):
@@ -330,23 +340,31 @@ class PharmacyVerifier:
             # depended on it to network-only scoring.
             for i in scorable:
                 reasons[i].append("no_text")
-            scorable = []
-        by_index = {idx: pos for pos, idx in enumerate(scorable)}
+            text_verdicts = {}
+        else:
+            # Python floats and ints: the values a report stores.
+            text_verdicts = dict(
+                zip(
+                    scorable,
+                    zip(probas.tolist(), labels.tolist(), text_ranks.tolist()),
+                )
+            )
 
         reports = []
         for i, site in enumerate(sites):
-            network_rank = float(network_ranks[i])
-            if i in by_index:
-                pos = by_index[i]
-                proba = float(probas[pos])
-                label = int(labels[pos])
-                text_rank = float(text_ranks[pos])
+            network_rank = network_ranks[i]
+            if i in text_verdicts:
+                proba, label, text_rank = text_verdicts[i]
             else:
                 # Network-only verdict, as for a site past its deadline.
                 proba = 0.5
                 text_rank = 0.0
                 label = self._network_only_label(network_rank)
-            site_reasons = tuple(dict.fromkeys(reasons[i]))
+            if reasons[i]:
+                site_reasons = tuple(dict.fromkeys(reasons[i]))
+                confidence = _confidence(site_reasons)
+            else:
+                site_reasons, confidence = (), 1.0
             reports.append(
                 VerificationReport(
                     domain=site.domain,
@@ -356,7 +374,7 @@ class PharmacyVerifier:
                     network_rank=network_rank,
                     rank_score=text_rank + network_rank,
                     degraded=bool(site_reasons),
-                    confidence=_confidence(site_reasons),
+                    confidence=confidence,
                     degradation_reasons=site_reasons,
                 )
             )
@@ -410,13 +428,35 @@ class PharmacyVerifier:
         """
         return LEGITIMATE if network_rank > 0.0 else ILLEGITIMATE
 
+    def _text_scores(self, sites: Sequence[SiteEvidence]) -> PipelineScores:
+        """Score ``sites``' text straight from their tokens.
+
+        Each site's TF-IDF input is
+        :meth:`Summarizer.scoring_tokens
+        <repro.text.summarization.Summarizer.scoring_tokens>` of
+        ``tokenize(site.merged_text())``: the raw token list whenever no
+        subsample would be drawn, the summary's own tokens otherwise.
+        The vocabulary was fitted on stop-filtered summaries, so a
+        token the filter drops is never a column, and each row equals
+        the row of the site's :meth:`~Summarizer.summarize_site` summary
+        bit for bit: same ``indptr``, ``indices`` and ``data``.  Raises
+        what the pipeline raises.
+        """
+        scoring_tokens = self._summarizer.scoring_tokens
+        return self._pipeline.score_tokens(
+            [scoring_tokens(site.domain, tokenize(site.merged_text())) for site in sites]
+        )
+
     def _score_text(self, sites: Sequence[SiteEvidence]):
-        """Run the text pipeline; ``(None, None, None)`` on failure."""
+        """Run the text pipeline; ``(None, None, None)`` on failure.
+
+        Scores through :meth:`_text_scores`, so no summary document is
+        built and, at or below ``max_terms``, no stop word filtered.
+        """
         if not sites:
             return np.empty(0), np.empty(0, dtype=int), np.empty(0)
         try:
-            documents = [self._summarizer.summarize_site(s) for s in sites]
-            scored = self._pipeline.score(documents)
+            scored = self._text_scores(sites)
             labels = scored.labels
             if self._decision_threshold is not None:
                 labels = (scored.proba >= self._decision_threshold).astype(int)

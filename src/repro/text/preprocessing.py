@@ -53,12 +53,20 @@ class TextPreprocessor:
         """Return the non-stop-word tokens of ``text`` in order.
 
         Inherits :func:`~repro.text.tokenization.tokenize`'s sanitizer
-        guarantee: every emitted token is ``[a-z0-9'-]``.  Stop words
-        are dropped by a C-level ``filterfalse``; the length filter runs
-        only when ``min_token_length > 1``, since every token the
-        tokenizer emits is at least one character long."""
-        tokens = filterfalse(self._stop_words.__contains__, tokenize(text))
+        guarantee: every emitted token is ``[a-z0-9'-]``."""
+        return self.filter_tokens(tokenize(text))
+
+    def filter_tokens(self, tokens: Iterable[str]) -> list[str]:
+        """Drop the stop words and too-short tokens of ``tokens``, in order.
+
+        The filter judges each token alone, whatever its neighbours, so
+        filtering a token list removes exactly the tokens that
+        :meth:`preprocess` would not have emitted from the same text.
+        Stop words are dropped by a C-level ``filterfalse``; the length
+        filter runs only when ``min_token_length > 1``, since every
+        token the tokenizer emits is at least one character long."""
+        kept = filterfalse(self._stop_words.__contains__, tokens)
         if self._min_len > 1:
             min_len = self._min_len
-            return [tok for tok in tokens if len(tok) >= min_len]
-        return list(tokens)
+            return [tok for tok in kept if len(tok) >= min_len]
+        return list(kept)

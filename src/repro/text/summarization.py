@@ -61,6 +61,15 @@ class Summarizer:
             N terms" from a bag-of-terms perspective while preserving
             local context for character n-gram models.
         seed: RNG seed for the subsample, making summaries reproducible.
+
+    A scorer that only needs a summary's TF-IDF row can skip the stop
+    filter: :meth:`scoring_tokens` hands back the raw token list of a
+    site when no subsample would be drawn.  The filter judges each
+    token alone, so the raw list holds the summary's tokens plus
+    tokens the filter drops, and a vocabulary fitted on summaries holds
+    none of those.  A raw count at or below ``max_terms`` bounds the
+    filtered count too, so no subsample is drawn and both lists count
+    every vocabulary term the same number of times.
     """
 
     def __init__(
@@ -93,6 +102,26 @@ class Summarizer:
             domain=domain, tokens=tuple(tokens), n_source_terms=n_source
         )
 
+    def scoring_tokens(self, domain: str, tokens: list[str]) -> list[str]:
+        """Tokens with the same TF-IDF row as the summary of ``domain``.
+
+        ``tokens`` is ``tokenize`` of the merged text that
+        :meth:`summarize_text` would read.  At or below ``max_terms``
+        (or with no cut) they come back unfiltered: they differ from
+        the summary's tokens only by filtered tokens, which no
+        vocabulary fitted on this summarizer's output contains (see the
+        class docstring).  Above the cut the result is the summary's
+        token list exactly, filtered and, when the filtered count still
+        exceeds ``max_terms``, subsampled with the same RNG.
+        """
+        max_terms = self._max_terms
+        if max_terms is None or len(tokens) <= max_terms:
+            return tokens
+        kept = self._preprocessor.filter_tokens(tokens)
+        if len(kept) > max_terms:
+            return self._subsample(domain, kept)
+        return kept
+
     def _subsample(self, domain: str, tokens: list[str]) -> list[str]:
         """Pick ``max_terms`` positions uniformly without replacement.
 
@@ -105,4 +134,4 @@ class Summarizer:
         assert self._max_terms is not None
         idx = rng.choice(len(tokens), size=self._max_terms, replace=False)
         idx.sort()
-        return [tokens[i] for i in idx]
+        return list(map(tokens.__getitem__, idx.tolist()))

@@ -151,7 +151,7 @@ def parse_url(url: str) -> ParsedURL:
     host = host.rpartition("@")[2].lower().rstrip(".")  # drop any userinfo
     if ":" in host:  # drop an explicit port
         host = host.split(":", 1)[0]
-    if not host or any(not label for label in host.split(".")):
+    if not host or "" in host.split("."):
         raise InvalidURLError(f"invalid host in URL: {url!r}")
     if "." not in host:
         raise InvalidURLError(f"host has no dot (not a public domain): {url!r}")
@@ -165,7 +165,8 @@ def _registered_domain(host: str) -> str | None:
     its own registered domain.
     """
     host = host.lower()
-    if _IPV4_RE.fullmatch(host):
+    # Every IPv4 literal ends in a digit; no other host needs the regex.
+    if host[-1:].isdigit() and _IPV4_RE.fullmatch(host):
         return host
     labels = host.split(".")
     if len(labels) < 2:

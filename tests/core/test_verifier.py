@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.core.verifier
+from repro.core.text_pipeline import TfidfTextPipeline
 from repro.core.verifier import MIN_CONFIDENCE, PharmacyVerifier
 from repro.data.corpus import ILLEGITIMATE, LEGITIMATE
 from repro.exceptions import NotFittedError, ValidationError
@@ -184,6 +185,42 @@ class TestThresholdTuning:
         predictions = np.array([r.predicted_label for r in reports])
         # On the tuning set itself the floor must hold exactly.
         assert precision(holdout_labels, predictions, 1) == 1.0
+
+    def test_tuning_scores_equal_summary_scores(self, tiny_corpus, monkeypatch):
+        """Held-out sites score from their tokens exactly as their summaries do."""
+        import repro.ml.metrics
+
+        train = tiny_corpus.subset(np.arange(0, len(tiny_corpus), 2))
+        holdout_idx = np.arange(1, len(tiny_corpus), 2)
+        holdout_sites = [tiny_corpus.sites[i] for i in holdout_idx]
+        # 300 terms: some held-out sites are subsampled, some are not.
+        verifier = PharmacyVerifier(max_terms=300, seed=0).fit(train)
+        seen = []
+        choose = repro.ml.metrics.threshold_for_precision
+        monkeypatch.setattr(
+            repro.ml.metrics,
+            "threshold_for_precision",
+            lambda y, proba, floor: seen.append(proba) or choose(y, proba, floor),
+        )
+        verifier.tune_threshold(holdout_sites, tiny_corpus.labels[holdout_idx])
+        summaries = [verifier._summarizer.summarize_site(s) for s in holdout_sites]
+        np.testing.assert_array_equal(seen[0], verifier._pipeline.score(summaries).proba)
+
+    def test_tuning_raises_on_text_pipeline_failure(self, fitted_verifier, monkeypatch):
+        verifier, corpus = fitted_verifier
+
+        def fail(self, token_lists):
+            raise ValidationError("text pipeline broke")
+
+        monkeypatch.setattr(TfidfTextPipeline, "score_tokens", fail)
+        sites = list(corpus.sites[:4])
+        with pytest.raises(ValidationError):
+            verifier.tune_threshold(sites, corpus.labels[:4])
+        assert verifier.decision_threshold is None
+        # Verification degrades instead of raising.
+        assert all(
+            "no_text" in r.degradation_reasons for r in verifier.verify_sites(sites)
+        )
 
     def test_tune_before_fit_raises(self, tiny_corpus):
         with pytest.raises(NotFittedError):

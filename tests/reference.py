@@ -23,6 +23,8 @@ sequential formulations the fast kernels must reproduce):
 * :func:`reference_tokenize` — one regex ``findall`` over every text.
 * :func:`reference_row_endpoints` — a shard row's endpoints with one
   ``parse_url`` per page and one ``_resolve`` per href.
+* :func:`reference_score_text` — a verifier's text scores through one
+  stop-filtered summary document per site.
 
 They exist for two reasons: the property tests in ``tests/perf`` assert
 the fast paths match them within tight tolerances on randomized inputs,
@@ -34,6 +36,7 @@ tests, outside the installed package, and no pipeline imports them.
 from __future__ import annotations
 
 import re
+import zlib
 from collections import Counter
 from typing import Any, Callable, Mapping, Sequence
 
@@ -47,6 +50,7 @@ from repro.exceptions import (
     NotFittedError,
     ValidationError,
 )
+from repro.core.evaluation import PipelineScores
 from repro.io import SiteRow
 from repro.ml.base import ensure_dense
 from repro.ml.metrics import auc_roc
@@ -54,6 +58,7 @@ from repro.ml.sampling import SMOTE
 from repro.ml.tree import C45Tree, _entropy
 from repro.ml.tree import _EPS as _TREE_EPS
 from repro.network.graph import DirectedGraph
+from repro.text.summarization import SummaryDocument
 from repro.text.term_vector import TfidfVectorizer, _l2_normalize_rows
 from repro.web.url import _resolve, parse_url
 
@@ -609,3 +614,36 @@ def reference_row_endpoints(row: SiteRow) -> tuple[str, ...]:
             if e is not None and e != row.domain:
                 out.append(e)
     return tuple(dict.fromkeys(out))
+
+
+def reference_score_text(verifier: Any, sites: Sequence[Any]) -> PipelineScores:
+    """A fitted verifier's text scores through its sites' summaries.
+
+    Each site becomes the summary document ``Summarizer.summarize_site``
+    builds: tokenize and drop stop words (the verifier's preprocessor),
+    then, above ``max_terms``, keep the sorted positions the
+    ``(seed, crc32(domain))`` RNG draws, read one numpy index at a time.
+    ``TfidfTextPipeline.score`` scores the documents through one
+    transform.  This is the text path of
+    :class:`~repro.core.verifier.PharmacyVerifier` before it scored
+    straight from each site's tokens.
+
+    Args:
+        verifier: a fitted :class:`repro.core.verifier.PharmacyVerifier`.
+        sites: site evidence with text.
+    """
+    summarizer = verifier._summarizer
+    max_terms = summarizer.max_terms
+    documents = []
+    for site in sites:
+        tokens = summarizer._preprocessor.preprocess(site.merged_text())
+        n_source = len(tokens)
+        if max_terms is not None and n_source > max_terms:
+            rng = np.random.default_rng(
+                [summarizer._seed, zlib.crc32(site.domain.encode("utf-8"))]
+            )
+            idx = rng.choice(n_source, size=max_terms, replace=False)
+            idx.sort()
+            tokens = [tokens[i] for i in idx]
+        documents.append(SummaryDocument(site.domain, tuple(tokens), n_source))
+    return verifier._pipeline.score(documents)

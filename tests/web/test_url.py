@@ -47,6 +47,7 @@ class TestParseURL:
             "ftp://example.com/",  # unsupported scheme
             "http:///path",  # empty host
             "http://host..dots/",  # empty label
+            "http://.leading.com/",  # empty first label
             "http://localhost/",  # no dot
         ],
     )
@@ -167,6 +168,21 @@ class TestIPv4Literal:
 
     def test_numeric_label_in_a_name_is_not_an_address(self):
         assert endpoint("http://1.2.3.example.com/") == "example.com"
+
+    @pytest.mark.parametrize(
+        "url, domain",
+        [
+            ("http://shop.example.123/", "example.123"),
+            ("http://1.2.3.4.5/", "4.5"),
+            ("http://1.2.3.4/", "1.2.3.4"),
+        ],
+    )
+    def test_digit_final_hosts(self, url, domain):
+        assert endpoint(url) == domain
+
+    def test_directly_built_uppercase_host(self):
+        assert ParsedURL("http", "WWW.Example.COM", "/").registered_domain == "example.com"
+        assert ParsedURL("http", "10.0.0.1", "/").registered_domain == "10.0.0.1"
 
 
 _label = st.text(
