@@ -9,7 +9,8 @@ outputs are equivalent, and requires reference time / fast time >=
 case's reference is the library's per-entry cross-validation
 (``cross_validate_pipeline`` over one ``TfidfTextPipeline`` per roster
 entry and term subset); the ``stream_weekly`` SVM case's is the
-test-only scipy-indexing Pegasos loop from ``tests.perf``.  Tier-1 runs
+test-only scipy-indexing Pegasos loop from ``tests.perf``; the synthesis
+case's is the per-draw ``tests.reference.ReferenceWebGenerator``.  Tier-1 runs
 ``tables.table12`` end to end (``tests/experiments/test_tables.py``).
 
 Run from the repo root::
@@ -33,7 +34,8 @@ from repro.core.evaluation import cross_validate_pipeline
 from repro.core.text_pipeline import TfidfTextPipeline
 from repro.core.verifier import PharmacyVerifier
 from repro.data.loaders import make_dataset
-from repro.data.synthesis import PharmacyRecord
+from repro.data.sharding import _build_planned_site, plan_domains, plan_site
+from repro.data.synthesis import PharmacyRecord, SyntheticWebGenerator
 from repro.experiments import tables
 from repro.experiments.sweep import run_tfidf_sweep
 from repro.io import parse_site_row, site_record_to_row
@@ -312,6 +314,32 @@ def score_tokens():
     )
 
 
+def synthesize_sites():
+    """300 planned sites of the ``batch_rank`` shape, each from its own RNG.
+
+    The ``large`` preset's profile (2-3 pages of 30-60 terms), as
+    ``write_shards`` builds them: the batched generator against the one
+    that makes one ``Generator.choice`` or ``random`` call per draw.
+    """
+    config = replace(preset("large").generator, n_legitimate=35, n_illegitimate=265,
+                     n_affiliate_hubs=3, seed=41)
+    legit, illegit, hubs = plan_domains(config)
+    plans = [
+        plan_site(config, domain, label, is_hub=domain in hubs, hubs=hubs)
+        for domains, label in ((legit, 1), (illegit, 0))
+        for domain in domains
+    ]
+
+    def build(generator):
+        return [_build_planned_site(generator, plan, 1) for plan in plans]
+
+    return (
+        lambda: build(SyntheticWebGenerator(config)),
+        lambda: build(ref.ReferenceWebGenerator(config)),
+        _same,
+    )
+
+
 def sweep_end_to_end(subsets=ExperimentConfig().term_subsets):
     """The tables' TF-IDF grid: every roster entry at every term subset."""
     corpus = _corpus()
@@ -341,7 +369,7 @@ def sweep_end_to_end(subsets=ExperimentConfig().term_subsets):
 CASES = (
     ngg_build, ngg_batch_similarity, trustrank, trustrank_corpus_graph, svm_fit,
     svm_fit_sparse, svm_fit_stream_weekly, tree_fit, ensemble_select, smote, densify,
-    tokenize, row_endpoints, score_tokens, sweep_end_to_end,
+    tokenize, row_endpoints, score_tokens, synthesize_sites, sweep_end_to_end,
 )
 
 

@@ -78,8 +78,11 @@ PRESETS: dict[str, ScalePreset] = {
         ),
     ),
     # Scale-out benchmark scale (ROADMAP item 2): web-scale site counts
-    # with a lighter per-site profile so 10^5–10^6-domain corpora are
-    # synthesizable in minutes; exercised by the sharded pipeline and
+    # with a lighter per-site profile (2-3 pages of 30-60 terms) chosen
+    # so 10^5–10^6-domain corpora are synthesizable in minutes; with
+    # batched draws one core writes ~5,000 such sites/s at 10^5, and
+    # ~1,600 sites/s of the `paper` profile (ROADMAP item 17).
+    # Exercised by the sharded pipeline, every perfbench workload and
     # benchmarks/perf/scale_harness.py, not the paper tables.
     "large": ScalePreset(
         name="large",

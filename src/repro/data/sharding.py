@@ -644,12 +644,17 @@ class ShardedCorpus:
         row passes through :func:`repro.io.parse_site_row`, which checks
         its structure and field types; malformed or format-skewed input
         raises :class:`PersistenceError` naming the file and line
-        instead of flowing onward.  Page URLs are checked when a row's
-        evidence or objects are read (see :class:`repro.io.SiteRow`).
+        instead of flowing onward.  The rows must also be the header's
+        domains, in its order, and as many as the manifest's
+        ``n_sites`` for the shard: the view's length and index offsets,
+        :meth:`domains` and :meth:`labels` all rely on that, so a
+        truncated, padded or reordered shard raises
+        :class:`PersistenceError` naming the file.  Page URLs are
+        checked when a row's evidence or objects are read (see
+        :class:`repro.io.SiteRow`).
         """
-        path = self._root / str(
-            self._manifest.shards[shard_index]["file"]
-        )
+        entry = self._manifest.shards[shard_index]
+        path = self._root / str(entry["file"])
         try:
             with open(path, encoding="utf-8") as fh:
                 lines = fh.read().splitlines()
@@ -657,7 +662,7 @@ class ShardedCorpus:
             raise PersistenceError(f"missing shard file: {path}") from exc
         if not lines:
             raise PersistenceError(f"empty shard file: {path}")
-        _header_domains(lines[0], path)
+        domains = _header_domains(lines[0], path)
         rows: list[SiteRow] = []
         for line_no, line in enumerate(lines[1:], start=2):
             if not line.strip():
@@ -669,6 +674,15 @@ class ShardedCorpus:
                     f"malformed shard row at {path}:{line_no}"
                 ) from exc
             rows.append(parse_site_row(row, f"{path}:{line_no}"))
+        if len(rows) != entry["n_sites"]:
+            raise PersistenceError(
+                f"shard {path} holds {len(rows)} rows, but the manifest "
+                f"lists {entry['n_sites']} sites for it"
+            )
+        if [row.domain for row in rows] != domains:
+            raise PersistenceError(
+                f"shard rows do not match the domains of its header: {path}"
+            )
         return _LoadedShard(
             rows=tuple(rows),
             by_domain={row.domain: i for i, row in enumerate(rows)},

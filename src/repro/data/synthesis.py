@@ -372,6 +372,9 @@ class SyntheticWebGenerator:
             name: np.array(getattr(lexicon, name), dtype=object)
             for name in _LEGIT_MIX
         }
+        # Pharmacy pages draw from the pools concatenated in this order.
+        self._words = np.concatenate(list(self._pools.values()))
+        self._pool_sizes = np.array([len(pool) for pool in self._pools.values()])
 
     @property
     def config(self) -> GeneratorConfig:
@@ -733,7 +736,9 @@ class SyntheticWebGenerator:
             n_terms = int(
                 rng.integers(cfg.min_terms_per_page, cfg.max_terms_per_page + 1)
             )
-            text = " ".join(rng.choice(words, size=n_terms).tolist())
+            # The draw ``rng.choice(words, size=n_terms)`` makes.
+            picks = rng.integers(0, len(words), size=n_terms)
+            text = " ".join(words[picks].tolist())
             links: list[str] = []
             if n_pages > 1:
                 links.append(urls[(i + 1) % n_pages])
@@ -784,15 +789,8 @@ class SyntheticWebGenerator:
             weights = (1.0 - blend_weight) * weights + blend_weight * other
         weights /= weights.sum()
         weights = rng.dirichlet(weights * 60.0)  # mild per-site jitter
-        word_probs: list[np.ndarray] = []
-        for w, name in zip(weights, names):
-            pool = self._pools[name]
-            word_probs.append(np.full(len(pool), w / len(pool)))
-        probs = np.concatenate(word_probs)
+        probs = np.repeat(weights / self._pool_sizes, self._pool_sizes)
         return probs / probs.sum()
-
-    def _all_words(self) -> np.ndarray:
-        return np.concatenate([self._pools[name] for name in _LEGIT_MIX])
 
     def _make_site_pages(
         self,
@@ -803,25 +801,43 @@ class SyntheticWebGenerator:
         hub_targets: tuple[str, ...],
         link_rate_scale: float = 1.0,
     ) -> list[WebPage]:
+        """One pharmacy's pages, drawn in batches from ``rng``.
+
+        The words of a page, and its external link targets with its hub
+        links, are each one batched draw.  They consume exactly the
+        random stream of the per-draw calls they replace, so the pages
+        are the same bytes (``tests/reference.py`` keeps those calls as
+        the oracle):
+
+        * ``rng.choice(words, size=n, p=mix)`` validates ``mix``, then
+          searches its normalized cdf (:func:`_choice_cdf`) at
+          ``rng.random(n)``.  The cdf is built once per site here.
+        * The ``n_ext`` scalar ``rng.choice(targets, p=...)`` calls and
+          the hub links' scalar ``rng.random()`` calls are consecutive
+          doubles, and ``rng.random(n_ext + n_hubs)`` fills a vector
+          with the same successive doubles.
+        """
         cfg = self._config
         n_pages = int(rng.integers(cfg.min_pages, cfg.max_pages + 1))
-        words = self._all_words()
+        words = self._words
         base = f"https://www.{domain}"
         urls = [f"{base}/"] + [f"{base}/page{i}" for i in range(1, n_pages)]
 
         # Choose this site's external link targets once (sites are
         # consistent in what they link to), then spread them over pages.
-        targets = list(link_weights)
-        target_w = np.array([link_weights[t] for t in targets])
-        target_w = target_w / target_w.sum()
+        targets = [f"https://www.{t}/" for t in link_weights]
+        target_w = np.array(list(link_weights.values()))
+        target_cdf = _choice_cdf(target_w / target_w.sum())
+        word_cdf = _choice_cdf(mix)
+        hub_links = [f"https://www.{hub}/" for hub in hub_targets]
 
         pages: list[WebPage] = []
         for i, url in enumerate(urls):
             n_terms = int(
                 rng.integers(cfg.min_terms_per_page, cfg.max_terms_per_page + 1)
             )
-            tokens = rng.choice(words, size=n_terms, p=mix)
-            text = " ".join(tokens.tolist())
+            picks = word_cdf.searchsorted(rng.random(n_terms), side="right")
+            text = " ".join(words[picks].tolist())
             if i == 0:
                 text = f"welcome to {domain.split('.')[0]} online pharmacy. {text}"
 
@@ -831,17 +847,31 @@ class SyntheticWebGenerator:
                 links.append(urls[(i + 1) % n_pages])
                 for _ in range(2):
                     links.append(urls[int(rng.integers(0, n_pages))])
-            # External links.
+            # External links, then affiliate spokes' links to their hubs
+            # from most pages.
             n_ext = int(rng.poisson(cfg.external_links_per_page * link_rate_scale))
-            for _ in range(n_ext):
-                target = str(rng.choice(targets, p=target_w))
-                links.append(f"https://www.{target}/")
-            # Affiliate spokes link to their hubs from most pages.
-            for hub in hub_targets:
-                if rng.random() < 0.8:
-                    links.append(f"https://www.{hub}/")
+            draws = rng.random(n_ext + len(hub_links))
+            for j in target_cdf.searchsorted(draws[:n_ext], side="right").tolist():
+                links.append(targets[j])
+            for link, u in zip(hub_links, draws[n_ext:].tolist()):
+                if u < 0.8:
+                    links.append(link)
             pages.append(WebPage(url=url, text=text, links=tuple(links)))
         return pages
+
+
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The cdf ``Generator.choice(a, size, p=p)`` searches, built once.
+
+    With replacement, ``choice`` validates ``p``, takes
+    ``cdf = p.cumsum()``, divides it by ``cdf[-1]`` and returns
+    ``a[cdf.searchsorted(rng.random(size), side="right")]``.  Searching
+    this cdf at the same doubles picks the same items, without the
+    validation that dominates a small draw.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def scaled_config(config: GeneratorConfig, factor: float) -> GeneratorConfig:

@@ -240,6 +240,64 @@ class TestShardedCorpusReader:
             ShardedCorpus(corpus_dir, max_open_shards=0)
 
 
+def _edit_rows(path, edit):
+    """Rewrite shard ``path`` with its header kept and ``edit(rows)`` after it."""
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *edit(rows)]) + "\n")
+
+
+#: Shard-0 edits that leave every row well formed but disagree with the
+#: header's ``domains`` list or the manifest's ``n_sites``.
+INCONSISTENT_SHARDS = {
+    "truncated": lambda rows: rows[:-1],
+    "extra-row": lambda rows: rows + rows[:1],
+    "reordered": lambda rows: [rows[1], rows[0], *rows[2:]],
+}
+
+
+class TestInconsistentShards:
+    """A shard that disagrees with its header or manifest is not read."""
+
+    @pytest.fixture(scope="class")
+    def good_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("consistent")
+        write_shards(
+            GeneratorConfig(n_legitimate=8, n_illegitimate=52, n_affiliate_hubs=2,
+                            min_pages=2, max_pages=3, min_terms_per_page=10,
+                            max_terms_per_page=20, seed=3),
+            root, 2,
+        )
+        return root
+
+    @pytest.mark.parametrize("case", sorted(INCONSISTENT_SHARDS))
+    def test_every_reader_raises_naming_the_file(self, good_dir, tmp_path, case):
+        import shutil
+
+        root = tmp_path / "bad"
+        shutil.copytree(good_dir, root)
+        _edit_rows(root / shard_filename(0), INCONSISTENT_SHARDS[case])
+        corpus = ShardedCorpus(root)
+        view = corpus.sites_view()
+        assert len(view) == len(corpus) == 60
+        name = shard_filename(0)
+        first_domain = corpus.domains()[0]
+        for read in (
+            lambda: view.rows(0, 60),
+            lambda: view[0],
+            corpus.labels,
+            lambda: list(corpus.iter_shards()),
+            lambda: corpus.get(first_domain),
+        ):
+            with pytest.raises(PersistenceError, match=name):
+                read()
+
+    def test_consistent_shards_read(self, good_dir):
+        corpus = ShardedCorpus(good_dir)
+        rows = corpus.sites_view().rows(0, 60)
+        assert [row.domain for row in rows] == list(corpus.domains())
+        assert len(corpus.labels()) == 60
+
+
 GOOD_PAGE = {"url": "https://www.a-rx.com/", "text": "pills", "links": ["/x"]}
 GOOD_ROW = {"domain": "a-rx.com", "label": 0, "pages": [GOOD_PAGE]}
 SHARD_HEADER = {"format": "repro-shard", "version": 1, "domains": ["a-rx.com"]}

@@ -1,13 +1,22 @@
 """Tests for the synthetic web generator."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.data.synthesis import (
+    _ILLEGIT_LINK_WEIGHTS,
+    _ILLEGIT_MIX,
+    _LEGIT_LINK_WEIGHTS,
+    _LEGIT_MIX,
     GeneratorConfig,
     SyntheticWebGenerator,
+    _choice_cdf,
     scaled_config,
 )
 from repro.exceptions import DataGenerationError
+from tests.reference import ReferenceWebGenerator
 
 
 SMALL = GeneratorConfig(
@@ -292,3 +301,133 @@ class TestPotentiallyLegitimate:
         corpus = crawl_snapshot(snapshot)
         assert len(corpus.gray_sites) == 4
         assert len(corpus) == 50  # gray sites are not part of P
+
+
+def _rng_pair(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def _same_state(a, b):
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestBatchedDrawsKeepTheRandomStream:
+    """Each batched draw picks what the ``Generator.choice`` it replaces picks.
+
+    The draw and the bit generator state after it must both be equal:
+    every later draw of the site, and so every generated byte, depends
+    on the state.  These tests fail on a numpy whose ``choice``
+    algorithm differs from the one the generator reproduces.
+    """
+
+    GEN = SyntheticWebGenerator(SMALL)
+    WORDS = GEN._words
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_site_mixture_equals_per_pool_fill(self, seed):
+        ref = ReferenceWebGenerator(SMALL)
+        for base, blend, weight in [
+            (_LEGIT_MIX, None, 0.0), (_ILLEGIT_MIX, _LEGIT_MIX, 0.55),
+        ]:
+            fast_rng, ref_rng = _rng_pair(seed)
+            fast = self.GEN._site_mixture(fast_rng, base, blend, weight)
+            expected = ref._site_mixture(ref_rng, base, blend, weight)
+            assert fast.tobytes() == expected.tobytes()
+            _same_state(fast_rng, ref_rng)
+
+    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("size", [1, 2, 30, 61, 180, 1000])
+    def test_weighted_words(self, seed, size):
+        mix = self.GEN._site_mixture(
+            np.random.default_rng(seed + 1000), _LEGIT_MIX, None, 0.0
+        )
+        cdf = _choice_cdf(mix)
+        fast_rng, ref_rng = _rng_pair(seed)
+        for _ in range(3):  # one cdf serves every page of a site
+            picks = cdf.searchsorted(fast_rng.random(size), side="right")
+            expected = ref_rng.choice(self.WORDS, size=size, p=mix)
+            assert self.WORDS[picks].tolist() == expected.tolist()
+            _same_state(fast_rng, ref_rng)
+
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("n_ext", [0, 1, 2, 5])
+    @pytest.mark.parametrize("n_hubs", [0, 1, 2])
+    def test_link_targets_then_hub_links(self, seed, n_ext, n_hubs):
+        weights = _ILLEGIT_LINK_WEIGHTS if seed % 2 else _LEGIT_LINK_WEIGHTS
+        targets = list(weights)
+        w = np.array(list(weights.values()))
+        w = w / w.sum()
+        fast_rng, ref_rng = _rng_pair(seed)
+        draws = fast_rng.random(n_ext + n_hubs)
+        picks = _choice_cdf(w).searchsorted(draws[:n_ext], side="right")
+        fast = [targets[j] for j in picks.tolist()]
+        fast += [u < 0.8 for u in draws[n_ext:].tolist()]
+        expected = [str(ref_rng.choice(targets, p=w)) for _ in range(n_ext)]
+        expected += [ref_rng.random() < 0.8 for _ in range(n_hubs)]
+        assert fast == expected
+        _same_state(fast_rng, ref_rng)
+
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("size", [1, 2, 33, 180])
+    @pytest.mark.parametrize("prefix", [0, 1])
+    def test_uniform_aux_words(self, seed, size, prefix):
+        # ``prefix`` odd 32-bit draws leave half a 64-bit word buffered.
+        words = np.concatenate([self.GEN._pools["HEALTH_CONTENT"],
+                                self.GEN._pools["COMMON_FILLER"]])
+        fast_rng, ref_rng = _rng_pair(seed)
+        for rng in (fast_rng, ref_rng):
+            for _ in range(prefix):
+                rng.integers(2, 5)
+        fast = words[fast_rng.integers(0, len(words), size=size)]
+        expected = ref_rng.choice(words, size=size)
+        assert fast.tolist() == expected.tolist()
+        _same_state(fast_rng, ref_rng)
+
+
+class TestGeneratorEqualsReference:
+    """Whole sites and snapshots equal the per-draw reference generator."""
+
+    CONFIGS = {
+        "small": SMALL,
+        "thin": dataclasses.replace(
+            SMALL, min_pages=1, max_pages=2, min_terms_per_page=1,
+            max_terms_per_page=3, external_links_per_page=0.2, seed=3,
+        ),
+        "auxiliary": dataclasses.replace(
+            SMALL, n_health_portals=3, n_spam_directories=2,
+            n_potentially_legitimate=3, external_links_per_page=3.0, seed=11,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_snapshot_pair_pages_equal(self, name):
+        config = self.CONFIGS[name]
+        fast = SyntheticWebGenerator(config).generate_pair()
+        expected = ReferenceWebGenerator(config).generate_pair()
+        for a, b in zip(fast, expected, strict=True):
+            assert a.records == b.records
+            assert a.host.urls() == b.host.urls()
+            assert [a.host.fetch(u) for u in a.host.urls()] == [
+                b.host.fetch(u) for u in b.host.urls()
+            ]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_site_role_equal_with_state(self, seed):
+        config = self.CONFIGS["small"]
+        fast_gen = SyntheticWebGenerator(config)
+        ref_gen = ReferenceWebGenerator(config)
+        hubs = ("hub-a.com", "hub-b.com")
+        roles = [
+            dict(label=1), dict(label=1, is_outlier=True),
+            dict(label=1, is_asocial=True), dict(label=0, is_hub=True),
+            dict(label=0, is_member=True, hub_targets=hubs),
+            dict(label=0, is_outlier=True, hub_targets=hubs),
+            dict(label=0, is_imitator=True, generation=2),
+        ]
+        for k, role in enumerate(roles):
+            domain = f"site{seed}-{k}.com"
+            fast_rng, ref_rng = _rng_pair([seed, k])
+            fast = fast_gen.build_pharmacy_site(domain, rng=fast_rng, **role)
+            expected = ref_gen.build_pharmacy_site(domain, rng=ref_rng, **role)
+            assert fast == expected
+            _same_state(fast_rng, ref_rng)

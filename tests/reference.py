@@ -25,6 +25,9 @@ sequential formulations the fast kernels must reproduce):
   ``parse_url`` per page and one ``_resolve`` per href.
 * :func:`reference_score_text` — a verifier's text scores through one
   stop-filtered summary document per site.
+* :class:`ReferenceWebGenerator` — the synthetic web generator drawing
+  each page's words, each external link target and each hub link with
+  its own ``Generator.choice`` or ``random`` call.
 
 They exist for two reasons: the property tests in ``tests/perf`` assert
 the fast paths match them within tight tolerances on randomized inputs,
@@ -51,6 +54,7 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.core.evaluation import PipelineScores
+from repro.data.synthesis import SyntheticWebGenerator
 from repro.io import SiteRow
 from repro.ml.base import ensure_dense
 from repro.ml.metrics import auc_roc
@@ -60,6 +64,7 @@ from repro.ml.tree import _EPS as _TREE_EPS
 from repro.network.graph import DirectedGraph
 from repro.text.summarization import SummaryDocument
 from repro.text.term_vector import TfidfVectorizer, _l2_normalize_rows
+from repro.web.page import WebPage
 from repro.web.url import _resolve, parse_url
 
 __all__ = [
@@ -73,6 +78,8 @@ __all__ = [
     "reference_ensure_dense",
     "reference_tokenize",
     "reference_row_endpoints",
+    "reference_score_text",
+    "ReferenceWebGenerator",
 ]
 
 
@@ -647,3 +654,112 @@ def reference_score_text(verifier: Any, sites: Sequence[Any]) -> PipelineScores:
             tokens = [tokens[i] for i in idx]
         documents.append(SummaryDocument(site.domain, tuple(tokens), n_source))
     return verifier._pipeline.score(documents)
+
+
+class ReferenceWebGenerator(SyntheticWebGenerator):
+    """The synthetic web generator with one ``Generator.choice`` per draw.
+
+    Each site concatenates the word pools and expands its pool weights
+    to per-word probabilities with one ``np.full`` per pool.  Each page
+    draws its words with ``choice(words, size, p=mix)``, each external
+    link target with a scalar ``choice(targets, p=weights)``, and each
+    hub link with a scalar ``random()``; an auxiliary page draws its
+    words with a uniform ``choice``.  ``choice`` validates ``p`` on every
+    call.  This is the generator before its draws were batched; the
+    batched one must consume the same random stream and build the same
+    pages.
+    """
+
+    def _site_mixture(
+        self,
+        rng: np.random.Generator,
+        base: dict[str, float],
+        blend: dict[str, float] | None,
+        blend_weight: float,
+    ) -> np.ndarray:
+        names = list(self._pools)
+        weights = np.array([base[n] for n in names], dtype=np.float64)
+        if blend is not None and blend_weight > 0.0:
+            other = np.array([blend[n] for n in names], dtype=np.float64)
+            weights = (1.0 - blend_weight) * weights + blend_weight * other
+        weights /= weights.sum()
+        weights = rng.dirichlet(weights * 60.0)
+        word_probs: list[np.ndarray] = []
+        for w, name in zip(weights, names):
+            pool = self._pools[name]
+            word_probs.append(np.full(len(pool), w / len(pool)))
+        probs = np.concatenate(word_probs)
+        return probs / probs.sum()
+
+    def _make_aux_pages(
+        self,
+        rng: np.random.Generator,
+        domain: str,
+        pharmacy_targets: tuple[str, ...],
+        endpoint_targets: tuple[str, ...],
+        pools: tuple[str, ...],
+    ) -> list[WebPage]:
+        cfg = self._config
+        n_pages = int(rng.integers(2, 5))
+        base = f"https://www.{domain}"
+        urls = [f"{base}/"] + [f"{base}/page{i}" for i in range(1, n_pages)]
+        words = np.concatenate([self._pools[name] for name in pools])
+        pages = []
+        per_page = max(1, len(pharmacy_targets) // n_pages)
+        for i, url in enumerate(urls):
+            n_terms = int(
+                rng.integers(cfg.min_terms_per_page, cfg.max_terms_per_page + 1)
+            )
+            text = " ".join(rng.choice(words, size=n_terms).tolist())
+            links: list[str] = []
+            if n_pages > 1:
+                links.append(urls[(i + 1) % n_pages])
+            start = i * per_page
+            for target in pharmacy_targets[start : start + per_page]:
+                links.append(f"https://www.{target}/")
+            for endpoint_domain in endpoint_targets:
+                if rng.random() < 0.5:
+                    links.append(f"https://www.{endpoint_domain}/")
+            pages.append(WebPage(url=url, text=text, links=tuple(links)))
+        return pages
+
+    def _make_site_pages(
+        self,
+        rng: np.random.Generator,
+        domain: str,
+        mix: np.ndarray,
+        link_weights: dict[str, float],
+        hub_targets: tuple[str, ...],
+        link_rate_scale: float = 1.0,
+    ) -> list[WebPage]:
+        cfg = self._config
+        n_pages = int(rng.integers(cfg.min_pages, cfg.max_pages + 1))
+        words = np.concatenate(list(self._pools.values()))
+        base = f"https://www.{domain}"
+        urls = [f"{base}/"] + [f"{base}/page{i}" for i in range(1, n_pages)]
+        targets = list(link_weights)
+        target_w = np.array([link_weights[t] for t in targets])
+        target_w = target_w / target_w.sum()
+        pages = []
+        for i, url in enumerate(urls):
+            n_terms = int(
+                rng.integers(cfg.min_terms_per_page, cfg.max_terms_per_page + 1)
+            )
+            tokens = rng.choice(words, size=n_terms, p=mix)
+            text = " ".join(tokens.tolist())
+            if i == 0:
+                text = f"welcome to {domain.split('.')[0]} online pharmacy. {text}"
+            links: list[str] = []
+            if n_pages > 1:
+                links.append(urls[(i + 1) % n_pages])
+                for _ in range(2):
+                    links.append(urls[int(rng.integers(0, n_pages))])
+            n_ext = int(rng.poisson(cfg.external_links_per_page * link_rate_scale))
+            for _ in range(n_ext):
+                target = str(rng.choice(targets, p=target_w))
+                links.append(f"https://www.{target}/")
+            for hub in hub_targets:
+                if rng.random() < 0.8:
+                    links.append(f"https://www.{hub}/")
+            pages.append(WebPage(url=url, text=text, links=tuple(links)))
+        return pages
