@@ -18,7 +18,7 @@ import pathlib
 import pytest
 
 from repro.core.config import ExperimentConfig
-from repro.devtools.testing import pytest_runtest_call  # noqa: F401
+from tools.testing import pytest_runtest_call  # noqa: F401
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 

@@ -347,9 +347,11 @@ class ShardManifest:
 
         Raises:
             PersistenceError: not an object, wrong format marker or
-                version, a missing key, or a field of the wrong type
+                version, a missing key, a field of the wrong type
                 (including a shard entry without ``file`` or
-                ``n_sites``).
+                ``n_sites``), or totals that disagree with the shard
+                entries (``n_shards`` against their count, ``n_sites``
+                against the sum of theirs).
         """
         if (
             not isinstance(payload, dict)
@@ -366,10 +368,23 @@ class ShardManifest:
                     raise PersistenceError(
                         f"malformed shard manifest: bad shard entry {entry!r}"
                     )
+            n_shards = int(payload["n_shards"])
+            n_sites = int(payload["n_sites"])
+            if n_shards != len(shards):
+                raise PersistenceError(
+                    f"malformed shard manifest: n_shards is {n_shards} but "
+                    f"{len(shards)} shard entries are listed"
+                )
+            listed = sum(int(entry["n_sites"]) for entry in shards)
+            if n_sites != listed:
+                raise PersistenceError(
+                    f"malformed shard manifest: n_sites is {n_sites} but the "
+                    f"shard entries hold {listed}"
+                )
             return cls(
                 name=str(payload["name"]),
-                n_shards=int(payload["n_shards"]),
-                n_sites=int(payload["n_sites"]),
+                n_shards=n_shards,
+                n_sites=n_sites,
                 n_legitimate=int(payload["n_legitimate"]),
                 n_illegitimate=int(payload["n_illegitimate"]),
                 generation=int(payload["generation"]),

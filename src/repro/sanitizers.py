@@ -1,6 +1,6 @@
 """The ``@sanitizes`` declaration for the flow analyzer's taint rules.
 
-The interprocedural taint analysis (``repro.devtools.flow``) treats
+The interprocedural taint analysis (``tools.flow``) treats
 every value derived from untrusted web content as tainted until it
 passes through a function explicitly declared to neutralize a class of
 sink.  That declaration is the :func:`sanitizes` decorator::

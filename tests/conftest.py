@@ -2,7 +2,7 @@
 and crawling happen once per test run.
 
 Also arms the per-test timeout guard from
-:mod:`repro.devtools.testing` (``REPRO_TEST_TIMEOUT``, default 120s)
+:mod:`tools.testing` (``REPRO_TEST_TIMEOUT``, default 120s)
 so a hung crawl or an accidental real ``time.sleep`` in a retry loop
 fails fast instead of hanging CI.
 """
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.data import GeneratorConfig, SyntheticWebGenerator, crawl_snapshot
-from repro.devtools.testing import pytest_runtest_call  # noqa: F401
+from tools.testing import pytest_runtest_call  # noqa: F401
 
 
 TINY_CONFIG = GeneratorConfig(

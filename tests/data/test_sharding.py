@@ -291,6 +291,28 @@ class TestInconsistentShards:
             with pytest.raises(PersistenceError, match=name):
                 read()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_sites", 59), ("n_shards", 3), ("n_shards", 1)],
+        ids=["n-sites-short", "n-shards-over", "n-shards-under"],
+    )
+    def test_manifest_totals_must_match_the_shard_entries(
+        self, good_dir, tmp_path, key, value
+    ):
+        import shutil
+
+        root = tmp_path / "bad"
+        shutil.copytree(good_dir, root)
+        manifest_path = root / MANIFEST_FILENAME
+        payload = json.loads(manifest_path.read_text())
+        assert [e["n_sites"] for e in payload["shards"]] == [27, 33]
+        payload[key] = value
+        manifest_path.write_text(json.dumps(payload))
+        with pytest.raises(PersistenceError, match=MANIFEST_FILENAME):
+            ShardedCorpus(root)
+        with pytest.raises(PersistenceError, match=key):
+            ShardManifest.from_dict(payload)
+
     def test_consistent_shards_read(self, good_dir):
         corpus = ShardedCorpus(good_dir)
         rows = corpus.sites_view().rows(0, 60)

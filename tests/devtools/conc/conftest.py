@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.conc.analyzer import conc_findings
-from repro.devtools.flow.analysis import analyze_project
+from tools.conc.analyzer import conc_findings
+from tools.flow.analysis import analyze_project
 
 CONCPKG = Path(__file__).parent.parent / "fixtures" / "concpkg"
 REPO_ROOT = Path(__file__).resolve().parents[3]

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import json
 
-from repro.devtools.analyze import main
-from repro.devtools.conc.registry import CONC_RULES
+from tools.analyze import main
+from tools.conc.registry import CONC_RULES
 
 from tests.devtools.conc.conftest import CONCPKG
 

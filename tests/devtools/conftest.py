@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.analyze import main
+from tools.analyze import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 

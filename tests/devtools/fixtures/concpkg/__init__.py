@@ -1,6 +1,6 @@
 """Fixture package for the repro-conc analyzer tests.
 
-Parsed by ``repro.devtools.flow.project.load_project`` for the static
+Parsed by ``tools.flow.project.load_project`` for the static
 tests, and *imported and executed* by the C003 behavior test, which
 proves the fork-RNG rule flags code that really does misbehave: the
 unseeded worker path returns different values run to run, the seeded

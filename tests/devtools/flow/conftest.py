@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.flow.callgraph import build_call_graph
-from repro.devtools.flow.interp import run_analysis
-from repro.devtools.flow.project import load_project
+from tools.flow.callgraph import build_call_graph
+from tools.flow.interp import run_analysis
+from tools.flow.project import load_project
 
 FLOWPKG = Path(__file__).parent.parent / "fixtures" / "flowpkg"
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.devtools.flow.determinism import determinism_findings
+from tools.flow.determinism import determinism_findings
 
 
 def _findings(flow_project, flow_result, flow_graph, extra=()):

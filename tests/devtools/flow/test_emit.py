@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 
-from repro.devtools.emit import SARIF_VERSION, render_sarif_document, sarif_run
-from repro.devtools.findings import Finding
+from tools.emit import SARIF_VERSION, render_sarif_document, sarif_run
+from tools.findings import Finding
 
 FINDING = Finding(
     rule="T001",

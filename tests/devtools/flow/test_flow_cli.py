@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import json
 
-from repro.devtools.analyze import main
-from repro.devtools.flow.registry import FLOW_RULES
+from tools.analyze import main
+from tools.flow.registry import FLOW_RULES
 
 from tests.devtools.flow.conftest import FLOWPKG
 
@@ -45,7 +45,7 @@ class TestInterproceduralEvidence:
     def test_rng_reported_in_helper_that_lint_passes(self, capsys):
         # repro-lint's single-file R002 does not fire on helpers.py
         # (default_rng is allowlisted); the flow analysis must.
-        from repro.devtools.lint import lint_paths
+        from tools.lint import lint_paths
 
         lint_findings = lint_paths([str(FLOWPKG / "helpers.py")])
         assert not any(f.rule == "R002" for f in lint_findings)

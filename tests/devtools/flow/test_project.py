@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.devtools.flow.project import load_project
+from tools.flow.project import load_project
 
 from tests.devtools.flow.conftest import FLOWPKG
 

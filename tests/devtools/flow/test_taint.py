@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.devtools.flow.interp import run_analysis
-from repro.devtools.flow.project import load_project
+from tools.flow.interp import run_analysis
+from tools.flow.project import load_project
 
 
 def _by_rule(flow_result, rule):

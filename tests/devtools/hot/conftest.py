@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.flow.analysis import analyze_project
-from repro.devtools.hot.analyzer import hot_findings
+from tools.flow.analysis import analyze_project
+from tools.hot.analyzer import hot_findings
 
 HOTPKG = Path(__file__).parent.parent / "fixtures" / "hotpkg"
 REPO_ROOT = Path(__file__).resolve().parents[3]

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import json
 
-from repro.devtools.analyze import main
-from repro.devtools.hot.analyzer import hot_findings
-from repro.devtools.hot.registry import HOT_RULES
+from tools.analyze import main
+from tools.hot.analyzer import hot_findings
+from tools.hot.registry import HOT_RULES
 
 from tests.devtools.hot.conftest import HOTPKG
 

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import re
 
-from repro.devtools.flow.analysis import analyze_project
-from repro.devtools.hot.analyzer import hot_findings
-from repro.devtools.hot.cost import (
+from tools.flow.analysis import analyze_project
+from tools.hot.analyzer import hot_findings
+from tools.hot.cost import (
     depth_weight,
     format_cost,
     reach_weight,
     site_cost,
 )
-from repro.devtools.hot.registry import DEPTH_BASE, HOT_ENTRY_SUFFIXES
+from tools.hot.registry import DEPTH_BASE, HOT_ENTRY_SUFFIXES
 
 from tests.devtools.hot.conftest import HOTPKG, REPO_ROOT
 

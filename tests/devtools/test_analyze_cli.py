@@ -5,21 +5,24 @@ from __future__ import annotations
 
 import json
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.analyze import main
-from repro.devtools.conc.analyzer import conc_findings
-from repro.devtools.conc.registry import CONC_RULES
-from repro.devtools.flow.analysis import analyze_project, flow_findings
-from repro.devtools.flow.registry import FLOW_RULES
-from repro.devtools.hot.analyzer import hot_findings
-from repro.devtools.hot.registry import HOT_RULES
-from repro.devtools.lint import lint_paths
-from repro.devtools.rules import RULES
+from tools.analyze import main
+from tools.conc.analyzer import conc_findings
+from tools.conc.registry import CONC_RULES
+from tools.flow.analysis import analyze_project, flow_findings
+from tools.flow.registry import FLOW_RULES
+from tools.hot.analyzer import hot_findings
+from tools.hot.registry import HOT_RULES
+from tools.lint import lint_paths
+from tools.rules import RULES
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -75,8 +78,25 @@ def test_list_rules_covers_all_four_tools(capsys):
 def test_docs_catalogue_matches_the_registry(capsys):
     # Every rule-catalogue table row in docs/devtools.md starts with a
     # rule id; together they must list exactly the rules the CLI runs.
-    docs = Path(__file__).resolve().parents[2] / "docs" / "devtools.md"
+    docs = REPO_ROOT / "docs" / "devtools.md"
     documented = re.findall(r"^\| ([A-Z]\d{3}) \|", docs.read_text(), flags=re.M)
     assert main(["--list-rules"]) == 0
     listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert documented == listed
+
+
+def test_analyzer_loads_no_library_module():
+    # The analyzer reads the library's source; it never imports it.
+    code = (
+        "import sys\n"
+        "import tools.analyze\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'repro'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -4,19 +4,17 @@ baseline, formats."""
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-import repro
+from tools.analyze import main
+from tools.baseline import Baseline
+from tools.lint import discover_files, lint_paths
+from tools.rules import RULES
 
-from repro.devtools.analyze import main
-from repro.devtools.baseline import Baseline
-from repro.devtools.lint import discover_files, lint_paths
-from repro.devtools.rules import RULES
-
+REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
 VIOLATIONS = FIXTURES / "violations"
 
@@ -188,13 +186,12 @@ class TestDiscovery:
 
 
 def test_old_lint_command_fails_loudly():
-    src_root = str(Path(repro.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.devtools.lint", str(VIOLATIONS)],
-        env={**os.environ, "PYTHONPATH": src_root},
+        [sys.executable, "-m", "tools.lint", str(VIOLATIONS)],
+        cwd=REPO_ROOT,
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "python -m repro.devtools.analyze" in proc.stderr
+    assert "python -m tools.analyze" in proc.stderr

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.lint import lint_paths
-from repro.devtools.rules import RULES, infer_layer, parse_module
+from tools.lint import lint_paths
+from tools.rules import RULES, infer_layer, parse_module
 
 FIXTURES = Path(__file__).parent / "fixtures"
 VIOLATIONS = FIXTURES / "violations"
@@ -93,7 +93,7 @@ class TestR003:
         assert infer_layer("src/repro/text/term_vector.py") == "text"
         assert infer_layer("src/repro/cli.py") == "cli"
         assert infer_layer("src/repro/io.py") is None
-        assert infer_layer("src/repro/devtools/lint.py") == "devtools"
+        assert infer_layer("tools/lint.py") is None
 
     def test_cli_layer_is_unrestricted(self):
         source = "from repro.experiments import tables\n"
@@ -112,13 +112,19 @@ class TestR003:
         assert _run_rule("R003", "src/repro/network/pagerank.py", source) == []
 
     def test_library_layer_cannot_import_the_analyzer(self):
-        for source in (
-            "from repro.devtools.rules import RULES\n",
-            "import repro.devtools.analyze\n",
-            "from repro import devtools\n",
-        ):
-            (finding,) = _run_rule("R003", "src/repro/text/term_vector.py", source)
-            assert "`devtools`" in finding.message
+        for path in ("src/repro/text/term_vector.py", "src/repro/io.py"):
+            for source in (
+                "from tools.rules import RULES\n",
+                "import tools.analyze\n",
+                "from tools import rules\n",
+            ):
+                (finding,) = _run_rule("R003", path, source)
+                assert "`tools`" in finding.message
+
+    def test_analyzer_may_import_itself(self):
+        source = "from tools.findings import Finding\n"
+        assert _run_rule("R003", "tools/rules.py", source) == []
+        assert _run_rule("R003", "tools/flow/project.py", source) == []
 
 
 class TestR004:
@@ -202,14 +208,14 @@ class TestR008:
         )
         assert _run_rule("R008", "x.py", source)
 
-    def test_devtools_layer_is_exempt(self):
+    def test_analyzer_modules_are_not_exempt(self):
         source = (
             "def f() -> int:\n"
             "    '''doc'''\n"
             "    try:\n        return 1\n"
             "    except Exception:\n        return 0\n"
         )
-        assert _run_rule("R008", "src/repro/devtools/lint.py", source) == []
+        assert _run_rule("R008", "tools/lint.py", source)
 
 
 class TestSuppressions:

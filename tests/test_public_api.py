@@ -1,6 +1,7 @@
 """Public-API surface tests."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -78,21 +79,40 @@ class TestPublicAPI:
 def test_library_loads_no_analyzer():
     # The verifier, the service and the stream import their contracts
     # and sanitizer declarations from repro itself, never the analyzer.
-    src_root = str(Path(repro.__file__).resolve().parents[1])
+    # The child runs from the repo root, where `tools` is importable.
+    repo_root = Path(repro.__file__).resolve().parents[2]
     code = (
         "import sys\n"
         "import repro, repro.cli, repro.core.verifier, repro.serve.service\n"
         "import repro.stream.pipeline, repro.experiments.runner\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['repro', 'devtools']))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'tools'\n"
+        "             or m.split('.')[:2] == ['repro', 'devtools']))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src_root},
+        cwd=repo_root,
+        env={**os.environ, "PYTHONPATH": str(repo_root / "src")},
         capture_output=True,
         text=True,
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_installed_packages_hold_no_analyzer():
+    # `find_packages(where="src")` is what `pip install` ships.
+    setuptools = pytest.importorskip("setuptools")
+    shipped = setuptools.find_packages(where=str(Path(repro.__file__).parents[1]))
+    assert "repro" in shipped
+    analyzer = [
+        name for name in shipped
+        if "devtools" in name.split(".") or name.split(".")[0] == "tools"
+    ]
+    assert analyzer == []
+
+
+def test_no_analyzer_shim_in_the_library():
+    assert importlib.util.find_spec("repro.devtools") is None
 
 
 def test_console_scripts_resolve():

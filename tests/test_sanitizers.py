@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.devtools.flow.registry import TAINT_RULE_BY_CATEGORY
+from tools.flow.registry import TAINT_RULE_BY_CATEGORY
 from repro.exceptions import ValidationError
 from repro.sanitizers import SANITIZER_CATEGORIES, sanitizes
 

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.devtools.analyze [package-dirs ...]
+    python -m tools.analyze [package-dirs ...]
         [--baseline PATH] [--no-baseline] [--write-baseline]
         [--justification TEXT] [--format text|json|sarif] [--list-rules]
 
@@ -10,13 +10,13 @@ Runs four analyzers over the same package directories (default
 ``src/repro``):
 
 * ``repro-lint`` — per-module rules R001-R004, R007 and R008
-  (:mod:`repro.devtools.lint`);
+  (:mod:`tools.lint`);
 * ``repro-flow`` — interprocedural taint and determinism, T001, T004,
-  D001 and D003 (:mod:`repro.devtools.flow`);
+  D001 and D003 (:mod:`tools.flow`);
 * ``repro-conc`` — parallel safety and cache coherence, C001 and
-  C003-C006 (:mod:`repro.devtools.conc`);
+  C003-C006 (:mod:`tools.conc`);
 * ``repro-hot`` — hot-path densification ranked by a static cost
-  model, P007 (:mod:`repro.devtools.hot`).
+  model, P007 (:mod:`tools.hot`).
 
 The three interprocedural analyzers share one parsed project and call
 graph, so a run costs one front-end pass, not three.  Rule IDs are
@@ -40,18 +40,17 @@ import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from repro.devtools.baseline import DEFAULT_BASELINE_NAME, Baseline
-from repro.devtools.conc.analyzer import conc_findings
-from repro.devtools.conc.registry import CONC_RULES
-from repro.devtools.emit import render_sarif_document, sarif_run
-from repro.devtools.findings import Finding
-from repro.devtools.flow.analysis import analyze_project, flow_findings
-from repro.devtools.flow.registry import FLOW_RULES
-from repro.devtools.hot.analyzer import hot_findings
-from repro.devtools.hot.registry import HOT_RULES
-from repro.devtools.lint import lint_paths
-from repro.devtools.rules import RULES
-from repro.exceptions import ValidationError
+from tools.baseline import DEFAULT_BASELINE_NAME, Baseline, BaselineError
+from tools.conc.analyzer import conc_findings
+from tools.conc.registry import CONC_RULES
+from tools.emit import render_sarif_document, sarif_run
+from tools.findings import Finding
+from tools.flow.analysis import analyze_project, flow_findings
+from tools.flow.registry import FLOW_RULES
+from tools.hot.analyzer import hot_findings
+from tools.hot.registry import HOT_RULES
+from tools.lint import lint_paths
+from tools.rules import RULES
 
 __all__ = ["main", "run_all"]
 
@@ -133,7 +132,7 @@ def _render_json(
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.devtools.analyze",
+        prog="python -m tools.analyze",
         description=(
             "Static analysis for the repro codebase: repro-lint, repro-flow, "
             "repro-conc and repro-hot in one pass."
@@ -199,7 +198,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         findings = run_all(args.paths)
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
+    except Exception as exc:  # noqa: BLE001  # repro-lint: disable=R008
+        # CLI boundary: a crash inside an analyzer on arbitrary target
+        # code becomes one error line and exit status 2, not a traceback.
         sys.stderr.write(f"error: {exc}\n")
         return 2
 
@@ -208,7 +209,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.write_baseline:
         try:
             previous = Baseline.load(baseline_path)
-        except (OSError, ValidationError):
+        except (OSError, BaselineError):
             previous = Baseline()  # unreadable: rewrite it from scratch
         Baseline.from_findings(
             everything, justification=args.justification, previous=previous
@@ -218,7 +219,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         baseline = Baseline() if args.no_baseline else Baseline.load(baseline_path)
-    except (OSError, ValidationError) as exc:
+    except (OSError, BaselineError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     new: dict[str, list[Finding]] = {}

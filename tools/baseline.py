@@ -6,7 +6,7 @@ report, so a rule can be introduced without first fixing (or while
 deliberately keeping) every historical hit; any *new* violation still
 fails the build.  Rule IDs are disjoint across the four tools, so one
 file, ``.repro-baseline.json``, gates them all.  Regenerate it with
-``python -m repro.devtools.analyze --write-baseline``.
+``python -m tools.analyze --write-baseline``.
 """
 
 from __future__ import annotations
@@ -15,14 +15,17 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.devtools.findings import Finding
-from repro.exceptions import ValidationError
+from tools.findings import Finding
 
-__all__ = ["Baseline", "DEFAULT_BASELINE_NAME"]
+__all__ = ["Baseline", "BaselineError", "DEFAULT_BASELINE_NAME"]
 
 DEFAULT_BASELINE_NAME = ".repro-baseline.json"
 
 _FORMAT_VERSION = 1
+
+
+class BaselineError(Exception):
+    """A baseline file that is not the JSON format :meth:`Baseline.save` writes."""
 
 
 class Baseline:
@@ -104,20 +107,20 @@ class Baseline:
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"baseline {path} is not valid JSON: {exc}") from exc
+            raise BaselineError(f"baseline {path} is not valid JSON: {exc}") from exc
         if (
             not isinstance(payload, dict)
             or payload.get("version") != _FORMAT_VERSION
             or not isinstance(payload.get("findings"), list)
         ):
-            raise ValidationError(
+            raise BaselineError(
                 f"baseline {path} has an unsupported format; regenerate it "
                 "with --write-baseline"
             )
         entries = []
         for entry in payload["findings"]:
             if not isinstance(entry, dict) or "fingerprint" not in entry:
-                raise ValidationError(
+                raise BaselineError(
                     f"baseline {path} contains an entry without a fingerprint"
                 )
             entries.append(entry)

@@ -22,7 +22,7 @@ import ast
 import builtins
 from typing import Iterable
 
-from repro.devtools.conc.effects import (
+from tools.conc.effects import (
     FunctionEffects,
     collect_data_globals,
     collect_mutable_globals,
@@ -30,22 +30,22 @@ from repro.devtools.conc.effects import (
     iter_scope_nodes,
     scope_assignments,
 )
-from repro.devtools.conc.entrypoints import (
+from tools.conc.entrypoints import (
     CacheSite,
     WorkerSubmission,
     discover_sites,
     enclosing_function_chain,
 )
-from repro.devtools.conc.registry import (
+from tools.conc.registry import (
     ATOMIC_IO_EXEMPT_SUFFIXES,
     EXECUTION_KNOBS,
     FORK_UNSAFE_FACTORIES,
     SUPPRESSION_MARKER,
     TEMPORAL_KEY_ATTRS,
 )
-from repro.devtools.findings import Finding, assign_occurrences
-from repro.devtools.flow.analysis import ProjectAnalysis
-from repro.devtools.flow.project import FunctionUnit, ModuleUnit
+from tools.findings import Finding, assign_occurrences
+from tools.flow.analysis import ProjectAnalysis
+from tools.flow.project import FunctionUnit, ModuleUnit
 
 __all__ = ["conc_findings"]
 

@@ -1,6 +1,6 @@
 """Per-function side-effect extraction for the concurrency analyzer.
 
-For every :class:`~repro.devtools.flow.project.FunctionUnit` (and each
+For every :class:`~tools.flow.project.FunctionUnit` (and each
 module's import-time code) this module records the *effects* rules
 C001 and C004 care about:
 
@@ -25,12 +25,12 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from repro.devtools.conc.registry import (
+from tools.conc.registry import (
     MUTABLE_FACTORIES,
     MUTATOR_METHODS,
     WRITE_MODE_CHARS,
 )
-from repro.devtools.flow.project import FunctionUnit, ModuleUnit, Project
+from tools.flow.project import FunctionUnit, ModuleUnit, Project
 
 __all__ = [
     "Effect",

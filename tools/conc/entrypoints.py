@@ -22,9 +22,9 @@ import ast
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.devtools.conc.effects import iter_scope_nodes, scope_assignments
-from repro.devtools.conc.registry import EXECUTOR_FACTORIES
-from repro.devtools.flow.project import FunctionUnit, ModuleUnit, Project
+from tools.conc.effects import iter_scope_nodes, scope_assignments
+from tools.conc.registry import EXECUTOR_FACTORIES
+from tools.flow.project import FunctionUnit, ModuleUnit, Project
 
 __all__ = [
     "ResolvedCallable",

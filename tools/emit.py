@@ -1,7 +1,7 @@
 """SARIF report emitter for ``repro-analyze``.
 
 All four analyzers (lint, flow, conc, hot) produce
-:class:`~repro.devtools.findings.Finding` objects; :func:`sarif_run`
+:class:`~tools.findings.Finding` objects; :func:`sarif_run`
 renders one tool's findings as a SARIF run and
 :func:`render_sarif_document` wraps the runs in one 2.1.0 document, so
 ``repro-analyze`` merges the four analyzers into a single CI upload.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Mapping, Sequence
 
-from repro.devtools.findings import Finding
+from tools.findings import Finding
 
 __all__ = [
     "sarif_run",

@@ -1,8 +1,8 @@
 """Shared project-analysis pipeline for the dataflow-based analyzers.
 
 ``repro-flow`` and ``repro-conc`` both need the same expensive
-front-end: parse the package trees into a :class:`~repro.devtools.flow.
-project.Project`, run the summary fixpoint (:func:`~repro.devtools.
+front-end: parse the package trees into a :class:`~tools.flow.
+project.Project`, run the summary fixpoint (:func:`~tools.
 flow.interp.run_analysis`), and build the call graph.  This module
 exposes that pipeline once so the concurrency analyzer reuses flow's
 summaries instead of re-deriving them, and so ``repro-analyze`` can
@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.devtools.findings import Finding, assign_occurrences
-from repro.devtools.flow.callgraph import CallGraph, build_call_graph
-from repro.devtools.flow.determinism import determinism_findings
-from repro.devtools.flow.interp import AnalysisResult, run_analysis
-from repro.devtools.flow.project import Project, load_project
+from tools.findings import Finding, assign_occurrences
+from tools.flow.callgraph import CallGraph, build_call_graph
+from tools.flow.determinism import determinism_findings
+from tools.flow.interp import AnalysisResult, run_analysis
+from tools.flow.project import Project, load_project
 
 __all__ = ["ProjectAnalysis", "analyze_project", "flow_findings"]
 

@@ -1,6 +1,6 @@
 """Call-graph API over the interprocedural analysis edges.
 
-The edges come from :func:`repro.devtools.flow.interp.run_analysis` —
+The edges come from :func:`tools.flow.interp.run_analysis` —
 every call the abstract interpreter resolved to a project function,
 including methods found via ``self``, aliased imports, dispatch-dict
 lookups, ``getattr(module, name)``, and the attribute-name fallback for
@@ -14,8 +14,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.devtools.flow.interp import AnalysisResult, run_analysis
-from repro.devtools.flow.project import Project
+from tools.flow.interp import AnalysisResult, run_analysis
+from tools.flow.project import Project
 
 __all__ = ["CallGraph", "build_call_graph"]
 

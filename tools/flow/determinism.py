@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.devtools.findings import Finding
-from repro.devtools.flow.callgraph import CallGraph
-from repro.devtools.flow.interp import AnalysisResult
-from repro.devtools.flow.project import Project
+from tools.findings import Finding
+from tools.flow.callgraph import CallGraph
+from tools.flow.interp import AnalysisResult
+from tools.flow.project import Project
 
 __all__ = ["determinism_findings"]
 

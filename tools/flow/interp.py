@@ -13,7 +13,7 @@ One pass serves three consumers:
   reports source-to-sink flows as findings.
 * **Determinism** — per-function nondeterminism events (unseeded RNG,
   unordered-set iteration) later gated on entrypoint reachability by
-  :mod:`repro.devtools.flow.determinism`.
+  :mod:`tools.flow.determinism`.
 
 The abstract domain is deliberately small: a value is a possible-taint
 (with the set of sink categories already cleared by sanitizers and a
@@ -33,9 +33,9 @@ import ast
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.devtools.findings import Finding
-from repro.devtools.flow.project import FunctionUnit, ModuleUnit, Project
-from repro.devtools.flow.registry import (
+from tools.findings import Finding
+from tools.flow.project import FunctionUnit, ModuleUnit, Project
+from tools.flow.registry import (
     CLEAN_BUILTINS,
     FETCH_ATTR_NAMES,
     FETCH_SINK_DOTTED,

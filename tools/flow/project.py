@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.devtools.rules import parse_suppressions
+from tools.rules import parse_suppressions
 
 __all__ = [
     "FunctionUnit",

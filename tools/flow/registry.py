@@ -15,7 +15,7 @@ test fixture packages:
   :func:`repro.sanitizers.sanitizes` decorator, read statically from
   the AST by the project loader.
 
-Rule catalogue (``python -m repro.devtools.analyze --list-rules``):
+Rule catalogue (``python -m tools.analyze --list-rules``):
 
 ======  ===============================================================
 T001    untrusted data reaches a filesystem path / ``open()`` sink

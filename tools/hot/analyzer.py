@@ -6,7 +6,7 @@ graph — a ``todense()`` in a cold CLI helper is noise, the same one
 inside the sweep is a scaling bug.
 
 Every finding's message carries its static cost
-(:mod:`repro.devtools.hot.cost`) and, for hot sites, the shortest call
+(:mod:`tools.hot.cost`) and, for hot sites, the shortest call
 chain from the entry point; the report is ordered by descending cost so
 the most expensive regression is always the first line.
 """
@@ -16,11 +16,11 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, Sequence
 
-from repro.devtools.findings import Finding, assign_occurrences
-from repro.devtools.flow.analysis import ProjectAnalysis
-from repro.devtools.flow.project import ModuleUnit
-from repro.devtools.hot.cost import format_cost, site_cost
-from repro.devtools.hot.registry import HOT_ENTRY_SUFFIXES, SUPPRESSION_MARKER
+from tools.findings import Finding, assign_occurrences
+from tools.flow.analysis import ProjectAnalysis
+from tools.flow.project import ModuleUnit
+from tools.hot.cost import format_cost, site_cost
+from tools.hot.registry import HOT_ENTRY_SUFFIXES, SUPPRESSION_MARKER
 
 __all__ = ["hot_findings", "hot_entry_qualnames"]
 

@@ -18,7 +18,7 @@ call graph, so ranking is reproducible across runs and machines.
 
 from __future__ import annotations
 
-from repro.devtools.hot.registry import DEPTH_BASE, MAX_DEPTH_WEIGHTED
+from tools.hot.registry import DEPTH_BASE, MAX_DEPTH_WEIGHTED
 
 __all__ = ["depth_weight", "reach_weight", "site_cost", "format_cost"]
 

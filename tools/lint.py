@@ -1,10 +1,10 @@
 """repro-lint: the per-module half of the project's static analysis.
 
-:func:`lint_paths` runs every rule in :data:`repro.devtools.rules.RULES`
+:func:`lint_paths` runs every rule in :data:`tools.rules.RULES`
 over each file on its own; a file that cannot be read or parsed becomes
 an ``E000`` finding.  Run it through
-``python -m repro.devtools.analyze`` (:mod:`repro.devtools.analyze`);
-``python -m repro.devtools.lint`` only points there and exits 2.
+``python -m tools.analyze`` (:mod:`tools.analyze`);
+``python -m tools.lint`` only points there and exits 2.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.devtools.findings import Finding, assign_occurrences
-from repro.devtools.rules import RULES, ModuleInfo, parse_module
+from tools.findings import Finding, assign_occurrences
+from tools.rules import RULES, ModuleInfo, parse_module
 
 __all__ = ["lint_paths", "discover_files"]
 
@@ -84,6 +84,6 @@ def lint_paths(paths: Sequence[str]) -> list[Finding]:
 if __name__ == "__main__":
     sys.stderr.write(
         "error: repro-lint has no CLI of its own; run "
-        "python -m repro.devtools.analyze\n"
+        "python -m tools.analyze\n"
     )
     sys.exit(2)

@@ -1,7 +1,7 @@
 """Lint rules R001–R004, R007 and R008, tailored to the repro codebase.
 
 Each rule inspects one parsed module (:class:`ModuleInfo`) and yields
-:class:`~repro.devtools.findings.Finding` objects.  The catalogue:
+:class:`~tools.findings.Finding` objects.  The catalogue:
 
 ========  ==============================================================
 R001      exceptions raised inside the library must come from
@@ -11,15 +11,14 @@ R002      no unseeded randomness (``random.*``; ``np.random.*`` other
           ``data/synthesis.py``
 R003      import layering: ``text``/``network``/``ml``/``web``/``data``
           must not import ``core``/``experiments``; ``core`` must not
-          import ``experiments``; no library layer imports
-          ``devtools``, and ``devtools`` imports no library layer;
-          ``cli`` may import every other layer
+          import ``experiments``; ``cli`` may import every other
+          layer; no module outside the analyzer imports ``tools``
 R004      no mutable default arguments
 R007      public functions must carry full type hints and a docstring
 R008      no bare or over-broad exception handlers (``except:``,
           ``except Exception:``, ``except BaseException:``) in library
           code — handlers that re-raise (cleanup blocks ending in a
-          bare ``raise``) and the ``devtools`` layer are exempt
+          bare ``raise``) are exempt
 ========  ==============================================================
 
 Violations are suppressed line-by-line with ``# repro-lint:
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import PurePosixPath
 from typing import Callable, Iterator, Sequence
 
-from repro.devtools.findings import Finding
+from tools.findings import Finding
 
 __all__ = [
     "ModuleInfo",
@@ -98,7 +97,6 @@ LAYERS = frozenset(
         "core",
         "experiments",
         "cli",
-        "devtools",
         "perf",
         "serve",
         "stream",
@@ -114,39 +112,25 @@ LAYERS = frozenset(
 #: through the structural ``SiteIndex`` protocol — must not import it.
 #: ``stream`` (the incremental pipeline) sits beside ``core``: it builds
 #: on the kernel layers and ``data`` deltas but must not reach into the
-#: batch verifier, and nothing below it may import it.  No library
-#: layer imports the analyzer (``devtools``): the verifier loads none
-#: of it.
-_ABOVE_KERNELS = frozenset(
-    {"core", "data", "experiments", "cli", "serve", "stream", "devtools"}
-)
+#: batch verifier, and nothing below it may import it.
+_ABOVE_KERNELS = frozenset({"core", "data", "experiments", "cli", "serve", "stream"})
 FORBIDDEN_IMPORTS: dict[str, frozenset[str]] = {
     "perf": _ABOVE_KERNELS,
     "text": _ABOVE_KERNELS,
     "network": _ABOVE_KERNELS,
     "ml": _ABOVE_KERNELS,
     "web": _ABOVE_KERNELS,
-    "data": frozenset({"core", "experiments", "cli", "serve", "stream", "devtools"}),
-    "core": frozenset({"experiments", "cli", "serve", "stream", "devtools"}),
-    "stream": frozenset({"core", "experiments", "cli", "serve", "devtools"}),
-    "serve": frozenset({"data", "experiments", "cli", "stream", "devtools"}),
-    "experiments": frozenset({"cli", "serve", "devtools"}),
-    "cli": frozenset({"devtools"}),
-    "devtools": frozenset(
-        {
-            "text",
-            "network",
-            "ml",
-            "web",
-            "data",
-            "core",
-            "experiments",
-            "cli",
-            "serve",
-            "stream",
-        }
-    ),
+    "data": frozenset({"core", "experiments", "cli", "serve", "stream"}),
+    "core": frozenset({"experiments", "cli", "serve", "stream"}),
+    "stream": frozenset({"core", "experiments", "cli", "serve"}),
+    "serve": frozenset({"data", "experiments", "cli", "stream"}),
+    "experiments": frozenset({"cli", "serve"}),
 }
+
+#: The analyzer's own top-level package.  No module outside a directory
+#: of that name may import it, whatever its layer: the verifier loads
+#: none of the analyzer (R003).
+ANALYZER_PACKAGE = "tools"
 
 #: File-wide suppressions must appear within the first N lines.
 _FILE_SUPPRESS_WINDOW = 12
@@ -458,7 +442,8 @@ def _imported_layer(module_name: str) -> str | None:
 def _check_r003(module: ModuleInfo) -> list[Finding]:
     layer = module.layer
     forbidden = FORBIDDEN_IMPORTS.get(layer or "", frozenset())
-    if not forbidden:
+    guards_analyzer = ANALYZER_PACKAGE not in PurePosixPath(module.path).parts[:-1]
+    if not forbidden and not guards_analyzer:
         return []
     findings = []
     for node, symbol in _walk_scoped(module.tree):
@@ -472,6 +457,18 @@ def _check_r003(module: ModuleInfo) -> list[Finding]:
             else:
                 targets = [node.module]
         for target in targets:
+            if guards_analyzer and target.split(".")[0] == ANALYZER_PACKAGE:
+                findings.append(
+                    _finding(
+                        module,
+                        "R003",
+                        node,
+                        f"only the analyzer may import the analyzer package "
+                        f"`{ANALYZER_PACKAGE}` ({target})",
+                        symbol,
+                    )
+                )
+                continue
             target_layer = _imported_layer(target)
             if target_layer in forbidden:
                 findings.append(
@@ -655,10 +652,6 @@ def _handler_reraises(handler: ast.ExceptHandler) -> bool:
 
 
 def _check_r008(module: ModuleInfo) -> list[Finding]:
-    if module.layer == "devtools":
-        # Analysis tooling legitimately firewalls arbitrary target-code
-        # failures (a crashing rule must not take the linter down).
-        return []
     findings = []
     for node, symbol in _walk_scoped(module.tree):
         if not isinstance(node, ast.ExceptHandler):

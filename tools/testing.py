@@ -3,7 +3,7 @@
 Not imported by the library itself (it needs :mod:`pytest`, a dev-only
 dependency); conftests pull the hook in by name::
 
-    from repro.devtools.testing import pytest_runtest_call  # noqa: F401
+    from tools.testing import pytest_runtest_call  # noqa: F401
 
 The hook kills any single test that runs longer than
 ``REPRO_TEST_TIMEOUT`` seconds (default 120) — a crawl that stops
