@@ -65,6 +65,12 @@ MAX_BODY_BYTES = 1_048_576
 #: Seconds a shed request should wait before retrying.
 SHED_RETRY_AFTER = 1
 
+#: Poll interval, in seconds, of the :meth:`start_background` serve
+#: loop.  :meth:`VerificationHTTPServer.drain`'s ``shutdown()`` waits
+#: for the loop's next poll, which at the stdlib default of 0.5 s made
+#: every drain take about half a second.
+BACKGROUND_POLL_INTERVAL = 0.05
+
 
 class VerificationHTTPServer(ThreadingHTTPServer):
     """Threaded HTTP server wired to one :class:`VerificationService`.
@@ -120,7 +126,10 @@ class VerificationHTTPServer(ThreadingHTTPServer):
     def start_background(self) -> threading.Thread:
         """Run :meth:`serve_forever` in a daemon thread and return it."""
         thread = threading.Thread(
-            target=self.serve_forever, name="repro-serve", daemon=True
+            target=self.serve_forever,
+            kwargs={"poll_interval": BACKGROUND_POLL_INTERVAL},
+            name="repro-serve",
+            daemon=True,
         )
         thread.start()
         self._serve_thread = thread

@@ -45,9 +45,14 @@ class TestInterproceduralEvidence:
     def test_rng_reported_in_helper_that_lint_passes(self, capsys):
         # repro-lint's single-file R002 does not fire on helpers.py
         # (default_rng is allowlisted); the flow analysis must.
-        from tools.lint import lint_paths
+        from tools import lint
+        from tools.flow.project import load_project
 
-        lint_findings = lint_paths([str(FLOWPKG / "helpers.py")])
+        lint_findings = [
+            f
+            for f in lint.lint_findings(load_project([str(FLOWPKG)]))
+            if f.path == str(FLOWPKG / "helpers.py")
+        ]
         assert not any(f.rule == "R002" for f in lint_findings)
 
         main([str(FLOWPKG), "--no-baseline"])

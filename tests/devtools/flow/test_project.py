@@ -19,6 +19,27 @@ class TestModuleNaming:
     def test_no_load_errors(self, flow_project):
         assert flow_project.errors == []
 
+    def test_overlapping_roots_load_each_file_once(self, tmp_path):
+        package = tmp_path / "pkg"
+        (package / "sub").mkdir(parents=True)
+        (package / "sub" / "mod.py").write_text("x = 1\n")
+        project = load_project([str(package), str(package / "sub")])
+        assert [m.path for m in project.modules.values()] == [
+            str(package / "sub" / "mod.py")
+        ]
+
+    def test_shadowed_module_name_is_a_load_error(self, tmp_path):
+        for tree in ("a", "b"):
+            (tmp_path / tree / "pkg").mkdir(parents=True)
+            (tmp_path / tree / "pkg" / "mod.py").write_text("x = 1\n")
+        project = load_project(
+            [str(tmp_path / "a" / "pkg"), str(tmp_path / "b" / "pkg")]
+        )
+        assert project.modules["pkg.mod"].path == str(tmp_path / "a" / "pkg" / "mod.py")
+        (error,) = project.errors
+        assert error[0] == str(tmp_path / "b" / "pkg" / "mod.py")
+        assert "already loaded" in error[2]
+
 
 class TestImports:
     def test_plain_from_import(self, flow_project):
@@ -67,7 +88,7 @@ class TestSuppressions:
         storage = flow_project.modules["flowpkg.storage"]
         suppressed_lines = [
             line
-            for line, ids in storage.line_suppressions.items()
+            for line, ids in storage.suppressions["repro-flow"][0].items()
             if "T001" in ids
         ]
         assert len(suppressed_lines) == 1

@@ -1,10 +1,13 @@
 """repro-analyze merges four analyzers: it must drop no finding, report
-files no analyzer could load, and list every rule."""
+files no analyzer could load, list every rule, read each file once and
+keep each tool's suppression marker to itself."""
 
 from __future__ import annotations
 
+import ast
 import json
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -12,14 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from tools.analyze import main
+from tools.analyze import main, run_all
 from tools.conc.analyzer import conc_findings
 from tools.conc.registry import CONC_RULES
 from tools.flow.analysis import analyze_project, flow_findings
 from tools.flow.registry import FLOW_RULES
 from tools.hot.analyzer import hot_findings
 from tools.hot.registry import HOT_RULES
-from tools.lint import lint_paths
+from tools.lint import lint_findings
 from tools.rules import RULES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -38,7 +41,7 @@ def test_cli_reports_every_library_finding(package, capsys):
     analysis = analyze_project([path])
     library = Counter()
     for tool, findings in (
-        ("repro-lint", lint_paths([path])),
+        ("repro-lint", lint_findings(analysis.project)),
         ("repro-flow", flow_findings(analysis)),
         ("repro-conc", conc_findings(analysis)),
         ("repro-hot", hot_findings(analysis)),
@@ -100,3 +103,50 @@ def test_analyzer_loads_no_library_module():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_run_all_parses_each_file_once(monkeypatch):
+    flowpkg = FIXTURES / "flowpkg"
+    parsed = Counter()
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed[filename] += 1
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    run_all([str(flowpkg)])
+    files = {str(path) for path in flowpkg.rglob("*.py")}
+    assert len(files) == 7
+    assert parsed == Counter(dict.fromkeys(files, 1))
+
+
+@pytest.mark.parametrize(
+    ("package", "rule", "path", "line", "other_marker", "own_marker"),
+    [
+        ("violations", "R001", "r001_exceptions.py", 9, "repro-flow", "repro-lint"),
+        ("flowpkg", "T001", "storage.py", 12, "repro-lint", "repro-flow"),
+        ("concpkg", "C004", "workers.py", 58, "repro-flow", "repro-conc"),
+        ("hotpkg", "P007", "pipeline.py", 9, "repro-flow", "repro-hot"),
+    ],
+)
+def test_suppression_marker_silences_only_its_tool(
+    package, rule, path, line, other_marker, own_marker, tmp_path
+):
+    root = tmp_path / package
+    shutil.copytree(FIXTURES / package, root)
+    target = root / path
+    source = target.read_text().splitlines()
+
+    def reported(marker: str, ids: str) -> bool:
+        edited = list(source)
+        edited[line - 1] += f"  # {marker}: disable={ids}"
+        target.write_text("\n".join(edited) + "\n")
+        return any(
+            (f.rule, f.path, f.line) == (rule, str(target), line)
+            for findings in run_all([str(root)]).values()
+            for f in findings
+        )
+
+    assert reported(other_marker, "all")
+    assert not reported(own_marker, rule)

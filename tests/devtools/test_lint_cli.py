@@ -11,7 +11,8 @@ from pathlib import Path
 
 from tools.analyze import main
 from tools.baseline import Baseline
-from tools.lint import discover_files, lint_paths
+from tools.flow.project import load_project
+from tools.lint import lint_findings
 from tools.rules import RULES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -145,14 +146,14 @@ class TestBaselineWorkflow:
         original = (VIOLATIONS / "r001_exceptions.py").read_text()
         target = tmp_path / "mod.py"
         target.write_text(original)
-        baseline = Baseline.from_findings(lint_paths([str(target)]))
+        baseline = Baseline.from_findings(lint_findings(load_project([str(tmp_path)])))
 
         shifted = original.replace(
             '"""Seeded R001 violation: raises a builtin exception."""',
             '"""Seeded R001 violation: raises a builtin exception."""\n\nPADDING = 1',
         )
         target.write_text(shifted)
-        new, grandfathered = baseline.filter(lint_paths([str(target)]))
+        new, grandfathered = baseline.filter(lint_findings(load_project([str(tmp_path)])))
         assert new == []
         assert len(grandfathered) == 1
 
@@ -176,7 +177,7 @@ class TestDiscovery:
         cache.mkdir()
         (cache / "junk.py").write_text("x = 1\n")
         (tmp_path / "real.py").write_text("x = 1\n")
-        found = discover_files([str(tmp_path)])
+        found = [Path(m.path) for m in load_project([str(tmp_path)]).modules.values()]
         assert [p.name for p in found] == ["real.py"]
 
     def test_list_rules(self, capsys):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from tools.lint import lint_paths
-from tools.rules import RULES, infer_layer, parse_module
+from tools.flow.project import load_project
+from tools.lint import lint_findings
+from tools.rules import RULES, infer_layer
 
 FIXTURES = Path(__file__).parent / "fixtures"
 VIOLATIONS = FIXTURES / "violations"
@@ -23,8 +25,21 @@ RULE_FIXTURES = {
 
 
 def _run_rule(rule_id: str, path: str, source: str):
+    """Run one rule on ``source`` saved at ``path`` under a scratch root
+    (the path's directories still decide the layer)."""
     (rule,) = [r for r in RULES if r.rule_id == rule_id]
-    return rule.run(parse_module(path, source))
+    with tempfile.TemporaryDirectory() as root:
+        target = Path(root, path.lstrip("/"))
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source)
+        (module,) = load_project([root]).modules.values()
+        return rule.run(module)
+
+
+def _lint_file(path: Path):
+    """Lint findings for one file, loaded with the rest of its directory."""
+    findings = lint_findings(load_project([str(path.parent)]))
+    return [f for f in findings if f.path == str(path)]
 
 
 class TestPositiveFixtures:
@@ -40,13 +55,13 @@ class TestPositiveFixtures:
 
     @pytest.mark.parametrize("rule_id", sorted(RULE_FIXTURES))
     def test_fixture_triggers_no_other_rule(self, rule_id):
-        findings = lint_paths([str(RULE_FIXTURES[rule_id])])
+        findings = _lint_file(RULE_FIXTURES[rule_id])
         assert {f.rule for f in findings} == {rule_id}
 
 
 class TestNegativeFixture:
     def test_clean_module_has_no_findings(self):
-        findings = lint_paths([str(FIXTURES / "clean.py")])
+        findings = _lint_file(FIXTURES / "clean.py")
         assert findings == []
 
 

@@ -18,8 +18,10 @@ Runs four analyzers over the same package directories (default
 * ``repro-hot`` — hot-path densification ranked by a static cost
   model, P007 (:mod:`tools.hot`).
 
-The three interprocedural analyzers share one parsed project and call
-graph, so a run costs one front-end pass, not three.  Rule IDs are
+All four analyzers read one parsed project
+(:func:`tools.flow.project.load_project`), and the three
+interprocedural ones share its call graph, so a run reads, parses and
+suppression-scans each file once.  Rule IDs are
 disjoint across tools, so one baseline file (``.repro-baseline.json``
 in the current directory) gates all four.  A file that cannot be read
 or parsed is reported once, as lint's ``E000`` finding.
@@ -49,7 +51,7 @@ from tools.flow.analysis import analyze_project, flow_findings
 from tools.flow.registry import FLOW_RULES
 from tools.hot.analyzer import hot_findings
 from tools.hot.registry import HOT_RULES
-from tools.lint import lint_paths
+from tools.lint import lint_findings
 from tools.rules import RULES
 
 __all__ = ["main", "run_all"]
@@ -72,7 +74,7 @@ def run_all(paths: Sequence[str]) -> dict[str, list[Finding]]:
     """
     analysis = analyze_project(paths)
     return {
-        "repro-lint": lint_paths(paths),
+        "repro-lint": lint_findings(analysis.project),
         "repro-flow": flow_findings(analysis),
         "repro-conc": conc_findings(analysis),
         "repro-hot": hot_findings(analysis),

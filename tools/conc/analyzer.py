@@ -85,23 +85,13 @@ class _ConcAnalyzer:
         symbol: str,
         identity_extra: str = "",
     ) -> None:
-        if module.is_suppressed_marker(SUPPRESSION_MARKER, rule, line):
+        if module.is_suppressed(SUPPRESSION_MARKER, rule, line):
             return
         identity = (rule, module.path, line, column, identity_extra)
         if identity in self._seen:
             return
         self._seen.add(identity)
-        self.findings.append(
-            Finding(
-                rule=rule,
-                path=module.path,
-                line=line,
-                column=column,
-                message=message,
-                symbol=symbol,
-                source_line=module.source_line(line),
-            )
-        )
+        self.findings.append(module.finding(rule, line, column, message, symbol))
 
     def _node_context(self, qualname: str) -> tuple[ModuleUnit, str] | None:
         """(module, symbol) for a call-graph node."""

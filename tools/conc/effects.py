@@ -110,54 +110,27 @@ def _is_mutable_value(node: ast.expr) -> bool:
 
 def collect_mutable_globals(project: Project) -> dict[str, int]:
     """Module-level mutable containers: ``module.NAME`` -> def line."""
-    table: dict[str, int] = {}
-    for module in project.modules.values():
-        for node in module.tree.body:
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            if value is None or not _is_mutable_value(value):
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    table[f"{module.name}.{target.id}"] = node.lineno
-    return table
+    return {
+        f"{module.name}.{name}": line
+        for module in project.modules.values()
+        for name, value, line in module.global_assignments()
+        if _is_mutable_value(value)
+    }
 
 
 def collect_data_globals(project: Project) -> dict[str, set[str]]:
     """Module name -> module-level *data* names (assignment targets that
     are not functions, classes, or imports) — C005's global candidates."""
-    table: dict[str, set[str]] = {}
-    for module in project.modules.values():
-        names: set[str] = set()
-        for node in module.tree.body:
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets = [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name) and not target.id.startswith("__"):
-                    names.add(target.id)
-        names -= set(module.functions)
-        names -= set(module.imports)
-        table[module.name] = names
-    return table
-
-
-def _dotted_parts(node: ast.expr) -> tuple[str, list[str]] | None:
-    """Decompose ``a.b.c`` into its base name and attribute chain."""
-    parts: list[str] = []
-    current: ast.expr = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    return current.id, list(reversed(parts))
+    return {
+        module.name: {
+            name
+            for name, _value, _line in module.global_assignments()
+            if not name.startswith("__")
+        }
+        - set(module.functions)
+        - set(module.imports)
+        for module in project.modules.values()
+    }
 
 
 class _EffectCollector:
@@ -205,27 +178,26 @@ class _EffectCollector:
     def _global_target(self, node: ast.expr) -> str | None:
         """Resolve an expression to a module-level mutable global's
         qualified name, or ``None``."""
-        dotted = _dotted_parts(node)
-        if dotted is None:
-            return None
-        base, attrs = dotted
-        if not attrs:
-            if base in self.locals and base not in self.global_decls:
+        if isinstance(node, ast.Name):
+            if node.id in self.locals and node.id not in self.global_decls:
                 return None
-            candidate = f"{self.module.name}.{base}"
-            if candidate in self.mutable_globals:
-                return candidate
-            imported = self.module.imports.get(base)
-            if imported in self.mutable_globals:
-                return imported
-            return None
-        if len(attrs) == 1 and base not in self.locals:
-            # other_module.NAME through an import alias.
-            imported = self.module.imports.get(base)
-            if imported is not None:
-                candidate = f"{imported}.{attrs[0]}"
+            for candidate in (
+                f"{self.module.name}.{node.id}",
+                self.module.imports.get(node.id),
+            ):
                 if candidate in self.mutable_globals:
                     return candidate
+            return None
+        base = node.value if isinstance(node, ast.Attribute) else None
+        if (
+            isinstance(base, ast.Name)
+            and base.id not in self.locals
+            and base.id in self.module.imports
+        ):
+            # other_module.NAME through an import alias.
+            candidate = self.module.dotted(node)
+            if candidate in self.mutable_globals:
+                return candidate
         return None
 
     def _mutation_target(self, node: ast.expr) -> str | None:

@@ -114,22 +114,10 @@ class _SiteScanner:
             if self._is_executor_ctor(value)
         }
 
-    def _dotted(self, node: ast.expr) -> str | None:
-        """Resolve an expression that names something to a dotted path."""
-        parts: list[str] = []
-        current: ast.expr = node
-        while isinstance(current, ast.Attribute):
-            parts.append(current.attr)
-            current = current.value
-        if not isinstance(current, ast.Name):
-            return None
-        base = self.module.imports.get(current.id, current.id)
-        return ".".join([base, *reversed(parts)])
-
     def _is_executor_ctor(self, node: ast.expr) -> bool:
         if not isinstance(node, ast.Call):
             return False
-        dotted = self._dotted(node.func)
+        dotted = self.module.dotted(node.func)
         return dotted is not None and dotted.split(".")[-1] in EXECUTOR_FACTORIES
 
     # -- callable resolution ----------------------------------------------
@@ -142,7 +130,7 @@ class _SiteScanner:
         if isinstance(expr, ast.Lambda):
             return ResolvedCallable(kind="lambda", via_partial=via_partial)
         if isinstance(expr, ast.Call):
-            dotted = self._dotted(expr.func)
+            dotted = self.module.dotted(expr.func)
             if dotted is not None and dotted.split(".")[-1] == "partial" and expr.args:
                 return self.resolve_callable(expr.args[0], depth + 1, via_partial=True)
             return ResolvedCallable(kind="unknown", via_partial=via_partial)
@@ -168,7 +156,7 @@ class _SiteScanner:
                 )
             return ResolvedCallable(kind="unknown", via_partial=via_partial)
         if isinstance(expr, ast.Attribute):
-            dotted = self._dotted(expr)
+            dotted = self.module.dotted(expr)
             if dotted is not None:
                 unit = self._unit_for_dotted(dotted)
                 if unit is not None:
@@ -197,7 +185,7 @@ class _SiteScanner:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            dotted = self._dotted(func) if not isinstance(func, ast.Lambda) else None
+            dotted = self.module.dotted(func)
             if dotted is not None and dotted.split(".")[-1] == "pmap":
                 fn_expr = self._argument(node, 0, "fn")
                 if fn_expr is not None:

@@ -3,8 +3,8 @@
 The edges come from :func:`tools.flow.interp.run_analysis` —
 every call the abstract interpreter resolved to a project function,
 including methods found via ``self``, aliased imports, dispatch-dict
-lookups, ``getattr(module, name)``, and the attribute-name fallback for
-calls on unknown receivers.  Keys include one synthetic
+lookups, and the attribute-name fallback for calls on unknown
+receivers.  Keys include one synthetic
 ``<module>`` node per module for import-time code.
 """
 

@@ -17,6 +17,7 @@ that runs at import runs on every entrypoint.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 from tools.findings import Finding
@@ -60,17 +61,7 @@ def determinism_findings(
             if identity in seen:
                 continue
             seen.add(identity)
-            findings.append(
-                Finding(
-                    rule=event.rule,
-                    path=event.path,
-                    line=event.line,
-                    column=event.column,
-                    message=f"{event.message} {note}",
-                    symbol=event.symbol,
-                    source_line=event.source_line,
-                )
-            )
+            findings.append(replace(event, message=f"{event.message} {note}"))
 
     # Import-time code first: reachable from every entrypoint.
     for module in project.modules.values():

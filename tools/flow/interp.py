@@ -3,8 +3,8 @@
 One pass serves three consumers:
 
 * **Call graph** — every resolved call edge (direct calls, methods via
-  ``self``, aliased imports, dispatch-dict lookups, ``getattr`` on a
-  module, and an attribute-name fallback for unknown receivers).
+  ``self``, aliased imports, dispatch-dict lookups, and an
+  attribute-name fallback for unknown receivers).
 * **Taint** — summary-based dataflow.  Each function gets a
   :class:`Summary` describing whether its return is a taint *source*,
   which parameters flow to its return (and which sink categories are
@@ -12,8 +12,8 @@ One pass serves three consumers:
   callees.  Summaries are iterated to a fixpoint, then a final pass
   reports source-to-sink flows as findings.
 * **Determinism** — per-function nondeterminism events (unseeded RNG,
-  unordered-set iteration) later gated on entrypoint reachability by
-  :mod:`tools.flow.determinism`.
+  unordered-set iteration), recorded as findings and later gated on
+  entrypoint reachability by :mod:`tools.flow.determinism`.
 
 The abstract domain is deliberately small: a value is a possible-taint
 (with the set of sink categories already cleared by sanitizers and a
@@ -49,7 +49,9 @@ from tools.flow.registry import (
     TAINT_RULE_BY_CATEGORY,
 )
 
-__all__ = ["Taint", "AV", "SinkHit", "DetEvent", "Summary", "AnalysisResult", "run_analysis"]
+__all__ = ["Taint", "AV", "SinkHit", "Summary", "AnalysisResult", "run_analysis"]
+
+_MARKER = "repro-flow"
 
 _MAX_ORIGINS = 3
 _MAX_CHAIN = 6
@@ -145,19 +147,6 @@ class SinkHit:
     chain: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class DetEvent:
-    """One potential-nondeterminism site inside a function."""
-
-    rule: str
-    message: str
-    path: str
-    line: int
-    column: int
-    symbol: str
-    source_line: str
-
-
 @dataclass(slots=True)
 class Summary:
     """Interprocedural summary of one function."""
@@ -192,7 +181,8 @@ class AnalysisResult:
     summaries: dict[str, Summary] = field(default_factory=dict)
     call_edges: dict[str, set[str]] = field(default_factory=dict)
     taint_findings: list[Finding] = field(default_factory=list)
-    det_events: dict[str, list[DetEvent]] = field(default_factory=dict)
+    #: qualname -> potential-nondeterminism sites (D001, D003) in it.
+    det_events: dict[str, list[Finding]] = field(default_factory=dict)
 
 
 # -- callee resolution ------------------------------------------------------
@@ -230,7 +220,7 @@ class _Interp:
         self.env: dict[str, AV] = {}
         self.edges: set[str] = set()
         self.findings: list[Finding] = []
-        self.det_events: list[DetEvent] = []
+        self.det_events: list[Finding] = []
         self.ret = AV()
         self.summary = Summary()
 
@@ -258,41 +248,14 @@ class _Interp:
     def _loc(self, node: ast.AST) -> tuple[int, int]:
         return getattr(node, "lineno", 1), getattr(node, "col_offset", 0)
 
-    def _finding(self, rule: str, node: ast.AST, message: str) -> None:
+    def _report(
+        self, into: list[Finding], rule: str, node: ast.AST, message: str
+    ) -> None:
         if not self.collect:
             return
         line, column = self._loc(node)
-        if self.module.is_suppressed(rule, line):
-            return
-        self.findings.append(
-            Finding(
-                rule=rule,
-                path=self.module.path,
-                line=line,
-                column=column,
-                message=message,
-                symbol=self.symbol,
-                source_line=self.module.source_line(line),
-            )
-        )
-
-    def _det_event(self, rule: str, node: ast.AST, message: str) -> None:
-        if not self.collect:
-            return
-        line, column = self._loc(node)
-        if self.module.is_suppressed(rule, line):
-            return
-        self.det_events.append(
-            DetEvent(
-                rule=rule,
-                message=message,
-                path=self.module.path,
-                line=line,
-                column=column,
-                symbol=self.symbol,
-                source_line=self.module.source_line(line),
-            )
-        )
+        if not self.module.is_suppressed(_MARKER, rule, line):
+            into.append(self.module.finding(rule, line, column, message, self.symbol))
 
     def _origin(self, node: ast.AST, what: str) -> Taint:
         line, _ = self._loc(node)
@@ -334,7 +297,9 @@ class _Interp:
         line, column = self._loc(node)
         if value.taint is not None and category not in value.taint.cleared:
             origins = ", ".join(value.taint.origins) or "untrusted input"
-            self._finding(rule, node, f"untrusted data ({origins}) reaches {detail}")
+            self._report(
+                self.findings, rule, node, f"untrusted data ({origins}) reaches {detail}"
+            )
         for param, cleared in value.pdeps.items():
             if category in cleared:
                 continue
@@ -391,10 +356,12 @@ class _Interp:
                     arg.taint.cleared | effective
                 ):
                     rule = TAINT_RULE_BY_CATEGORY[hit.category]
-                    if not self.module.is_suppressed(rule, self._loc(node)[0]) and self.collect:
+                    if self.collect and not self.module.is_suppressed(
+                        _MARKER, rule, self._loc(node)[0]
+                    ):
                         sink_module = self._sink_module(hit.path)
                         if sink_module is None or not sink_module.is_suppressed(
-                            rule, hit.line
+                            _MARKER, rule, hit.line
                         ):
                             origins = ", ".join(arg.taint.origins) or "untrusted input"
                             chain = (self._qualname(), *hit.chain)[:_MAX_CHAIN]
@@ -454,10 +421,6 @@ class _Interp:
 
     # -- callee resolution -------------------------------------------------
 
-    def _resolve_dotted(self, base: str, attrs: Sequence[str]) -> str:
-        root = self.module.imports.get(base, base)
-        return ".".join([root, *attrs])
-
     def _lookup_units(self, dotted: str) -> list[FunctionUnit]:
         unit = self.project.functions.get(dotted)
         return [unit] if unit is not None else []
@@ -493,18 +456,15 @@ class _Interp:
                 return _Callee(kind="class", dotted=f"{self.module.name}.{name}")
             return _Callee(kind="builtin", builtin=name)
         if isinstance(func, ast.Attribute):
-            parts: list[str] = []
-            current: ast.expr = func
+            attr = func.attr
+            current: ast.expr = func.value
             while isinstance(current, ast.Attribute):
-                parts.append(current.attr)
                 current = current.value
-            parts.reverse()
-            attr = parts[-1]
             if isinstance(current, ast.Name):
                 base = current.id
                 if base == "self" and self.unit is not None and self.unit.class_name:
                     klass = self.project.classes.get(self.unit.class_name)
-                    if klass is not None and len(parts) == 1 and attr in klass.methods:
+                    if klass is not None and func.value is current and attr in klass.methods:
                         return _Callee(
                             kind="units",
                             units=[klass.methods[attr]],
@@ -512,7 +472,7 @@ class _Interp:
                             attr=attr,
                         )
                 if base in self.module.imports or base not in self.env:
-                    dotted = self._resolve_dotted(base, parts)
+                    dotted = self.module.dotted(func)
                     units = self._lookup_units(dotted)
                     if units:
                         return _Callee(kind="units", units=units, attr=attr)
@@ -529,7 +489,7 @@ class _Interp:
         if isinstance(func, ast.Subscript):
             container = func.value
             if isinstance(container, (ast.Name, ast.Attribute)):
-                dotted = self._dotted_of(container)
+                dotted = self._table_name(container)
                 if dotted is not None:
                     table = self.project.dispatch_tables.get(dotted)
                     if table is None and "." not in dotted:
@@ -570,18 +530,12 @@ class _Interp:
             attr=attr,
         )
 
-    def _dotted_of(self, node: ast.expr) -> str | None:
+    def _table_name(self, node: ast.expr) -> str | None:
+        """Dotted name of a subscripted container, for the dispatch-table
+        lookup; a bare name the module does not import is its own global."""
         if isinstance(node, ast.Name):
             return self.module.imports.get(node.id, f"{self.module.name}.{node.id}")
-        if isinstance(node, ast.Attribute):
-            parts: list[str] = []
-            current: ast.expr = node
-            while isinstance(current, ast.Attribute):
-                parts.append(current.attr)
-                current = current.value
-            if isinstance(current, ast.Name):
-                return self._resolve_dotted(current.id, list(reversed(parts)))
-        return None
+        return self.module.dotted(node)
 
     # -- expression evaluation --------------------------------------------
 
@@ -619,8 +573,8 @@ class _Interp:
         return AV()
 
     def _eval_Attribute(self, node: ast.Attribute) -> AV:
-        dotted = self._dotted_of(node)
-        if dotted is not None and dotted in self.project.functions:
+        dotted = self.module.dotted(node)
+        if dotted in self.project.functions:
             return AV(callables=frozenset({dotted}))
         value = self.eval(node.value)
         return AV(taint=value.taint, pdeps=dict(value.pdeps))
@@ -652,7 +606,7 @@ class _Interp:
         value = self.eval(node.value)
         self.eval(node.slice)
         result = AV(taint=value.taint, pdeps=dict(value.pdeps))
-        dotted = self._dotted_of(node.value)
+        dotted = self._table_name(node.value)
         if dotted is not None:
             table = self.project.dispatch_tables.get(dotted)
             if table:
@@ -813,7 +767,8 @@ class _Interp:
     ) -> AV:
         dotted = callee.dotted
         if dotted == "random" or dotted.startswith("random."):
-            self._det_event(
+            self._report(
+                self.det_events,
                 "D001",
                 node,
                 f"call to {dotted} uses the unseeded global stdlib RNG; "
@@ -827,7 +782,8 @@ class _Interp:
                     isinstance(node.args[0], ast.Constant)
                     and node.args[0].value is None
                 ):
-                    self._det_event(
+                    self._report(
+                        self.det_events,
                         "D001",
                         node,
                         f"{member}() constructed without a seed is "
@@ -835,7 +791,8 @@ class _Interp:
                     )
                 return AV()
             if member not in SEEDED_RNG_ALLOWED:
-                self._det_event(
+                self._report(
+                    self.det_events,
                     "D001",
                     node,
                     f"numpy.random.{member} uses the unseeded global "
@@ -871,18 +828,9 @@ class _Interp:
             if target is not None:
                 self._check_sink("path", target, node, "open()")
             return AV()
-        if name == "getattr" and len(node.args) >= 2:
-            dotted = self._dotted_of(node.args[0])
-            if dotted is not None and dotted in self.project.modules:
-                module = self.project.modules[dotted]
-                callables = frozenset(
-                    unit.qualname
-                    for symbol, unit in module.functions.items()
-                    if "." not in symbol
-                )
-                return AV(callables=callables)
         if name in ("list", "tuple") and positional and positional[0].is_set:
-            self._det_event(
+            self._report(
+                self.det_events,
                 "D003",
                 node,
                 f"{name}() over an unordered set fixes an arbitrary order; "
@@ -977,7 +925,8 @@ class _Interp:
         if isinstance(node, (ast.For, ast.AsyncFor)):
             iterable = self.eval(node.iter)
             if iterable.is_set:
-                self._det_event(
+                self._report(
+                    self.det_events,
                     "D003",
                     node,
                     "iteration over an unordered set; wrap in sorted(...) "

@@ -1,9 +1,12 @@
-"""Whole-package model the flow analyses operate on.
+"""Whole-package model every analyzer operates on.
 
-:func:`load_project` parses every module of one or more package trees
-and resolves the *static* structure the call-graph builder needs:
+:func:`load_project` is the analyzer's one reader: it reads, parses and
+suppression-scans every module of one or more package trees once, and
+resolves the *static* structure the lint rules and the call-graph
+builder need:
 
-* dotted module names derived from the package root;
+* dotted module names derived from the package root, and each module's
+  architectural layer (lint's R003);
 * per-module import alias tables (``import numpy as np``,
   ``from repro.web.url import parse_url as pu``, relative imports);
 * every function and method, keyed by fully qualified name, with its
@@ -12,18 +15,21 @@ and resolves the *static* structure the call-graph builder needs:
 * module-level *dispatch tables* — dict literals whose values are
   function references (``_TABLE_BUILDERS = {"table1": tables.table1}``)
   — so ``TABLE[key](config)`` calls resolve to every registered target;
-* ``# repro-flow: disable=...`` suppression comments, sharing the
-  syntax of repro-lint.
+* ``# <marker>: disable=...`` suppression comments, one table per
+  tool marker (:data:`SUPPRESSION_MARKERS`); suppressing one tool never
+  silences another.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from tools.rules import parse_suppressions
+from tools.findings import Finding
+from tools.rules import infer_layer
 
 __all__ = [
     "FunctionUnit",
@@ -35,11 +41,12 @@ __all__ = [
 
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "build", "dist"}
 
-#: Suppression-comment markers parsed for every module.  ``repro-flow``
-#: feeds :attr:`ModuleUnit.line_suppressions`; the rest are reachable
-#: through :meth:`ModuleUnit.is_suppressed_marker` (the concurrency
-#: analyzer reads ``repro-conc``, the hot-path analyzer ``repro-hot``).
-SUPPRESSION_MARKERS = ("repro-flow", "repro-conc", "repro-hot")
+#: Suppression-comment markers parsed for every module, one per tool;
+#: :meth:`ModuleUnit.is_suppressed` takes the caller's marker.
+SUPPRESSION_MARKERS = ("repro-lint", "repro-flow", "repro-conc", "repro-hot")
+
+#: File-wide suppressions must appear within the first N lines.
+_FILE_SUPPRESS_WINDOW = 12
 
 #: Module path suffixes whose public functions/methods are experiment
 #: entrypoints for the determinism analysis.
@@ -95,24 +102,25 @@ class ModuleUnit:
         path: posix path as given to the analyzer.
         tree: parsed AST.
         lines: raw source lines.
+        layer: architectural layer (:func:`tools.rules.infer_layer`),
+            or ``None`` outside the layered tree.
         imports: local alias -> dotted target.  Targets may be project
             qualnames or external dotted names (``numpy``, ``time``).
         functions: module-local symbol -> :class:`FunctionUnit`.
-        line_suppressions / file_suppressions: ``repro-flow`` comments.
+        suppressions: marker -> (line number -> disabled rule ids,
+            file-wide disabled rule ids), for every entry of
+            :data:`SUPPRESSION_MARKERS`.
     """
 
     name: str
     path: str
     tree: ast.Module
     lines: list[str]
+    layer: str | None = None
     is_package: bool = False
     imports: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionUnit] = field(default_factory=dict)
-    line_suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
-    file_suppressions: frozenset[str] = frozenset()
-    #: marker -> (per-line suppressions, file-wide suppressions) for
-    #: every entry of :data:`SUPPRESSION_MARKERS`.
-    marker_suppressions: dict[
+    suppressions: dict[
         str, tuple[dict[int, frozenset[str]], frozenset[str]]
     ] = field(default_factory=dict)
 
@@ -122,21 +130,55 @@ class ModuleUnit:
             return self.lines[lineno - 1].strip()
         return ""
 
-    def is_suppressed(self, rule_id: str, lineno: int) -> bool:
-        """Whether ``rule_id`` is disabled at ``lineno`` (repro-flow)."""
-        if rule_id in self.file_suppressions or "all" in self.file_suppressions:
-            return True
-        ids = self.line_suppressions.get(lineno, frozenset())
-        return rule_id in ids or "all" in ids
-
-    def is_suppressed_marker(self, marker: str, rule_id: str, lineno: int) -> bool:
-        """Whether ``rule_id`` is disabled at ``lineno`` for ``marker``
-        (e.g. a ``# repro-conc: disable=C003`` comment)."""
-        per_line, file_wide = self.marker_suppressions.get(marker, ({}, frozenset()))
+    def is_suppressed(self, marker: str, rule_id: str, lineno: int) -> bool:
+        """Whether a ``# <marker>: disable=...`` comment turns ``rule_id``
+        off at ``lineno`` (or file-wide)."""
+        per_line, file_wide = self.suppressions[marker]
         if rule_id in file_wide or "all" in file_wide:
             return True
         ids = per_line.get(lineno, frozenset())
         return rule_id in ids or "all" in ids
+
+    def finding(
+        self, rule: str, line: int, column: int, message: str, symbol: str
+    ) -> Finding:
+        """A finding at ``line``/``column`` of this module, inside ``symbol``."""
+        return Finding(
+            rule=rule,
+            path=self.path,
+            line=line,
+            column=column,
+            message=message,
+            symbol=symbol,
+            source_line=self.source_line(line),
+        )
+
+    def dotted(self, node: ast.expr) -> str | None:
+        """The dotted name the chain ``a.b.c`` (or the bare name ``a``)
+        spells, its base resolved through :attr:`imports`; an unimported
+        base stays as written.  ``None`` when the chain does not start
+        at a name."""
+        attrs: list[str] = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            return None
+        return ".".join([self.imports.get(node.id, node.id), *reversed(attrs)])
+
+    def global_assignments(self) -> Iterator[tuple[str, ast.expr, int]]:
+        """``(name, value, line)`` for each module-level ``NAME = value``
+        and annotated ``NAME: T = value``, in source order."""
+        for node in self.tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.value, node.lineno
 
 
 @dataclass(slots=True)
@@ -150,7 +192,9 @@ class Project:
     by_name: dict[str, list[str]] = field(default_factory=dict)
     #: qualname of a module-level dict of function refs -> target qualnames.
     dispatch_tables: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    errors: list[tuple[str, int, str]] = field(default_factory=list)
+    #: (path, line, message, column) of each file that could not be
+    #: loaded (see :func:`load_project`); lint reports each as ``E000``.
+    errors: list[tuple[str, int, str, int]] = field(default_factory=list)
 
     def entrypoints(self, extra: Sequence[str] = ()) -> list[FunctionUnit]:
         """Determinism entrypoints: public functions and methods of
@@ -170,6 +214,38 @@ class Project:
             if unit is not None:
                 entries[qualname] = unit
         return [entries[k] for k in sorted(entries)]
+
+
+def _parse_suppressions(
+    lines: Sequence[str], marker: str
+) -> tuple[dict[int, frozenset[str]], frozenset[str]]:
+    """Parse ``# <marker>: disable=...`` comments out of ``lines``.
+
+    Returns:
+        ``(per_line, file_wide)``: 1-based line number -> disabled rule
+        ids, and the rule ids disabled for the whole file (only honored
+        within the first :data:`_FILE_SUPPRESS_WINDOW` lines).
+    """
+    escaped = re.escape(marker)
+    line_re = re.compile(rf"#\s*{escaped}:\s*disable=(?P<ids>[A-Za-z0-9, ]+)")
+    file_re = re.compile(rf"#\s*{escaped}:\s*disable-file=(?P<ids>[A-Za-z0-9, ]+)")
+    per_line: dict[int, frozenset[str]] = {}
+    file_wide: set[str] = set()
+    for lineno, text in enumerate(lines, start=1):
+        if marker not in text:
+            continue
+        match = line_re.search(text)
+        if match:
+            ids = frozenset(
+                part.strip() for part in match.group("ids").split(",") if part.strip()
+            )
+            per_line[lineno] = ids
+        match = file_re.search(text)
+        if match and lineno <= _FILE_SUPPRESS_WINDOW:
+            file_wide.update(
+                part.strip() for part in match.group("ids").split(",") if part.strip()
+            )
+    return per_line, frozenset(file_wide)
 
 
 def _iter_package_files(root: Path) -> Iterator[Path]:
@@ -287,41 +363,20 @@ def _function_ref_target(module: ModuleUnit, node: ast.expr) -> str | None:
         if node.id in module.functions:
             return f"{module.name}.{node.id}"
         return module.imports.get(node.id)
-    if isinstance(node, ast.Attribute):
-        parts: list[str] = []
-        current: ast.expr = node
-        while isinstance(current, ast.Attribute):
-            parts.append(current.attr)
-            current = current.value
-        if not isinstance(current, ast.Name):
-            return None
-        base = module.imports.get(current.id, current.id)
-        return ".".join([base, *reversed(parts)])
-    if isinstance(node, ast.Lambda):
-        return None
-    return None
+    return module.dotted(node)
 
 
 def _collect_dispatch_tables(project: Project, module: ModuleUnit) -> None:
-    for node in module.tree.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if value is None or not isinstance(value, ast.Dict):
+    for name, value, _line in module.global_assignments():
+        if not isinstance(value, ast.Dict):
             continue
-        refs = []
-        for entry in value.values:
-            target = _function_ref_target(module, entry)
-            if target is not None and target in project.functions:
-                refs.append(target)
-        if not refs:
-            continue
-        for target_node in targets:
-            if isinstance(target_node, ast.Name):
-                project.dispatch_tables[f"{module.name}.{target_node.id}"] = tuple(refs)
+        refs = [
+            target
+            for target in (_function_ref_target(module, entry) for entry in value.values)
+            if target in project.functions
+        ]
+        if refs:
+            project.dispatch_tables[f"{module.name}.{name}"] = tuple(refs)
 
 
 def load_project(paths: Sequence[str]) -> Project:
@@ -330,39 +385,54 @@ def load_project(paths: Sequence[str]) -> Project:
     Each path must be a package directory; its basename becomes the
     root of the dotted module names (``src/repro`` -> ``repro.*``).
     Unreadable or syntactically invalid files are recorded in
-    :attr:`Project.errors` rather than aborting the load.
+    :attr:`Project.errors` rather than aborting the load, and so is a
+    file whose module name an earlier path's module already holds.  A
+    file that overlapping paths reach twice is read once.
     """
     project = Project()
+    seen: set[str] = set()
     for raw in paths:
         root = Path(raw)
         for file_path in _iter_package_files(root):
             posix = str(file_path).replace("\\", "/")
+            if posix in seen:
+                continue
+            seen.add(posix)
+            name = _module_name(root, file_path)
+            if name in project.modules:
+                holder = project.modules[name].path
+                project.errors.append(
+                    (posix, 1, f"module {name} is already loaded from {holder}", 0)
+                )
+                continue
             try:
                 source = file_path.read_text(encoding="utf-8")
                 tree = ast.parse(source, filename=posix)
             except OSError as exc:
-                project.errors.append((posix, 1, f"cannot read file: {exc}"))
+                project.errors.append((posix, 1, f"cannot read file: {exc}", 0))
                 continue
             except SyntaxError as exc:
                 project.errors.append(
-                    (posix, exc.lineno or 1, f"syntax error: {exc.msg}")
+                    (
+                        posix,
+                        exc.lineno or 1,
+                        f"syntax error: {exc.msg}",
+                        (exc.offset or 1) - 1,
+                    )
                 )
                 continue
             lines = source.splitlines()
-            by_marker = {
-                marker: parse_suppressions(lines, marker=marker)
-                for marker in SUPPRESSION_MARKERS
-            }
-            per_line, file_wide = by_marker["repro-flow"]
             module = ModuleUnit(
-                name=_module_name(root, file_path),
+                name=name,
                 path=posix,
                 tree=tree,
                 lines=lines,
+                layer=infer_layer(posix),
                 is_package=file_path.name == "__init__.py",
-                line_suppressions=per_line,
-                file_suppressions=file_wide,
-                marker_suppressions=by_marker,
+                suppressions={
+                    marker: _parse_suppressions(lines, marker)
+                    for marker in SUPPRESSION_MARKERS
+                },
             )
             project.modules[module.name] = module
             _collect_imports(module)

@@ -123,7 +123,7 @@ class _HotAnalyzer:
         node: str,
         identity_extra: str = "",
     ) -> None:
-        if module.is_suppressed_marker(SUPPRESSION_MARKER, rule, line):
+        if module.is_suppressed(SUPPRESSION_MARKER, rule, line):
             return
         identity = (rule, module.path, line, column, identity_extra)
         if identity in self._seen:
@@ -132,20 +132,8 @@ class _HotAnalyzer:
         chain = self.reach[node][1]
         cost = site_cost(depth, len(chain) - 1)
         note = _chain_note(chain)
-        self.pairs.append(
-            (
-                cost,
-                Finding(
-                    rule=rule,
-                    path=module.path,
-                    line=line,
-                    column=column,
-                    message=f"{message} [cost {format_cost(cost)}; {note}]",
-                    symbol=symbol,
-                    source_line=module.source_line(line),
-                ),
-            )
-        )
+        message = f"{message} [cost {format_cost(cost)}; {note}]"
+        self.pairs.append((cost, module.finding(rule, line, column, message, symbol)))
 
     # -- P007: hot-reachable densification ----------------------------------
 

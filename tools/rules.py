@@ -1,6 +1,8 @@
 """Lint rules R001–R004, R007 and R008, tailored to the repro codebase.
 
-Each rule inspects one parsed module (:class:`ModuleInfo`) and yields
+Each rule inspects one parsed module (a
+:class:`~tools.flow.project.ModuleUnit` from the one front end,
+:func:`~tools.flow.project.load_project`) and yields
 :class:`~tools.findings.Finding` objects.  The catalogue:
 
 ========  ==============================================================
@@ -29,20 +31,16 @@ disable=R00X`` (comma-separated ids, or ``all``) and file-wide with
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import PurePosixPath
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from tools.findings import Finding
 
-__all__ = [
-    "ModuleInfo",
-    "Rule",
-    "RULES",
-    "parse_module",
-    "parse_suppressions",
-]
+if TYPE_CHECKING:  # the front end imports infer_layer from here
+    from tools.flow.project import ModuleUnit
+
+__all__ = ["Rule", "RULES", "infer_layer"]
 
 # --------------------------------------------------------------------------
 # Shared configuration
@@ -132,90 +130,6 @@ FORBIDDEN_IMPORTS: dict[str, frozenset[str]] = {
 #: none of the analyzer (R003).
 ANALYZER_PACKAGE = "tools"
 
-#: File-wide suppressions must appear within the first N lines.
-_FILE_SUPPRESS_WINDOW = 12
-
-
-def _suppress_patterns(marker: str) -> tuple[re.Pattern[str], re.Pattern[str]]:
-    escaped = re.escape(marker)
-    return (
-        re.compile(rf"#\s*{escaped}:\s*disable=(?P<ids>[A-Za-z0-9, ]+)"),
-        re.compile(rf"#\s*{escaped}:\s*disable-file=(?P<ids>[A-Za-z0-9, ]+)"),
-    )
-
-
-# --------------------------------------------------------------------------
-# Module model
-# --------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class ModuleInfo:
-    """A parsed module plus the context rules need.
-
-    Attributes:
-        path: posix-style path as given to the linter.
-        tree: the parsed AST.
-        lines: raw source lines (without trailing newlines).
-        layer: architectural layer, or ``None`` when undetermined.
-        line_suppressions: line number -> rule ids disabled on it.
-        file_suppressions: rule ids disabled for the whole file.
-    """
-
-    path: str
-    tree: ast.Module
-    lines: list[str]
-    layer: str | None = None
-    line_suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
-    file_suppressions: frozenset[str] = frozenset()
-
-    def source_line(self, lineno: int) -> str:
-        """The stripped source text at 1-based ``lineno``."""
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
-    def is_suppressed(self, rule_id: str, lineno: int) -> bool:
-        """Whether ``rule_id`` is disabled at ``lineno``."""
-        if rule_id in self.file_suppressions or "all" in self.file_suppressions:
-            return True
-        ids = self.line_suppressions.get(lineno, frozenset())
-        return rule_id in ids or "all" in ids
-
-
-def parse_suppressions(
-    lines: Sequence[str], marker: str = "repro-lint"
-) -> tuple[dict[int, frozenset[str]], frozenset[str]]:
-    """Parse ``# <marker>: disable=...`` comments out of ``lines``.
-
-    Shared by the linter (``repro-lint``) and the flow analyzer
-    (``repro-flow``); the two tools deliberately use distinct markers so
-    suppressing one never silences the other.
-
-    Returns:
-        ``(per_line, file_wide)``: 1-based line number -> disabled rule
-        ids, and the rule ids disabled for the whole file (only honored
-        within the first :data:`_FILE_SUPPRESS_WINDOW` lines).
-    """
-    line_re, file_re = _suppress_patterns(marker)
-    per_line: dict[int, frozenset[str]] = {}
-    file_wide: set[str] = set()
-    for lineno, text in enumerate(lines, start=1):
-        if marker not in text:
-            continue
-        match = line_re.search(text)
-        if match:
-            ids = frozenset(
-                part.strip() for part in match.group("ids").split(",") if part.strip()
-            )
-            per_line[lineno] = ids
-        match = file_re.search(text)
-        if match and lineno <= _FILE_SUPPRESS_WINDOW:
-            file_wide.update(
-                part.strip() for part in match.group("ids").split(",") if part.strip()
-            )
-    return per_line, frozenset(file_wide)
-
 
 def infer_layer(path: str) -> str | None:
     """Infer the architectural layer of ``path``.
@@ -234,25 +148,6 @@ def infer_layer(path: str) -> str | None:
     return None
 
 
-def parse_module(path: str, source: str) -> ModuleInfo:
-    """Parse ``source`` into the :class:`ModuleInfo` the rules consume.
-
-    Raises:
-        SyntaxError: when the module does not parse.
-    """
-    tree = ast.parse(source, filename=path)
-    lines = source.splitlines()
-    per_line, file_wide = parse_suppressions(lines)
-    return ModuleInfo(
-        path=path.replace("\\", "/"),
-        tree=tree,
-        lines=lines,
-        layer=infer_layer(path),
-        line_suppressions=per_line,
-        file_suppressions=file_wide,
-    )
-
-
 # --------------------------------------------------------------------------
 # Rule plumbing
 # --------------------------------------------------------------------------
@@ -264,14 +159,15 @@ class Rule:
 
     rule_id: str
     summary: str
-    check: Callable[[ModuleInfo], list[Finding]]
+    check: Callable[[ModuleUnit], list[Finding]]
 
-    def run(self, module: ModuleInfo) -> list[Finding]:
-        """Run the rule, dropping suppressed findings."""
+    def run(self, module: ModuleUnit) -> list[Finding]:
+        """Run the rule, dropping findings a ``repro-lint`` comment
+        suppresses."""
         return [
             finding
             for finding in self.check(module)
-            if not module.is_suppressed(self.rule_id, finding.line)
+            if not module.is_suppressed("repro-lint", self.rule_id, finding.line)
         ]
 
 
@@ -296,32 +192,12 @@ def _walk_scoped(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
     yield from visit(tree, "<module>")
 
 
-def _finding(
-    module: ModuleInfo,
-    rule_id: str,
-    node: ast.AST,
-    message: str,
-    symbol: str,
-) -> Finding:
-    lineno = getattr(node, "lineno", 1)
-    col = getattr(node, "col_offset", 0)
-    return Finding(
-        rule=rule_id,
-        path=module.path,
-        line=lineno,
-        column=col,
-        message=message,
-        symbol=symbol,
-        source_line=module.source_line(lineno),
-    )
-
-
 # --------------------------------------------------------------------------
 # R001 — library exceptions only
 # --------------------------------------------------------------------------
 
 
-def _check_r001(module: ModuleInfo) -> list[Finding]:
+def _check_r001(module: ModuleUnit) -> list[Finding]:
     findings = []
     for node, symbol in _walk_scoped(module.tree):
         if not isinstance(node, ast.Raise) or node.exc is None:
@@ -340,10 +216,10 @@ def _check_r001(module: ModuleInfo) -> list[Finding]:
                 else " (use a repro.exceptions subclass)"
             )
             findings.append(
-                _finding(
-                    module,
+                module.finding(
                     "R001",
-                    node,
+                    node.lineno,
+                    node.col_offset,
                     f"raises builtin {name}{hint}",
                     symbol,
                 )
@@ -356,7 +232,7 @@ def _check_r001(module: ModuleInfo) -> list[Finding]:
 # --------------------------------------------------------------------------
 
 
-def _check_r002(module: ModuleInfo) -> list[Finding]:
+def _check_r002(module: ModuleUnit) -> list[Finding]:
     if module.path.endswith(R002_EXEMPT_SUFFIXES):
         return []
     findings = []
@@ -365,10 +241,10 @@ def _check_r002(module: ModuleInfo) -> list[Finding]:
             for alias in node.names:
                 if alias.name == "random" or alias.name.startswith("random."):
                     findings.append(
-                        _finding(
-                            module,
+                        module.finding(
                             "R002",
-                            node,
+                            node.lineno,
+                            node.col_offset,
                             "stdlib `random` is unseeded global state; "
                             "use numpy.random.default_rng(seed)",
                             symbol,
@@ -378,10 +254,10 @@ def _check_r002(module: ModuleInfo) -> list[Finding]:
             mod = node.module or ""
             if mod == "random":
                 findings.append(
-                    _finding(
-                        module,
+                    module.finding(
                         "R002",
-                        node,
+                        node.lineno,
+                        node.col_offset,
                         "stdlib `random` is unseeded global state; "
                         "use numpy.random.default_rng(seed)",
                         symbol,
@@ -395,10 +271,10 @@ def _check_r002(module: ModuleInfo) -> list[Finding]:
                 ]
                 if bad:
                     findings.append(
-                        _finding(
-                            module,
+                        module.finding(
                             "R002",
-                            node,
+                            node.lineno,
+                            node.col_offset,
                             f"imports unseeded numpy.random members {bad}; "
                             "construct an explicit Generator instead",
                             symbol,
@@ -414,10 +290,10 @@ def _check_r002(module: ModuleInfo) -> list[Finding]:
                 and node.attr not in SEEDED_RANDOM_ALLOWED
             ):
                 findings.append(
-                    _finding(
-                        module,
+                    module.finding(
                         "R002",
-                        node,
+                        node.lineno,
+                        node.col_offset,
                         f"`{value.value.id}.random.{node.attr}` uses the "
                         "unseeded global RandomState; construct an explicit "
                         "Generator via default_rng(seed)",
@@ -439,7 +315,7 @@ def _imported_layer(module_name: str) -> str | None:
     return parts[1] if parts[1] in LAYERS else None
 
 
-def _check_r003(module: ModuleInfo) -> list[Finding]:
+def _check_r003(module: ModuleUnit) -> list[Finding]:
     layer = module.layer
     forbidden = FORBIDDEN_IMPORTS.get(layer or "", frozenset())
     guards_analyzer = ANALYZER_PACKAGE not in PurePosixPath(module.path).parts[:-1]
@@ -459,10 +335,10 @@ def _check_r003(module: ModuleInfo) -> list[Finding]:
         for target in targets:
             if guards_analyzer and target.split(".")[0] == ANALYZER_PACKAGE:
                 findings.append(
-                    _finding(
-                        module,
+                    module.finding(
                         "R003",
-                        node,
+                        node.lineno,
+                        node.col_offset,
                         f"only the analyzer may import the analyzer package "
                         f"`{ANALYZER_PACKAGE}` ({target})",
                         symbol,
@@ -472,10 +348,10 @@ def _check_r003(module: ModuleInfo) -> list[Finding]:
             target_layer = _imported_layer(target)
             if target_layer in forbidden:
                 findings.append(
-                    _finding(
-                        module,
+                    module.finding(
                         "R003",
-                        node,
+                        node.lineno,
+                        node.col_offset,
                         f"layer `{layer}` must not import layer "
                         f"`{target_layer}` ({target})",
                         symbol,
@@ -499,7 +375,7 @@ def _is_mutable_default(node: ast.expr) -> bool:
     return False
 
 
-def _check_r004(module: ModuleInfo) -> list[Finding]:
+def _check_r004(module: ModuleUnit) -> list[Finding]:
     findings = []
     for node, symbol in _walk_scoped(module.tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -516,10 +392,10 @@ def _check_r004(module: ModuleInfo) -> list[Finding]:
         for arg, default in annotated:
             if default is not None and _is_mutable_default(default):
                 findings.append(
-                    _finding(
-                        module,
+                    module.finding(
                         "R004",
-                        default,
+                        default.lineno,
+                        default.col_offset,
                         f"mutable default for parameter `{arg.arg}` of "
                         f"{qualname}(); use None and create inside",
                         symbol,
@@ -581,7 +457,7 @@ def _public_functions(
     yield from visit(tree, "<module>")
 
 
-def _check_r007(module: ModuleInfo) -> list[Finding]:
+def _check_r007(module: ModuleUnit) -> list[Finding]:
     findings = []
     for node, symbol in _public_functions(module.tree):
         qualname = node.name if symbol == "<module>" else f"{symbol}.{node.name}"
@@ -595,10 +471,10 @@ def _check_r007(module: ModuleInfo) -> list[Finding]:
             problems.append("missing return annotation")
         if problems:
             findings.append(
-                _finding(
-                    module,
+                module.finding(
                     "R007",
-                    node,
+                    node.lineno,
+                    node.col_offset,
                     f"public function {qualname}() {'; '.join(problems)}",
                     symbol,
                 )
@@ -651,7 +527,7 @@ def _handler_reraises(handler: ast.ExceptHandler) -> bool:
     )
 
 
-def _check_r008(module: ModuleInfo) -> list[Finding]:
+def _check_r008(module: ModuleUnit) -> list[Finding]:
     findings = []
     for node, symbol in _walk_scoped(module.tree):
         if not isinstance(node, ast.ExceptHandler):
@@ -661,10 +537,10 @@ def _check_r008(module: ModuleInfo) -> list[Finding]:
             continue
         what = "bare `except:`" if broad == "<bare>" else f"`except {broad}:`"
         findings.append(
-            _finding(
-                module,
+            module.finding(
                 "R008",
-                node,
+                node.lineno,
+                node.col_offset,
                 f"{what} swallows unrelated failures; catch the specific "
                 "exception types the block can actually raise (handlers "
                 "that re-raise are exempt)",
